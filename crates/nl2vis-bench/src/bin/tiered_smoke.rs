@@ -42,7 +42,7 @@ fn main() {
         .build()
         .expect("routing stack conforms");
 
-    let server = CompletionServer::start_with_service(tiers).expect("server boots");
+    let server = CompletionServer::start(tiers).expect("server boots");
     let client = HttpLlmClient::new(server.address(), "tiered");
     let tiered = evaluate_llm(
         &client,

@@ -13,6 +13,7 @@ use nl2vis_eval::FailureTaxonomy;
 use nl2vis_llm::{ModelProfile, SimLlm};
 use nl2vis_obs as obs;
 use nl2vis_prompt::PromptFormat;
+use nl2vis_service::{CompletionService, Layer};
 
 /// Accuracy pair (exact, exec).
 pub type Pair = (f64, f64);
@@ -853,6 +854,17 @@ pub struct TransportResilience {
     pub faults_injected: u64,
 }
 
+/// The resilient HTTP client stack the serving experiments drive,
+/// `Trace(Metrics(Retry(http)))`: one request span, final-failure
+/// attribution on `llm.error.transport`, bounded retry.
+fn resilient(
+    http: nl2vis_llm::http::HttpLlmClient,
+    policy: nl2vis_llm::RetryPolicy,
+) -> impl CompletionService + Send + Sync {
+    use nl2vis_service::{MetricsLayer, RetryLayer, TraceLayer};
+    TraceLayer::request().layer(MetricsLayer::default().layer(RetryLayer::new(policy).layer(http)))
+}
+
 /// **Transport resilience**: the same model, split and prompts, served
 /// twice over HTTP — once cleanly, once through a fault-injecting server
 /// (drops, 500s, stalls) with a retrying client. When retries recover every
@@ -865,8 +877,8 @@ pub fn transport(
     fault_spec: &str,
     retries: u32,
 ) -> (TransportResilience, String) {
-    use nl2vis_llm::http::{CompletionServer, HttpLlmClient, Timeouts};
-    use nl2vis_llm::{FaultInjector, ResilientLlmClient, RetryPolicy};
+    use nl2vis_llm::http::{CompletionServer, HttpLlmClient, ServerConfig, Timeouts};
+    use nl2vis_llm::{FaultInjector, RetryPolicy};
     use nl2vis_obs::MetricsRegistry;
     use std::sync::Arc;
     use std::time::Duration;
@@ -887,9 +899,14 @@ pub fn transport(
 
     let run = |faults: FaultInjector| {
         let registry = Arc::new(MetricsRegistry::new());
-        let server = CompletionServer::start_with_faults(llm.clone(), registry, faults)
-            .expect("server starts");
-        let client = ResilientLlmClient::new(
+        let server = CompletionServer::start_with_service_config(
+            llm.clone(),
+            registry,
+            faults,
+            ServerConfig::default(),
+        )
+        .expect("server starts");
+        let client = resilient(
             HttpLlmClient::with_timeouts(server.address(), llm.profile.name, timeouts),
             policy,
         );
@@ -996,8 +1013,8 @@ pub struct ServingSummary {
 /// deterministic injected stall standing in for real model inference, so
 /// the cold/warm gap is reproducible rather than noise.
 pub fn serving(ctx: &ExperimentContext, cache_capacity: usize) -> (ServingSummary, String) {
-    use nl2vis_cache::{CachedLlmClient, CompletionCache};
-    use nl2vis_llm::http::{CompletionServer, HttpLlmClient};
+    use nl2vis_cache::{CacheLayer, CompletionCache};
+    use nl2vis_llm::http::{CompletionServer, HttpLlmClient, ServerConfig};
     use nl2vis_llm::FaultInjector;
     use nl2vis_obs::MetricsRegistry;
     use std::sync::Arc;
@@ -1005,17 +1022,16 @@ pub fn serving(ctx: &ExperimentContext, cache_capacity: usize) -> (ServingSummar
     let llm = davinci003(ctx);
     let config = LlmEvalConfig::default();
     let registry = Arc::new(MetricsRegistry::new());
-    let server = CompletionServer::start_with_faults(
+    let server = CompletionServer::start_with_service_config(
         llm.clone(),
         Arc::clone(&registry),
         FaultInjector::parse("stall=1.0,stall_ms=3,seed=1").expect("static spec"),
+        ServerConfig::default(),
     )
     .expect("server starts");
     let cache = Arc::new(CompletionCache::in_memory(cache_capacity));
-    let client = CachedLlmClient::with_cache(
-        HttpLlmClient::new(server.address(), llm.profile.name),
-        Arc::clone(&cache),
-    );
+    let client = CacheLayer::with_cache(Arc::clone(&cache))
+        .layer(HttpLlmClient::new(server.address(), llm.profile.name));
 
     let run = || {
         let started = std::time::Instant::now();
@@ -1143,7 +1159,7 @@ pub struct OverloadSummary {
 /// recovers to a completion.
 pub fn serving_overload(ctx: &ExperimentContext, threads: usize) -> (OverloadSummary, String) {
     use nl2vis_llm::http::{CompletionServer, HttpLlmClient, ServerConfig};
-    use nl2vis_llm::{FaultInjector, GenOptions, LlmClient, ResilientLlmClient, RetryPolicy};
+    use nl2vis_llm::{FaultInjector, GenOptions, RetryPolicy};
     use nl2vis_obs::MetricsRegistry;
     use std::sync::Arc;
     use std::time::{Duration, Instant};
@@ -1158,7 +1174,7 @@ pub fn serving_overload(ctx: &ExperimentContext, threads: usize) -> (OverloadSum
         queue_depth: 2,
         retry_after: Duration::from_millis(2),
     };
-    let server = CompletionServer::start_with_config(
+    let server = CompletionServer::start_with_service_config(
         llm,
         Arc::clone(&registry),
         FaultInjector::parse("stall=1.0,stall_ms=2,seed=1").expect("static spec"),
@@ -1176,7 +1192,7 @@ pub fn serving_overload(ctx: &ExperimentContext, threads: usize) -> (OverloadSum
                     // A generous attempt budget with growing, jittered
                     // backoff: the point is that *every* request recovers,
                     // so the budget must outlast the worst-case herd.
-                    let client = ResilientLlmClient::new(
+                    let client = resilient(
                         HttpLlmClient::new(addr, model),
                         RetryPolicy {
                             max_attempts: 48,
@@ -1188,7 +1204,7 @@ pub fn serving_overload(ctx: &ExperimentContext, threads: usize) -> (OverloadSum
                     (0..REQUESTS_PER_THREAD)
                         .map(|i| {
                             let started = Instant::now();
-                            let outcome = client.try_complete_with(
+                            let outcome = client.call(
                                 &format!("Q: overload probe {t}-{i}\nVQL:"),
                                 &GenOptions::default(),
                             );
@@ -1298,9 +1314,9 @@ pub struct TracesSummary {
 /// and dumps the slowest and errored span trees — the exact artifacts an
 /// operator would pull when diagnosing a slow or failed request.
 pub fn traces(ctx: &ExperimentContext) -> (TracesSummary, String) {
-    use nl2vis_cache::{CachedLlmClient, CompletionCache};
-    use nl2vis_llm::http::{CompletionServer, HttpLlmClient};
-    use nl2vis_llm::{FaultInjector, ResilientLlmClient, RetryPolicy};
+    use nl2vis_cache::{CacheLayer, CompletionCache};
+    use nl2vis_llm::http::{CompletionServer, HttpLlmClient, ServerConfig};
+    use nl2vis_llm::{FaultInjector, RetryPolicy};
     use nl2vis_obs::{recorder, FlightRecorder, MetricsRegistry};
     use std::io::{Read as _, Write as _};
     use std::sync::Arc;
@@ -1312,23 +1328,22 @@ pub fn traces(ctx: &ExperimentContext) -> (TracesSummary, String) {
     let llm = davinci003(ctx);
     let config = LlmEvalConfig::default();
     let registry = Arc::new(MetricsRegistry::new());
-    let server = CompletionServer::start_with_faults(
+    let server = CompletionServer::start_with_service_config(
         llm.clone(),
         Arc::clone(&registry),
         FaultInjector::parse("drop=0.15,seed=11").expect("static spec"),
+        ServerConfig::default(),
     )
     .expect("server starts");
     let policy = RetryPolicy {
         jitter_seed: ctx.seed,
         ..RetryPolicy::attempts(4)
     };
-    let client = CachedLlmClient::with_cache(
-        ResilientLlmClient::new(
+    let client =
+        CacheLayer::with_cache(Arc::new(CompletionCache::in_memory(1024))).layer(resilient(
             HttpLlmClient::new(server.address(), llm.profile.name),
             policy,
-        ),
-        Arc::new(CompletionCache::in_memory(1024)),
-    );
+        ));
 
     // Two passes over the same examples: the first pays the wire (misses,
     // drops, retries), the second replays from the cache — so the recorder
@@ -1713,7 +1728,7 @@ struct Timed<S> {
     latency_us: obs::Histogram,
 }
 
-impl<S: nl2vis_service::CompletionService> nl2vis_service::CompletionService for Timed<S> {
+impl<S: CompletionService> CompletionService for Timed<S> {
     fn model(&self) -> &str {
         self.inner.model()
     }
@@ -1745,10 +1760,7 @@ impl<S: nl2vis_service::CompletionService> nl2vis_service::CompletionService for
 /// to the expensive tier.
 pub fn routing(ctx: &ExperimentContext) -> (Vec<RoutingRow>, String) {
     use nl2vis_baselines::{ModelService, T5Model, T5Size};
-    use nl2vis_llm::ServiceClient;
-    use nl2vis_service::{
-        service_fn, Layer, RouteLayer, RoutePolicy, ValidateLayer, VqlExecValidator,
-    };
+    use nl2vis_service::{service_fn, RouteLayer, RoutePolicy, ValidateLayer, VqlExecValidator};
     use std::collections::BTreeMap;
     use std::sync::Arc;
     use std::time::Duration;
@@ -1848,10 +1860,10 @@ pub fn routing(ctx: &ExperimentContext) -> (Vec<RoutingRow>, String) {
                 ),
         };
         let tiers = route.build().expect("routing stack conforms");
-        let client = ServiceClient::new(Timed {
+        let client = Timed {
             inner: tiers,
             latency_us: obs::Histogram::default(),
-        });
+        };
 
         let g = obs::global();
         let before = (
@@ -1868,7 +1880,7 @@ pub fn routing(ctx: &ExperimentContext) -> (Vec<RoutingRow>, String) {
             &config,
             ctx.limit,
         );
-        let latency = client.inner().latency_us.summary();
+        let latency = client.latency_us.summary();
         rows.push(RoutingRow {
             policy: label.to_string(),
             exact: report.overall().exact(),

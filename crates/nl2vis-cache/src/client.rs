@@ -11,15 +11,12 @@
 //! enters the cache after the whole retry budget concluded in model text.
 //! Transport errors — timeouts, refused connects, 4xx/5xx — are **never**
 //! cached: the next identical request goes upstream again.
-//! [`CachedLlmClient`] remains as a back-compat shim composing
-//! `Cached(ClientService(inner))` behind the [`LlmClient`] trait.
 
 use crate::lru::ShardedLru;
 use crate::persist::{load, Appender};
 use crate::singleflight::{FlightRole, SingleFlight};
-use nl2vis_llm::{ClientService, CompletionOutcome, GenOptions, LlmClient};
 use nl2vis_obs as obs;
-use nl2vis_service::{CompletionService, Layer};
+use nl2vis_service::{CompletionOutcome, CompletionService, GenOptions, Layer};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -322,54 +319,10 @@ impl<S: CompletionService> CompletionService for Cached<S> {
     }
 }
 
-/// Back-compat shim: an [`LlmClient`] wrapper that serves completions
-/// through a [`CompletionCache`] — now composed as
-/// `Cached(ClientService(inner))` on the layered stack. Transport
-/// failures fold into a marker string on the infallible surface (the same
-/// contract as `HttpLlmClient::complete`); scoring paths use
-/// [`LlmClient::try_complete_with`].
-pub struct CachedLlmClient<C> {
-    stack: Cached<ClientService<C>>,
-}
-
-impl<C: LlmClient> CachedLlmClient<C> {
-    /// Wraps `inner` with a fresh in-memory cache of `capacity` entries.
-    pub fn new(inner: C, capacity: usize) -> CachedLlmClient<C> {
-        CachedLlmClient::with_cache(inner, Arc::new(CompletionCache::in_memory(capacity)))
-    }
-
-    /// Wraps `inner` over a shared cache.
-    pub fn with_cache(inner: C, cache: Arc<CompletionCache>) -> CachedLlmClient<C> {
-        CachedLlmClient {
-            stack: CacheLayer::with_cache(cache).layer(ClientService::new(inner)),
-        }
-    }
-
-    /// The shared cache handle.
-    pub fn cache(&self) -> &Arc<CompletionCache> {
-        self.stack.cache()
-    }
-
-    /// The wrapped client.
-    pub fn inner(&self) -> &C {
-        self.stack.inner().inner()
-    }
-}
-
-impl<C: LlmClient> LlmClient for CachedLlmClient<C> {
-    fn name(&self) -> &str {
-        self.stack.model()
-    }
-
-    fn try_complete_with(&self, prompt: &str, opts: &GenOptions) -> CompletionOutcome {
-        self.stack.call(prompt, opts)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nl2vis_llm::{TransportError, TransportErrorKind};
+    use nl2vis_service::{TransportError, TransportErrorKind};
     use std::sync::atomic::AtomicUsize;
 
     /// A scriptable fake backend: pops the next outcome per call and
@@ -392,17 +345,12 @@ mod tests {
         }
     }
 
-    impl LlmClient for ScriptedLlm {
-        fn complete(&self, prompt: &str) -> String {
-            self.try_complete_with(prompt, &GenOptions::default())
-                .unwrap_or_else(|e| format!("[{e}]"))
-        }
-
-        fn name(&self) -> &str {
+    impl CompletionService for ScriptedLlm {
+        fn model(&self) -> &str {
             "scripted"
         }
 
-        fn try_complete_with(&self, prompt: &str, _opts: &GenOptions) -> CompletionOutcome {
+        fn call(&self, prompt: &str, _opts: &GenOptions) -> CompletionOutcome {
             self.calls.fetch_add(1, Ordering::SeqCst);
             let mut outcomes = self.outcomes.lock().unwrap();
             if outcomes.is_empty() {
@@ -411,6 +359,11 @@ mod tests {
                 outcomes.remove(0)
             }
         }
+    }
+
+    /// `inner` behind a fresh in-memory cache of `capacity` entries.
+    fn cached<S: CompletionService>(inner: S, capacity: usize) -> Cached<S> {
+        CacheLayer::new(capacity).layer(inner)
     }
 
     fn transport_err() -> TransportError {
@@ -433,13 +386,9 @@ mod tests {
 
     #[test]
     fn second_identical_request_is_a_hit() {
-        let client = CachedLlmClient::new(ScriptedLlm::new(vec![]), 16);
-        let a = client
-            .try_complete_with("q", &GenOptions::default())
-            .unwrap();
-        let b = client
-            .try_complete_with("q", &GenOptions::default())
-            .unwrap();
+        let client = cached(ScriptedLlm::new(vec![]), 16);
+        let a = client.call("q", &GenOptions::default()).unwrap();
+        let b = client.call("q", &GenOptions::default()).unwrap();
         assert_eq!(a, b);
         assert_eq!(client.inner().calls(), 1, "the repeat must not go upstream");
         let stats = client.cache().stats();
@@ -449,19 +398,19 @@ mod tests {
 
     #[test]
     fn transport_errors_are_returned_but_never_cached() {
-        let client = CachedLlmClient::new(
+        let client = cached(
             ScriptedLlm::new(vec![Err(transport_err()), Ok("recovered".to_string())]),
             16,
         );
-        let first = client.try_complete_with("q", &GenOptions::default());
+        let first = client.call("q", &GenOptions::default());
         assert!(first.is_err());
         assert_eq!(client.cache().len(), 0, "failures must not be stored");
         // The identical retry goes upstream again and succeeds...
-        let second = client.try_complete_with("q", &GenOptions::default());
+        let second = client.call("q", &GenOptions::default());
         assert_eq!(second.unwrap(), "recovered");
         assert_eq!(client.inner().calls(), 2);
         // ...and only now is the entry cached.
-        let third = client.try_complete_with("q", &GenOptions::default());
+        let third = client.call("q", &GenOptions::default());
         assert_eq!(third.unwrap(), "recovered");
         assert_eq!(client.inner().calls(), 2);
     }
@@ -471,21 +420,17 @@ mod tests {
         struct SlowLlm {
             calls: AtomicUsize,
         }
-        impl LlmClient for SlowLlm {
-            fn complete(&self, prompt: &str) -> String {
-                self.try_complete_with(prompt, &GenOptions::default())
-                    .unwrap()
-            }
-            fn name(&self) -> &str {
+        impl CompletionService for SlowLlm {
+            fn model(&self) -> &str {
                 "slow"
             }
-            fn try_complete_with(&self, prompt: &str, _opts: &GenOptions) -> CompletionOutcome {
+            fn call(&self, prompt: &str, _opts: &GenOptions) -> CompletionOutcome {
                 self.calls.fetch_add(1, Ordering::SeqCst);
                 std::thread::sleep(std::time::Duration::from_millis(60));
                 Ok(format!("slow:{prompt}"))
             }
         }
-        let client = Arc::new(CachedLlmClient::new(
+        let client = Arc::new(cached(
             SlowLlm {
                 calls: AtomicUsize::new(0),
             },
@@ -498,9 +443,7 @@ mod tests {
             let gate = Arc::clone(&gate);
             handles.push(std::thread::spawn(move || {
                 gate.wait();
-                client
-                    .try_complete_with("same prompt", &GenOptions::default())
-                    .unwrap()
+                client.call("same prompt", &GenOptions::default()).unwrap()
             }));
         }
         let results: Vec<String> = handles.into_iter().map(|h| h.join().unwrap()).collect();
@@ -516,10 +459,10 @@ mod tests {
 
     #[test]
     fn eviction_counts_and_capacity_hold_under_churn() {
-        let client = CachedLlmClient::new(ScriptedLlm::new(vec![]), 4);
+        let client = cached(ScriptedLlm::new(vec![]), 4);
         for i in 0..32 {
             client
-                .try_complete_with(&format!("prompt {i}"), &GenOptions::default())
+                .call(&format!("prompt {i}"), &GenOptions::default())
                 .unwrap();
         }
         let stats = client.cache().stats();
@@ -584,19 +527,15 @@ mod tests {
         };
         {
             let cache = Arc::new(CompletionCache::open(config.clone()).unwrap());
-            let client = CachedLlmClient::with_cache(ScriptedLlm::new(vec![]), cache);
-            client
-                .try_complete_with("warm me", &GenOptions::default())
-                .unwrap();
+            let client = CacheLayer::with_cache(cache).layer(ScriptedLlm::new(vec![]));
+            client.call("warm me", &GenOptions::default()).unwrap();
             assert_eq!(client.inner().calls(), 1);
         }
         // A brand-new cache over the same file starts hot: zero upstream.
         let cache = Arc::new(CompletionCache::open(config).unwrap());
         assert_eq!(cache.stats().persisted_loads, 1);
-        let client = CachedLlmClient::with_cache(ScriptedLlm::new(vec![]), cache);
-        let out = client
-            .try_complete_with("warm me", &GenOptions::default())
-            .unwrap();
+        let client = CacheLayer::with_cache(cache).layer(ScriptedLlm::new(vec![]));
+        let out = client.call("warm me", &GenOptions::default()).unwrap();
         assert_eq!(out, "echo:warm me");
         assert_eq!(client.inner().calls(), 0, "served entirely from disk");
         std::fs::remove_file(&path).unwrap();

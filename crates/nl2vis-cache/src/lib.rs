@@ -15,8 +15,6 @@
 //!   `nl2vis_service::Layer` that checks the cache, dedups in-flight
 //!   misses, stores only *successful* completions, and optionally
 //!   persists them as JSONL for warm cross-run starts.
-//!   [`CachedLlmClient`] keeps the pre-refactor [`nl2vis_llm::LlmClient`]
-//!   wrapper surface as a shim over the layer.
 //!
 //! Layering matters: the cache wraps *outside* retry (`Cache(Retry(leaf))`
 //! — the contract `nl2vis_service::validate_stack` enforces), so a cached
@@ -29,9 +27,7 @@ pub mod lru;
 pub mod persist;
 pub mod singleflight;
 
-pub use client::{
-    completion_key, CacheConfig, CacheLayer, CacheStats, Cached, CachedLlmClient, CompletionCache,
-};
+pub use client::{completion_key, CacheConfig, CacheLayer, CacheStats, Cached, CompletionCache};
 pub use lru::{fnv1a, ShardedLru};
 pub use persist::{decode_entry, encode_entry, Appender};
 pub use singleflight::{FlightRole, SingleFlight};

@@ -6,13 +6,14 @@
 //! fewer TCP connections, lower wall-clock — while transport failures
 //! (injected 500s, tripped deadlines) never poison the cache.
 
-use nl2vis_cache::{CachedLlmClient, CompletionCache};
+use nl2vis_cache::{CacheLayer, CompletionCache};
 use nl2vis_corpus::{Corpus, CorpusConfig};
 use nl2vis_eval::runner::{evaluate_llm, EvalReport, LlmEvalConfig};
 use nl2vis_llm::fault::{Fault, FaultInjector};
-use nl2vis_llm::http::{CompletionServer, HttpLlmClient, Timeouts};
-use nl2vis_llm::{GenOptions, LlmClient, ModelProfile, SimLlm, TransportErrorKind};
+use nl2vis_llm::http::{CompletionServer, HttpLlmClient, ServerConfig, Timeouts};
+use nl2vis_llm::{GenOptions, ModelProfile, SimLlm, TransportErrorKind};
 use nl2vis_obs::MetricsRegistry;
+use nl2vis_service::{CompletionService, Layer};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -32,17 +33,16 @@ fn repeated_eval_serves_from_cache_with_fewer_connections() {
     // Every completion pays a small injected stall — a deterministic
     // stand-in for real upstream inference latency, so the cold/warm
     // wall-clock gap cannot drown in measurement noise.
-    let server = CompletionServer::start_with_faults(
+    let server = CompletionServer::start_with_service_config(
         llm,
         Arc::clone(&registry),
         FaultInjector::parse("stall=1.0,stall_ms=3,seed=1").unwrap(),
+        ServerConfig::default(),
     )
     .unwrap();
     let cache = Arc::new(CompletionCache::in_memory(4096));
-    let client = CachedLlmClient::with_cache(
-        HttpLlmClient::new(server.address(), "text-davinci-003"),
-        Arc::clone(&cache),
-    );
+    let client = CacheLayer::with_cache(Arc::clone(&cache))
+        .layer(HttpLlmClient::new(server.address(), "text-davinci-003"));
     let config = LlmEvalConfig::default();
     let limit = Some(30);
 
@@ -97,7 +97,7 @@ fn injected_500_and_timeout_are_never_cached() {
     let registry = Arc::new(MetricsRegistry::new());
     // Request 1: HTTP 500. Request 2: a stall past the client's read
     // deadline. Request 3 (the retry of the same prompt): clean.
-    let server = CompletionServer::start_with_faults(
+    let server = CompletionServer::start_with_service_config(
         llm,
         Arc::clone(&registry),
         FaultInjector::script(vec![
@@ -106,6 +106,7 @@ fn injected_500_and_timeout_are_never_cached() {
             Fault::None,
             Fault::None,
         ]),
+        ServerConfig::default(),
     )
     .unwrap();
     let timeouts = Timeouts {
@@ -114,22 +115,23 @@ fn injected_500_and_timeout_are_never_cached() {
         write: Duration::from_secs(2),
     };
     let cache = Arc::new(CompletionCache::in_memory(64));
-    let client = CachedLlmClient::with_cache(
-        HttpLlmClient::with_timeouts(server.address(), "text-davinci-003", timeouts),
-        Arc::clone(&cache),
-    );
+    let client = CacheLayer::with_cache(Arc::clone(&cache)).layer(HttpLlmClient::with_timeouts(
+        server.address(),
+        "text-davinci-003",
+        timeouts,
+    ));
     let prompt = "-- Test:\n-- Database:\nDatabase: d\nt = [ a , b ]\nQ: question\nVQL:";
     let opts = GenOptions::default();
 
     // 500 surfaces as a typed status error and caches nothing.
-    match client.try_complete_with(prompt, &opts) {
+    match client.call(prompt, &opts) {
         Err(e) => assert_eq!(e.kind, TransportErrorKind::Status(500), "{e}"),
         Ok(text) => panic!("the injected 500 must not yield a completion: {text}"),
     }
     assert_eq!(cache.stats().insertions, 0, "an error must never be cached");
 
     // The tripped deadline surfaces as a timeout and caches nothing.
-    match client.try_complete_with(prompt, &opts) {
+    match client.call(prompt, &opts) {
         Err(e) => assert_eq!(e.kind, TransportErrorKind::Timeout, "{e}"),
         Ok(text) => panic!("the stalled request must not yield a completion: {text}"),
     }
@@ -137,15 +139,13 @@ fn injected_500_and_timeout_are_never_cached() {
 
     // The same prompt now succeeds — proving the earlier failures were not
     // memoized — and only then becomes cacheable.
-    let ok = client
-        .try_complete_with(prompt, &opts)
-        .expect("clean request succeeds");
+    let ok = client.call(prompt, &opts).expect("clean request succeeds");
     assert!(!ok.is_empty());
     assert_eq!(cache.stats().insertions, 1);
 
     // Fourth call: served from cache, no new upstream completion.
     let upstream_before = registry.counter("llm.requests_total").get();
-    let again = client.try_complete_with(prompt, &opts).unwrap();
+    let again = client.call(prompt, &opts).unwrap();
     assert_eq!(again, ok);
     assert_eq!(
         registry.counter("llm.requests_total").get(),

@@ -30,6 +30,19 @@ impl EvalOutcome {
         !self.exact && !self.exec
     }
 
+    /// The outcome of an example the model gave no usable prediction for —
+    /// a baseline that produced no parse, or an answer the serving stack
+    /// rejected: a failure on every metric, counted as a parse failure.
+    pub fn no_prediction() -> EvalOutcome {
+        EvalOutcome {
+            predicted: None,
+            exact: false,
+            exec: false,
+            components_wrong: Vec::new(),
+            parse_failed: true,
+        }
+    }
+
     /// The placeholder outcome for an example that was never scored because
     /// the transport failed (no completion exists to score). Carried by
     /// [`crate::runner::ExampleResult`]s whose `transport_error` is set;

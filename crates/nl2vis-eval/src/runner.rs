@@ -6,7 +6,7 @@
 use crate::metrics::{score_completion, score_query, Accuracy, EvalOutcome};
 use nl2vis_baselines::Nl2VisModel;
 use nl2vis_corpus::{Corpus, Example, Hardness};
-use nl2vis_llm::{GenOptions, LlmClient};
+use nl2vis_llm::{CompletionService, GenOptions, TransportErrorKind, VALIDATION_REJECTED_STATUS};
 use nl2vis_obs as obs;
 use nl2vis_prompt::select::{select_by_similarity, select_grouped, select_same_database, DemoPool};
 use nl2vis_prompt::{build_prompt, AnswerFormat, PromptFormat, PromptOptions};
@@ -87,7 +87,9 @@ pub struct ExampleResult {
     /// to the model would silently corrupt both, since the model said
     /// nothing), and surface instead through
     /// [`EvalReport::transport_failures`] and the `eval.error.transport`
-    /// counter.
+    /// counter. A validation rejection (status 422: the stack refused the
+    /// model's answer) is not one of these — it is scored as a failed
+    /// example with no prediction and counted on `eval.error.rejected`.
     pub transport_error: Option<String>,
     /// Trace id of the example's `eval.example` span (0 when the example
     /// was scored without tracing). Joins this row against JSONL sink
@@ -310,7 +312,7 @@ pub fn pick_demos_pooled<'a>(
 /// training ids. `limit` caps the number of evaluated examples for quick
 /// runs.
 pub fn evaluate_llm(
-    llm: &(dyn LlmClient + Sync),
+    llm: &(dyn CompletionService + Sync),
     corpus: &Corpus,
     train_ids: &[usize],
     test_ids: &[usize],
@@ -324,7 +326,7 @@ pub fn evaluate_llm(
 /// example with `(completed, total)` — from evaluation worker threads, so
 /// the callback must be cheap and `Sync`.
 pub fn evaluate_llm_with_progress(
-    llm: &(dyn LlmClient + Sync),
+    llm: &(dyn CompletionService + Sync),
     corpus: &Corpus,
     train_ids: &[usize],
     test_ids: &[usize],
@@ -370,33 +372,34 @@ pub fn evaluate_llm_with_progress(
                     .database(&d.db)
                     .expect("demo database exists")
             });
-            // The typed completion path: a transport failure here means the
-            // model never spoke, so the example must land in
+            // The typed completion path. A validation rejection means the
+            // stack refused the model's answer: that is a model failure, so
+            // the example scores like a missing prediction. Any other error
+            // means the model never spoke, so the example must land in
             // `eval.error.transport` — not in the accuracy denominator and
             // not in the failure taxonomy.
-            let completion = match llm.try_complete_with(&prompt.text, &config.gen) {
-                Ok(completion) => completion,
+            let (outcome, completion, transport_error) = match llm.call(&prompt.text, &config.gen) {
+                Ok(completion) => (
+                    score_completion(&completion, &test.vql, db),
+                    Some(completion),
+                    None,
+                ),
+                Err(e) if e.kind == TransportErrorKind::Status(VALIDATION_REJECTED_STATUS) => {
+                    obs::error("eval", "rejected", &format!("example {}: {e}", test.id));
+                    (EvalOutcome::no_prediction(), None, None)
+                }
                 Err(e) => {
                     obs::transport_error("eval", &format!("example {}: {e}", test.id));
-                    return Some(ExampleResult {
-                        id: test.id,
-                        outcome: EvalOutcome::unscored(),
-                        is_join: test.is_join,
-                        hardness: test.hardness,
-                        completion: None,
-                        transport_error: Some(e.to_string()),
-                        trace_id,
-                    });
+                    (EvalOutcome::unscored(), None, Some(e.to_string()))
                 }
             };
-            let outcome = score_completion(&completion, &test.vql, db);
             Some(ExampleResult {
                 id: test.id,
                 outcome,
                 is_join: test.is_join,
                 hardness: test.hardness,
-                completion: Some(completion),
-                transport_error: None,
+                completion,
+                transport_error,
                 trace_id,
             })
         },
@@ -440,13 +443,7 @@ pub fn evaluate_model_with_progress(
             let db = corpus.catalog.database(&test.db).ok()?;
             let outcome = match model.predict(&test.nl, db) {
                 Some(pred) => score_query(&pred, &test.vql, db),
-                None => EvalOutcome {
-                    predicted: None,
-                    exact: false,
-                    exec: false,
-                    components_wrong: Vec::new(),
-                    parse_failed: true,
-                },
+                None => EvalOutcome::no_prediction(),
             };
             Some(ExampleResult {
                 id: test.id,
@@ -925,11 +922,11 @@ mod tests {
         struct PanickyLlm {
             inner: SimLlm,
         }
-        impl nl2vis_llm::LlmClient for PanickyLlm {
-            fn name(&self) -> &str {
+        impl CompletionService for PanickyLlm {
+            fn model(&self) -> &str {
                 "panicky"
             }
-            fn try_complete_with(
+            fn call(
                 &self,
                 prompt: &str,
                 opts: &nl2vis_llm::GenOptions,
@@ -939,7 +936,7 @@ mod tests {
                 if prompt.len() % 3 == 0 {
                     panic!("simulated scoring crash");
                 }
-                self.inner.try_complete_with(prompt, opts)
+                self.inner.call(prompt, opts)
             }
         }
         let c = fixture();

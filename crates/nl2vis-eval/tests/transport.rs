@@ -1,16 +1,21 @@
 //! Transport-attribution integration tests: the eval runner over a
-//! fault-injecting HTTP server. The invariants under test are the PR's
-//! acceptance criteria — (1) when retries absorb every injected fault, a
-//! faulty run scores identically to a fault-free one; (2) residual
-//! transport failures land in the `error.transport` bucket and never move
-//! any model-failure count.
+//! fault-injecting HTTP server. The invariants under test — (1) when
+//! retries absorb every injected fault, a faulty run scores identically to
+//! a fault-free one; (2) residual transport failures land in the
+//! `error.transport` bucket and never move any model-failure count;
+//! (3) a validation rejection is a model failure, scored the same
+//! in-process and over HTTP.
 
 use nl2vis_corpus::{Corpus, CorpusConfig};
 use nl2vis_eval::failure::FailureTaxonomy;
 use nl2vis_eval::runner::{evaluate_llm, EvalReport, LlmEvalConfig};
-use nl2vis_llm::http::{CompletionServer, HttpLlmClient, Timeouts};
-use nl2vis_llm::{Fault, FaultInjector, ModelProfile, ResilientLlmClient, RetryPolicy, SimLlm};
+use nl2vis_llm::http::{CompletionServer, HttpLlmClient, ServerConfig, Timeouts};
+use nl2vis_llm::{Fault, FaultInjector, ModelProfile, RetryPolicy, SimLlm};
 use nl2vis_obs::MetricsRegistry;
+use nl2vis_service::{
+    service_fn, CompletionService, Layer, MetricsLayer, RetryLayer, RouteLayer, RoutePolicy,
+    TraceLayer, ValidateLayer, VqlSyntaxValidator,
+};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -25,11 +30,21 @@ fn fixture() -> Corpus {
 
 fn server_with(faults: FaultInjector) -> CompletionServer {
     let llm = SimLlm::new(ModelProfile::davinci_003(), 3);
-    CompletionServer::start_with_faults(llm, Arc::new(MetricsRegistry::new()), faults)
-        .expect("server starts")
+    CompletionServer::start_with_service_config(
+        llm,
+        Arc::new(MetricsRegistry::new()),
+        faults,
+        ServerConfig::default(),
+    )
+    .expect("server starts")
 }
 
-fn client_for(server: &CompletionServer, policy: RetryPolicy) -> ResilientLlmClient {
+/// The resilient client stack: `Trace(Metrics(Retry(http)))`.
+fn resilient(http: HttpLlmClient, policy: RetryPolicy) -> impl CompletionService + Sync {
+    TraceLayer::request().layer(MetricsLayer::default().layer(RetryLayer::new(policy).layer(http)))
+}
+
+fn client_for(server: &CompletionServer, policy: RetryPolicy) -> impl CompletionService + Sync {
     // A tight read deadline so injected stalls trip it quickly; generous
     // enough that healthy sim completions never do.
     let timeouts = Timeouts {
@@ -37,7 +52,7 @@ fn client_for(server: &CompletionServer, policy: RetryPolicy) -> ResilientLlmCli
         read: Duration::from_millis(500),
         write: Duration::from_secs(2),
     };
-    ResilientLlmClient::new(
+    resilient(
         HttpLlmClient::with_timeouts(server.address(), "text-davinci-003", timeouts),
         policy,
     )
@@ -205,4 +220,85 @@ fn total_outage_scores_nothing_and_blames_the_model_for_nothing() {
     for (_, msg) in report.transport_failed_ids() {
         assert!(msg.contains("2 attempt"), "{msg}");
     }
+}
+
+/// A budget-capped router whose cheap tier's answers are all rejected and
+/// whose budget cannot pay for the strong tier: every request ends in the
+/// validation rejection.
+fn rejecting_router() -> impl CompletionService + Send + Sync {
+    RouteLayer::new(RoutePolicy::BudgetCapped(20))
+        .model("tiered")
+        .tier(
+            "cheap",
+            1,
+            ValidateLayer::new(VqlSyntaxValidator).layer(service_fn("cheap", |_, _| {
+                Ok("I cannot answer.".to_string())
+            })),
+        )
+        .tier("strong", 38, SimLlm::new(ModelProfile::gpt_4(), 3))
+        .build()
+        .expect("a valid two-tier router")
+}
+
+/// A validation rejection is a verdict on the model's answer, not a lost
+/// request: the example stays in the accuracy denominator as a failure
+/// with no prediction and moves `eval.error.rejected` — in-process, and
+/// over HTTP, where the server answers `422` and the retrying client takes
+/// it as final after one attempt.
+#[test]
+fn validation_rejection_is_scored_as_a_model_failure() {
+    let corpus = fixture();
+    let split = corpus.split_cross_domain(1);
+    let config = LlmEvalConfig::default();
+    let n = 4;
+    let rejected = || nl2vis_obs::global().counter("eval.error.rejected").get();
+    let check = |report: &EvalReport| {
+        assert_eq!(report.results.len(), n);
+        assert_eq!(report.transport_failures(), 0, "a rejection is no outage");
+        assert_eq!(report.overall().n(), n, "every rejection is scored");
+        assert_eq!(report.failed_ids().len(), n, "...as a failure");
+        for r in &report.results {
+            assert!(r.outcome.parse_failed && r.completion.is_none(), "{r:?}");
+        }
+    };
+
+    let before = rejected();
+    let in_process = evaluate_llm(
+        &rejecting_router(),
+        &corpus,
+        &split.train,
+        &split.test,
+        &config,
+        Some(n),
+    );
+    check(&in_process);
+    assert_eq!(rejected(), before + n as u64);
+
+    let registry = Arc::new(MetricsRegistry::new());
+    let server =
+        CompletionServer::start_with_service_registry(rejecting_router(), Arc::clone(&registry))
+            .expect("server starts");
+    let client = resilient(
+        HttpLlmClient::new(server.address(), "tiered"),
+        fast_policy(4),
+    );
+    let before = rejected();
+    let over_http = evaluate_llm(
+        &client,
+        &corpus,
+        &split.train,
+        &split.test,
+        &config,
+        Some(n),
+    );
+    check(&over_http);
+    assert_eq!(rejected(), before + n as u64);
+    assert_eq!(key(&in_process), key(&over_http));
+    assert_eq!(
+        registry.counter("llm.requests_total").get(),
+        n as u64,
+        "the 422 is not retried: one attempt per example"
+    );
+    assert_eq!(registry.counter("llm.status_422").get(), n as u64);
+    assert_eq!(registry.counter("server.backend_errors_total").get(), 0);
 }

@@ -1,53 +1,48 @@
-//! The model-client abstraction: everything downstream (evaluation harness,
-//! repair strategies, user-study simulator) talks to an [`LlmClient`], so a
-//! simulated model, an HTTP-fronted model, or a real remote endpoint are
-//! interchangeable.
+//! The model-client surface. Every completion caller — the evaluation
+//! harness, the pipeline, the experiments, the server — talks to a
+//! [`CompletionService`], so a simulated model, an HTTP-fronted model, or
+//! a composed middleware stack are interchangeable.
 //!
 //! Remote backends can fail for reasons the model is not responsible for —
 //! a refused connection, a stalled socket, a 5xx from the serving layer.
 //! Those failures must never be scored as model output (the paper's
 //! Execution Accuracy and failure taxonomy both assume every scored
-//! completion is something the model actually said), so the trait's one
-//! required completion method is the *typed* path,
-//! [`LlmClient::try_complete_with`], whose error arm is a
-//! [`TransportError`]. The infallible `complete` / `complete_with` surface
-//! is a pair of final wrappers over it for display-only callers: they fold
-//! a transport failure into a `[transport error ...]` marker string that
-//! cannot parse as VQL. Scoring code (the eval runner, the pipeline) uses
-//! the typed path.
+//! completion is something the model actually said), so the one
+//! completion call, [`CompletionService::call`], returns a typed
+//! [`CompletionOutcome`] whose error arm is a [`TransportError`].
 //!
-//! The transport vocabulary ([`TransportError`], [`TransportErrorKind`],
-//! [`CompletionOutcome`]) is defined in `nl2vis-service` — the bottom of
-//! the layered completion stack — and re-exported here unchanged, so
-//! pre-refactor imports keep compiling. [`ClientService`] and
-//! [`ServiceClient`] adapt between the trait and the layered
-//! [`CompletionService`] world in both directions.
+//! [`LlmClient`] extends every service with three more call names:
+//! [`LlmClient::try_complete_with`] is `call` under another name,
+//! and the infallible `complete` / `complete_with` fold a transport
+//! failure into a `[transport error ...]` marker string that cannot parse
+//! as VQL — for display-only callers. Scoring code uses the typed path.
+//!
+//! The service trait and its transport vocabulary ([`TransportError`],
+//! [`TransportErrorKind`], [`CompletionOutcome`], and the
+//! [`VALIDATION_REJECTED_STATUS`] a validating stack answers with) are
+//! defined in `nl2vis-service` — the bottom of the layered completion
+//! stack — and re-exported here unchanged.
 
 use crate::sim::{GenOptions, SimLlm};
-use nl2vis_service::CompletionService;
 
-pub use nl2vis_service::{CompletionOutcome, TransportError, TransportErrorKind};
+pub use nl2vis_service::{
+    CompletionOutcome, CompletionService, TransportError, TransportErrorKind,
+    VALIDATION_REJECTED_STATUS,
+};
 
-/// A text-completion model.
-pub trait LlmClient {
-    /// Model identifier.
-    fn name(&self) -> &str;
-
-    /// Completes a prompt with generation options, surfacing transport
-    /// failures as a typed error instead of folding them into the
-    /// completion text. This is the one required method; `complete` and
-    /// `complete_with` are wrappers over it.
-    ///
-    /// Scoring paths (the eval runner, the pipeline) must call this, never
-    /// `complete`, so infrastructure failures land in `error.transport`
-    /// rather than the model-failure counts.
-    fn try_complete_with(&self, prompt: &str, opts: &GenOptions) -> CompletionOutcome;
+/// Convenience call names every [`CompletionService`] answers to.
+pub trait LlmClient: CompletionService {
+    /// Completes a prompt with generation options; the same as
+    /// [`CompletionService::call`].
+    fn try_complete_with(&self, prompt: &str, opts: &GenOptions) -> CompletionOutcome {
+        self.call(prompt, opts)
+    }
 
     /// Infallible completion with generation options: a transport failure
     /// folds into a bracketed marker string that cannot parse as VQL. For
     /// display-only callers.
     fn complete_with(&self, prompt: &str, opts: &GenOptions) -> String {
-        match self.try_complete_with(prompt, opts) {
+        match self.call(prompt, opts) {
             Ok(text) => text,
             Err(e) => format!("[{e}]"),
         }
@@ -56,56 +51,21 @@ pub trait LlmClient {
     /// Infallible completion with default options; see
     /// [`LlmClient::complete_with`].
     fn complete(&self, prompt: &str) -> String {
-        self.complete_with(prompt, &GenOptions::default())
+        LlmClient::complete_with(self, prompt, &GenOptions::default())
     }
 }
 
-/// Boxed clients forward to their contents, so wrappers generic over
-/// `C: LlmClient` (retry, caching) compose with `Box<dyn LlmClient>` too.
-impl<T: LlmClient + ?Sized> LlmClient for Box<T> {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
-    fn try_complete_with(&self, prompt: &str, opts: &GenOptions) -> CompletionOutcome {
-        (**self).try_complete_with(prompt, opts)
-    }
-
-    fn complete_with(&self, prompt: &str, opts: &GenOptions) -> String {
-        (**self).complete_with(prompt, opts)
-    }
-
-    fn complete(&self, prompt: &str) -> String {
-        (**self).complete(prompt)
-    }
-}
-
-impl LlmClient for SimLlm {
-    fn name(&self) -> &str {
-        self.profile.name
-    }
-
-    /// A local simulated model has no transport to fail.
-    fn try_complete_with(&self, prompt: &str, opts: &GenOptions) -> CompletionOutcome {
-        Ok(SimLlm::complete_with(self, prompt, opts))
-    }
-
-    fn complete_with(&self, prompt: &str, opts: &GenOptions) -> String {
-        SimLlm::complete_with(self, prompt, opts)
-    }
-
-    fn complete(&self, prompt: &str) -> String {
-        SimLlm::complete(self, prompt)
-    }
-}
+impl<S: CompletionService + ?Sized> LlmClient for S {}
 
 /// The simulated model as a leaf [`CompletionService`] — the local
-/// counterpart of the `HttpLlmClient` leaf.
+/// counterpart of the `HttpLlmClient` leaf. It is the one backend with a
+/// real batch entry point, so the server coalesces queued requests for it.
 impl CompletionService for SimLlm {
     fn model(&self) -> &str {
         self.profile.name
     }
 
+    /// A local simulated model has no transport to fail.
     fn call(&self, prompt: &str, opts: &GenOptions) -> CompletionOutcome {
         Ok(SimLlm::complete_with(self, prompt, opts))
     }
@@ -113,67 +73,29 @@ impl CompletionService for SimLlm {
     fn describe(&self, stack: &mut Vec<&'static str>) {
         stack.push("sim");
     }
-}
 
-/// Adapts any [`LlmClient`] into a leaf [`CompletionService`], so clients
-/// that predate the layered stack (or test doubles written against the
-/// trait) compose under layers.
-pub struct ClientService<C> {
-    inner: C,
-}
-
-impl<C: LlmClient> ClientService<C> {
-    /// Wraps `inner`.
-    pub fn new(inner: C) -> ClientService<C> {
-        ClientService { inner }
+    /// Generation is deterministic per `(prompt, opts)`, so identical
+    /// prompts in the batch are computed once and the memoized output
+    /// reused — output `i` is byte-identical to `call(prompts[i], opts)`.
+    /// This is where batching pays: under hot-key skew most of a saturated
+    /// queue is a handful of prompts, and the prompt parse that dominates
+    /// completion CPU runs once per distinct prompt instead of once per
+    /// request.
+    fn call_batch(&self, prompts: &[&str], opts: &GenOptions) -> Vec<CompletionOutcome> {
+        let mut memo: std::collections::HashMap<&str, String> = std::collections::HashMap::new();
+        prompts
+            .iter()
+            .map(|&prompt| {
+                let text = memo
+                    .entry(prompt)
+                    .or_insert_with(|| SimLlm::complete_with(self, prompt, opts));
+                Ok(text.clone())
+            })
+            .collect()
     }
 
-    /// The wrapped client.
-    pub fn inner(&self) -> &C {
-        &self.inner
-    }
-}
-
-impl<C: LlmClient> CompletionService for ClientService<C> {
-    fn model(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn call(&self, prompt: &str, opts: &GenOptions) -> CompletionOutcome {
-        self.inner.try_complete_with(prompt, opts)
-    }
-
-    fn describe(&self, stack: &mut Vec<&'static str>) {
-        stack.push("client");
-    }
-}
-
-/// Adapts a composed [`CompletionService`] stack back into an
-/// [`LlmClient`], so a layered stack drops into every call site that takes
-/// the trait (the pipeline, the eval runner).
-pub struct ServiceClient<S> {
-    inner: S,
-}
-
-impl<S: CompletionService> ServiceClient<S> {
-    /// Wraps `inner`.
-    pub fn new(inner: S) -> ServiceClient<S> {
-        ServiceClient { inner }
-    }
-
-    /// The wrapped service stack.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-}
-
-impl<S: CompletionService> LlmClient for ServiceClient<S> {
-    fn name(&self) -> &str {
-        self.inner.model()
-    }
-
-    fn try_complete_with(&self, prompt: &str, opts: &GenOptions) -> CompletionOutcome {
-        self.inner.call(prompt, opts)
+    fn batches(&self) -> bool {
+        true
     }
 }
 
@@ -184,65 +106,40 @@ mod tests {
     use nl2vis_service::{service_fn, stack_of};
 
     #[test]
-    fn sim_llm_implements_client() {
-        let llm = SimLlm::new(ModelProfile::gpt_4(), 1);
-        let client: &dyn LlmClient = &llm;
-        assert_eq!(client.name(), "gpt-4");
-        let out = client.complete("not a prompt");
-        assert!(!out.is_empty());
-    }
-
-    #[test]
     fn local_backends_never_fail_the_typed_path() {
         let llm = SimLlm::new(ModelProfile::gpt_4(), 1);
-        let client: &dyn LlmClient = &llm;
-        let out = client
+        let out = llm
             .try_complete_with("not a prompt", &GenOptions::default())
             .expect("a local model has no transport");
-        assert_eq!(out, client.complete("not a prompt"));
+        assert_eq!(out, llm.complete("not a prompt"));
     }
 
     #[test]
-    fn default_wrappers_fold_transport_failures_into_markers() {
-        struct DeadLlm;
-        impl LlmClient for DeadLlm {
-            fn name(&self) -> &str {
-                "dead"
-            }
-            fn try_complete_with(&self, _: &str, _: &GenOptions) -> CompletionOutcome {
-                Err(TransportError::new(
-                    TransportErrorKind::Connect,
-                    1,
-                    "refused",
-                ))
-            }
-        }
-        let out = DeadLlm.complete("Q: hi\nVQL:");
+    fn folding_wrappers_turn_transport_failures_into_markers() {
+        let dead = service_fn("dead", |_, _| {
+            Err(TransportError::new(
+                TransportErrorKind::Connect,
+                1,
+                "refused",
+            ))
+        });
+        let out = dead.complete("Q: hi\nVQL:");
         assert!(out.starts_with("[transport error"), "{out}");
         assert!(out.contains("connect"), "{out}");
     }
 
     #[test]
-    fn sim_llm_is_a_leaf_service() {
+    fn sim_llm_is_a_batching_leaf_service() {
         let llm = SimLlm::new(ModelProfile::gpt_4(), 1);
         let svc: &dyn CompletionService = &llm;
         assert_eq!(svc.model(), "gpt-4");
         assert!(svc.call("not a prompt", &GenOptions::default()).is_ok());
         assert_eq!(stack_of(&llm), vec!["sim"]);
-    }
-
-    #[test]
-    fn adapters_roundtrip_between_trait_and_service() {
-        let llm = SimLlm::new(ModelProfile::gpt_4(), 1);
-        let expected = llm.complete("not a prompt");
-        // Trait → service → trait again, behavior unchanged.
-        let stack = ServiceClient::new(ClientService::new(llm));
-        assert_eq!(stack.name(), "gpt-4");
-        assert_eq!(stack.complete("not a prompt"), expected);
-        assert_eq!(stack_of(stack.inner()), vec!["client"]);
-
-        // A raw service slots into an LlmClient call site.
-        let as_client = ServiceClient::new(service_fn("echo", |p, _| Ok(p.to_string())));
-        assert_eq!(as_client.complete("BAR X"), "BAR X");
+        assert!(svc.batches());
+        let opts = GenOptions::default();
+        let batch = svc.call_batch(&["a", "b", "a"], &opts);
+        let single: Vec<CompletionOutcome> =
+            ["a", "b", "a"].iter().map(|p| svc.call(p, &opts)).collect();
+        assert_eq!(batch, single);
     }
 }

@@ -19,14 +19,18 @@
 //! pipelined leftovers. The `busy` flag serializes a connection's
 //! requests, so responses can never interleave.
 //!
-//! On top of the queue sits **server-side batching**: a worker that
-//! dequeues a completion request also drains every queued completion
-//! sharing its `(model, GenOptions)` key — and optionally lingers for
-//! [`crate::http::ServerTuning::batch_window`] — serving the whole group
-//! with a single [`SimLlm`] invocation that deduplicates identical
-//! prompts. Under a skewed (Zipf) workload most of a saturated queue is a
-//! handful of hot prompts, so one invocation amortizes the prompt/schema
-//! parse that dominates completion CPU.
+//! Workers complete against one hosted [`CompletionService`]. On top of
+//! the queue sits **server-side batching**, decided once at start: when
+//! the service [`batches`](CompletionService::batches) (the simulated
+//! model), a worker that dequeues a completion request also drains every
+//! queued completion sharing its `(model, GenOptions)` key — and
+//! optionally lingers for [`crate::http::ServerTuning::batch_window`] —
+//! serving the whole group with a single
+//! [`call_batch`](CompletionService::call_batch) that deduplicates
+//! identical prompts. Under a skewed (Zipf) workload most of a saturated
+//! queue is a handful of hot prompts, so one invocation amortizes the
+//! prompt/schema parse that dominates completion CPU. Any other service
+//! (a tier router escalates per request) is served one request per worker.
 
 use crate::fault::{Fault, FaultInjector};
 use crate::http::{
@@ -35,11 +39,13 @@ use crate::http::{
     SERVER_KEEPALIVE_IDLE,
 };
 use crate::poll::{Poller, WakePair, WAKE_TOKEN};
-use crate::sim::{GenOptions, SimLlm};
+use crate::sim::GenOptions;
 use nl2vis_data::Json;
 use nl2vis_obs as obs;
 use nl2vis_obs::{MetricsRegistry, WindowedRegistry};
-use nl2vis_service::CompletionService;
+use nl2vis_service::{
+    CompletionOutcome, CompletionService, TransportErrorKind, VALIDATION_REJECTED_STATUS,
+};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -69,40 +75,6 @@ const DRAIN_GRACE: Duration = Duration::from_millis(250);
 /// exists to protect the workers; it must never park a poller on a slow
 /// peer.
 const POLLER_WRITE_TIMEOUT: Duration = Duration::from_millis(250);
-
-/// What the server completes against: the simulated model it has always
-/// hosted, or any layered [`CompletionService`] stack — which is how a
-/// [`TieredService`](nl2vis_service::TieredService) is hosted natively.
-///
-/// The split matters on the worker side: server-side batching relies on
-/// [`SimLlm::complete_batch`]'s prompt deduplication, so it only engages
-/// for the `Sim` backend; a `Service` backend serves requests one at a
-/// time (a tier router's escalation decisions are per-request anyway).
-pub(crate) enum Backend {
-    /// The simulated model, with batching.
-    Sim(Arc<SimLlm>),
-    /// A composed completion stack, served request-at-a-time.
-    Service(Arc<dyn CompletionService + Send + Sync>),
-}
-
-impl Backend {
-    /// The model name this backend answers as (`/v1/models`, `/healthz`,
-    /// completion bodies, and the `model` field of request classification).
-    pub(crate) fn model(&self) -> &str {
-        match self {
-            Backend::Sim(llm) => llm.profile.name,
-            Backend::Service(svc) => svc.model(),
-        }
-    }
-
-    /// The simulated model, when that is what this backend is.
-    fn sim(&self) -> Option<&Arc<SimLlm>> {
-        match self {
-            Backend::Sim(llm) => Some(llm),
-            Backend::Service(_) => None,
-        }
-    }
-}
 
 /// The completion request pre-parsed by the poller, so workers can form
 /// batches without re-reading JSON under the queue lock.
@@ -172,7 +144,12 @@ pub(crate) struct Shared {
     draining: AtomicBool,
     config: ServerConfig,
     tuning: ServerTuning,
-    backend: Backend,
+    /// The hosted completion stack.
+    service: Arc<dyn CompletionService + Send + Sync>,
+    /// Whether workers coalesce queued completions into one
+    /// [`CompletionService::call_batch`]; fixed at start from
+    /// [`CompletionService::batches`].
+    coalesce: bool,
     registry: Arc<MetricsRegistry>,
     windowed: Arc<WindowedRegistry>,
     faults: Arc<FaultInjector>,
@@ -223,7 +200,7 @@ pub(crate) struct Core {
 
 impl Core {
     pub fn start(
-        backend: Backend,
+        service: Arc<dyn CompletionService + Send + Sync>,
         registry: Arc<MetricsRegistry>,
         windowed: Arc<WindowedRegistry>,
         faults: Arc<FaultInjector>,
@@ -242,7 +219,8 @@ impl Core {
             draining: AtomicBool::new(false),
             config,
             tuning,
-            backend,
+            coalesce: service.batches(),
+            service,
             registry,
             windowed,
             faults,
@@ -616,7 +594,7 @@ impl PollerThread {
         // kernel would otherwise report the body bytes of the *next*
         // pipelined request forever.
         self.poller.deregister(&conn.stream);
-        let parse = classify(&request, self.shared.backend.model());
+        let parse = classify(&request, self.shared.service.model());
         let work = Work {
             conn: token,
             poller: self.index,
@@ -940,10 +918,7 @@ fn next_batch(shared: &Shared) -> Option<Vec<Work>> {
         queue = shared.ready.wait(queue).expect("work queue");
     };
     let mut batch = vec![first];
-    if shared.backend.sim().is_none() {
-        // Batching amortizes SimLlm's prompt parse via complete_batch; a
-        // composed service backend has no batch entry point (and a tier
-        // router escalates per-request), so it serves singletons.
+    if !shared.coalesce {
         return Some(batch);
     }
     let Some(key) = batch_key(&batch[0]) else {
@@ -1126,33 +1101,9 @@ fn serve_single(shared: &Shared, pollers: &[Arc<PollerShared>], work: Work) {
                 registry.counter("server.batch.requests_total").inc();
                 registry.counter("server.batch.invocations_total").inc();
                 registry.histogram("server.batch.size").record(1);
-                match &shared.backend {
-                    Backend::Sim(llm) => {
-                        let completion = llm.complete_with(&call.prompt, &call.opts);
-                        (
-                            200,
-                            completion_json(shared.backend.model(), &completion),
-                            JSON,
-                        )
-                    }
-                    Backend::Service(svc) => match svc.call(&call.prompt, &call.opts) {
-                        Ok(completion) => (
-                            200,
-                            completion_json(shared.backend.model(), &completion),
-                            JSON,
-                        ),
-                        Err(e) => {
-                            // The stack exhausted its tiers/retries: surface
-                            // a gateway error, never fabricated model text.
-                            registry.counter("server.backend_errors_total").inc();
-                            let body = Json::object(vec![(
-                                "error",
-                                Json::from(format!("backend failed: {e}").as_str()),
-                            )]);
-                            (502, body.to_compact(), JSON)
-                        }
-                    },
-                }
+                let outcome = shared.service.call(&call.prompt, &call.opts);
+                let (status, body) = completion_response(shared, outcome);
+                (status, body, JSON)
             }
             Some(CompletionParse::BadModel(requested)) => {
                 let err = Json::object(vec![(
@@ -1170,7 +1121,7 @@ fn serve_single(shared: &Shared, pollers: &[Arc<PollerShared>], work: Work) {
                 &request.method,
                 &request.path,
                 &request.body,
-                shared.backend.model(),
+                shared.service.model(),
                 registry,
                 &shared.windowed,
             ),
@@ -1198,23 +1149,44 @@ fn serve_single(shared: &Shared, pollers: &[Arc<PollerShared>], work: Work) {
     finish(pollers, conn, poller, stream, keep && ok);
 }
 
+/// The status and body answering one completion outcome. Model text is a
+/// `200`. A validation rejection is a verdict on the model's answer, so it
+/// stays a non-retryable `422` for the caller to score as a failed
+/// example. Any other service error means the stack exhausted its tiers
+/// or retries: a `502` gateway error, counted on
+/// `server.backend_errors_total` — never fabricated model text.
+fn completion_response(shared: &Shared, outcome: CompletionOutcome) -> (u16, String) {
+    match outcome {
+        Ok(completion) => (200, completion_json(shared.service.model(), &completion)),
+        Err(e) => {
+            let status = if e.kind == TransportErrorKind::Status(VALIDATION_REJECTED_STATUS) {
+                VALIDATION_REJECTED_STATUS
+            } else {
+                shared.registry.counter("server.backend_errors_total").inc();
+                502
+            };
+            let body = Json::object(vec![(
+                "error",
+                Json::from(format!("backend failed: {e}").as_str()),
+            )]);
+            (status, body.to_compact())
+        }
+    }
+}
+
 /// Serves a coalesced batch: one `server.batch` span, one fault draw per
 /// member (in arrival order, preserving scripted-injector semantics), one
 /// stall (the max drawn — a shared invocation stalls once), and one
-/// deduplicated [`SimLlm::complete_batch`] invocation. Every member still
-/// gets its own `server.handle` span (linked to the batch by annotation
-/// and, for untraced requests, by parentage), counters, log line, and
-/// byte-identical response.
+/// [`CompletionService::call_batch`] invocation, which deduplicates
+/// identical prompts. Every member still gets its own `server.handle` span
+/// (linked to the batch by annotation and, for untraced requests, by
+/// parentage), counters, log line, and byte-identical response.
 fn serve_batch(shared: &Shared, pollers: &[Arc<PollerShared>], works: Vec<Work>) {
     let registry = &shared.registry;
     let n = works.len();
-    let llm = shared
-        .backend
-        .sim()
-        .expect("batches form only for the Sim backend");
     let batch_span = obs::Span::enter_root("server.batch");
     batch_span.annotate("size", &n.to_string());
-    batch_span.annotate("model", llm.profile.name);
+    batch_span.annotate("model", shared.service.model());
     let batch_trace = batch_span.trace().to_string();
     registry.counter("server.batch.batches_total").inc();
     registry
@@ -1246,7 +1218,7 @@ fn serve_batch(shared: &Shared, pollers: &[Arc<PollerShared>], works: Vec<Work>)
     let live: Vec<usize> = (0..n)
         .filter(|&i| !matches!(faults[i], Fault::Drop | Fault::Http500))
         .collect();
-    let completions: HashMap<usize, String> = if live.is_empty() {
+    let mut outcomes: HashMap<usize, CompletionOutcome> = if live.is_empty() {
         HashMap::new()
     } else {
         let opts = call_of(&works[live[0]]).opts.clone();
@@ -1261,7 +1233,7 @@ fn serve_batch(shared: &Shared, pollers: &[Arc<PollerShared>], works: Vec<Work>)
         registry
             .counter("server.batch.dedup_hits_total")
             .add((prompts.len() - unique.len()) as u64);
-        let outputs = llm.complete_batch(&prompts, &opts);
+        let outputs = shared.service.call_batch(&prompts, &opts);
         live.iter().copied().zip(outputs).collect()
     };
 
@@ -1291,7 +1263,8 @@ fn serve_batch(shared: &Shared, pollers: &[Arc<PollerShared>], works: Vec<Work>)
                 Json::object(vec![("error", Json::from("injected server error"))]).to_compact(),
             )
         } else {
-            (200, completion_json(llm.profile.name, &completions[&i]))
+            let outcome = outcomes.remove(&i).expect("a live member has an outcome");
+            completion_response(shared, outcome)
         };
         record_request(
             shared,

@@ -2,16 +2,17 @@
 //!
 //! The paper drives GPT-3.5/GPT-4 through the OpenAI completions API over
 //! HTTPS. This module reproduces that wire surface with a small HTTP/1.1
-//! implementation over `std::net`: a [`CompletionServer`] that fronts a
-//! [`SimLlm`], and a [`HttpLlmClient`] that speaks the same
+//! implementation over `std::net`: a [`CompletionServer`] that hosts any
+//! [`CompletionService`] (typically a [`SimLlm`](crate::SimLlm)), and a
+//! [`HttpLlmClient`] leaf service that speaks the same
 //! `POST /v1/completions` JSON protocol. The rest of the system only sees
-//! the [`crate::client::LlmClient`] trait, so swapping the
-//! simulated backend for a real endpoint is a URL change.
+//! the [`CompletionService`] trait, so swapping the simulated backend for a
+//! real endpoint is a URL change.
 
-use crate::client::{CompletionOutcome, LlmClient, TransportError, TransportErrorKind};
+use crate::client::{CompletionOutcome, TransportError, TransportErrorKind};
 use crate::event;
 use crate::fault::FaultInjector;
-use crate::sim::{GenOptions, SimLlm};
+use crate::sim::GenOptions;
 use nl2vis_data::Json;
 use nl2vis_obs as obs;
 use nl2vis_obs::{MetricsRegistry, WindowedRegistry};
@@ -142,16 +143,6 @@ impl HttpError {
         error.retry_after = retry_after;
         error
     }
-
-    /// Converts the final failure of `attempts` tries into the typed
-    /// [`TransportError`] *and* records it on the `llm.error.transport`
-    /// counter. The legacy conversion for bare [`LlmClient`] call paths
-    /// that run without a metrics layer above them.
-    pub fn into_transport_error(self, attempts: u32) -> TransportError {
-        let error = self.transport_error(attempts);
-        obs::transport_error("llm", &error.message);
-        error
-    }
 }
 
 /// Sizing and load-shed behavior of the bounded server runtime.
@@ -191,7 +182,8 @@ pub struct ServerTuning {
     /// requests already queued together coalesce, and an unsaturated
     /// server adds no latency.
     pub batch_window: Duration,
-    /// Most completions one [`SimLlm`] invocation may serve.
+    /// Most completions one batch invocation of the hosted service may
+    /// serve.
     pub batch_max: usize,
 }
 
@@ -205,7 +197,7 @@ impl Default for ServerTuning {
     }
 }
 
-/// A completion server exposing a [`SimLlm`] on `127.0.0.1`.
+/// A completion server exposing a [`CompletionService`] on `127.0.0.1`.
 ///
 /// The runtime is event-driven: a few poller threads own every accepted
 /// socket in nonblocking mode (see [`crate::poll`]), parse requests
@@ -213,8 +205,15 @@ impl Default for ServerTuning {
 /// ([`ServerConfig::max_inflight`] threads) through a fixed-depth queue;
 /// when the queue is full the poller *sheds* the request with
 /// `429 Too Many Requests` and a `Retry-After` header instead of letting
-/// load grow unboundedly. Queued completions sharing generation options
-/// are coalesced into one [`SimLlm`] invocation ([`ServerTuning`]).
+/// load grow unboundedly. For a service whose
+/// [`batches`](CompletionService::batches) is true (the simulated model),
+/// queued completions sharing generation options are coalesced into one
+/// [`call_batch`](CompletionService::call_batch) invocation
+/// ([`ServerTuning`]); every other service — a tier router, a test double —
+/// is served one request per worker. A service error answers `502`, or
+/// `422` when the stack rejected the answer
+/// ([`VALIDATION_REJECTED_STATUS`](nl2vis_service::VALIDATION_REJECTED_STATUS))
+/// — a verdict on the model, not a gateway failure.
 /// Shutdown is a graceful drain: requests already read are all served
 /// before the workers exit. Every request is instrumented against a
 /// shared [`MetricsRegistry`]:
@@ -228,6 +227,7 @@ impl Default for ServerTuning {
 ///   decoupling pair: sockets held open vs. threads serving them;
 /// - `server.batch.*` — batching effectiveness (batches formed, requests
 ///   batched, backend invocations, prompt-dedup hits, size histogram);
+/// - `server.backend_errors_total` — service failures answered `502`;
 /// - one `llm` access-log event per request on the installed sink.
 ///
 /// Besides the OpenAI-compatible surface, the server exposes
@@ -248,76 +248,18 @@ pub struct CompletionServer {
 }
 
 impl CompletionServer {
-    /// Starts the server on an ephemeral local port, instrumented against
-    /// the process-wide global registry.
-    pub fn start(llm: SimLlm) -> Result<CompletionServer, HttpError> {
-        CompletionServer::start_with_registry(llm, Arc::clone(obs::global()))
-    }
-
-    /// Starts the server against an explicit registry (test isolation, or
-    /// one registry per hosted model).
-    pub fn start_with_registry(
-        llm: SimLlm,
-        registry: Arc<MetricsRegistry>,
-    ) -> Result<CompletionServer, HttpError> {
-        CompletionServer::start_with_faults(llm, registry, FaultInjector::none())
-    }
-
-    /// Starts the server with a [`FaultInjector`] deciding, per completion
-    /// request, whether to stall, drop the connection, or answer `500` —
-    /// the offline test double for a flaky remote API.
-    pub fn start_with_faults(
-        llm: SimLlm,
-        registry: Arc<MetricsRegistry>,
-        faults: FaultInjector,
-    ) -> Result<CompletionServer, HttpError> {
-        CompletionServer::start_with_config(llm, registry, faults, ServerConfig::default())
-    }
-
-    /// Starts the server with explicit runtime sizing and default
-    /// [`ServerTuning`].
-    pub fn start_with_config(
-        llm: SimLlm,
-        registry: Arc<MetricsRegistry>,
-        faults: FaultInjector,
-        config: ServerConfig,
-    ) -> Result<CompletionServer, HttpError> {
-        CompletionServer::start_with_tuning(llm, registry, faults, config, ServerTuning::default())
-    }
-
-    /// Starts the server with explicit sizing *and* event-core tuning —
-    /// the full constructor every other SimLlm-hosting `start_*`
-    /// delegates to.
-    pub fn start_with_tuning(
-        llm: SimLlm,
-        registry: Arc<MetricsRegistry>,
-        faults: FaultInjector,
-        config: ServerConfig,
-        tuning: ServerTuning,
-    ) -> Result<CompletionServer, HttpError> {
-        CompletionServer::start_backend(
-            event::Backend::Sim(Arc::new(llm)),
-            registry,
-            faults,
-            config,
-            tuning,
-        )
-    }
-
-    /// Hosts a composed [`CompletionService`] stack — e.g. a
-    /// [`TieredService`](nl2vis_service::TieredService) — natively behind
-    /// the HTTP surface, on the global registry. The server answers as
-    /// the stack's [`model`](CompletionService::model); server-side
-    /// batching is disabled (the stack decides per-request).
-    pub fn start_with_service<S>(service: S) -> Result<CompletionServer, HttpError>
+    /// Hosts `service` on an ephemeral local port with default sizing and
+    /// tuning, instrumented against the process-wide global registry. The
+    /// server answers as the service's [`model`](CompletionService::model).
+    pub fn start<S>(service: S) -> Result<CompletionServer, HttpError>
     where
         S: CompletionService + Send + Sync + 'static,
     {
         CompletionServer::start_with_service_registry(service, Arc::clone(obs::global()))
     }
 
-    /// Like [`CompletionServer::start_with_service`], against an explicit
-    /// registry.
+    /// Like [`CompletionServer::start`], against an explicit registry
+    /// (test isolation, or one registry per hosted model).
     pub fn start_with_service_registry<S>(
         service: S,
         registry: Arc<MetricsRegistry>,
@@ -325,19 +267,18 @@ impl CompletionServer {
     where
         S: CompletionService + Send + Sync + 'static,
     {
-        CompletionServer::start_backend(
-            event::Backend::Service(Arc::new(service)),
+        CompletionServer::start_with_service_config(
+            service,
             registry,
             FaultInjector::none(),
             ServerConfig::default(),
-            ServerTuning::default(),
         )
     }
 
-    /// Like [`CompletionServer::start_with_service_registry`], with
-    /// explicit fault injection and admission configuration — the load
-    /// harness path, where tiered stacks still want injected service
-    /// times and a bounded accept queue.
+    /// Like [`CompletionServer::start_with_service_registry`], with a
+    /// [`FaultInjector`] deciding, per completion request, whether to
+    /// stall, drop the connection, or answer `500` (the offline test
+    /// double for a flaky remote API), and explicit runtime sizing.
     pub fn start_with_service_config<S>(
         service: S,
         registry: Arc<MetricsRegistry>,
@@ -347,8 +288,8 @@ impl CompletionServer {
     where
         S: CompletionService + Send + Sync + 'static,
     {
-        CompletionServer::start_backend(
-            event::Backend::Service(Arc::new(service)),
+        CompletionServer::start_with_tuning(
+            service,
             registry,
             faults,
             config,
@@ -356,8 +297,25 @@ impl CompletionServer {
         )
     }
 
-    fn start_backend(
-        backend: event::Backend,
+    /// Starts the server with explicit sizing *and* event-core tuning —
+    /// the full constructor every other `start*` delegates to.
+    pub fn start_with_tuning<S>(
+        service: S,
+        registry: Arc<MetricsRegistry>,
+        faults: FaultInjector,
+        config: ServerConfig,
+        tuning: ServerTuning,
+    ) -> Result<CompletionServer, HttpError>
+    where
+        S: CompletionService + Send + Sync + 'static,
+    {
+        CompletionServer::start_service(Arc::new(service), registry, faults, config, tuning)
+    }
+
+    /// The non-generic body of every constructor, compiled once rather
+    /// than per hosted service type.
+    fn start_service(
+        service: Arc<dyn CompletionService + Send + Sync>,
         registry: Arc<MetricsRegistry>,
         faults: FaultInjector,
         config: ServerConfig,
@@ -370,7 +328,7 @@ impl CompletionServer {
         let faults = Arc::new(faults);
         let windowed = Arc::new(WindowedRegistry::new(obs::WindowConfig::seconds_10()));
         let core = event::Core::start(
-            backend,
+            service,
             Arc::clone(&registry),
             Arc::clone(&windowed),
             Arc::clone(&faults),
@@ -432,7 +390,8 @@ impl CompletionServer {
     }
 
     /// The fault injector driving this server (inactive unless the server
-    /// was started with [`CompletionServer::start_with_faults`]).
+    /// was started with one, e.g. by
+    /// [`CompletionServer::start_with_service_config`]).
     pub fn faults(&self) -> &FaultInjector {
         &self.faults
     }
@@ -561,8 +520,10 @@ pub(crate) fn render_response(
             200 => "OK",
             404 => "Not Found",
             413 => "Payload Too Large",
+            422 => "Unprocessable Content",
             429 => "Too Many Requests",
             500 => "Internal Server Error",
+            502 => "Bad Gateway",
             _ => "Bad Request",
         },
         body.len(),
@@ -1133,34 +1094,16 @@ impl HttpLlmClient {
     }
 }
 
-impl LlmClient for HttpLlmClient {
-    fn name(&self) -> &str {
-        &self.model
-    }
-
-    /// Bare-client typed path: no metrics layer sits above this call, so
-    /// the counting conversion attributes the failure to
-    /// `llm.error.transport` here. (The infallible `complete` /
-    /// `complete_with` wrappers fold the result into a marker string that
-    /// cannot parse as VQL — display-only callers; scoring paths must stay
-    /// on this method.)
-    fn try_complete_with(&self, prompt: &str, opts: &crate::sim::GenOptions) -> CompletionOutcome {
-        self.complete_http_with(prompt, opts)
-            .map_err(|e| e.into_transport_error(1))
-    }
-}
-
-/// The HTTP client as a leaf [`CompletionService`]. Unlike the bare
-/// [`LlmClient`] impl, the conversion here is *uncounted*: in a layered
-/// stack, per-attempt failures feed the retry layer, and only the
-/// request's final outcome is attributed — by the metrics layer, exactly
-/// once.
-impl nl2vis_service::CompletionService for HttpLlmClient {
+/// The HTTP client as a leaf [`CompletionService`]. The error conversion
+/// is *uncounted*: per-attempt failures feed a retry layer, and only the
+/// request's final outcome is attributed to `llm.error.transport` — by a
+/// metrics layer, exactly once. A bare client counts nothing.
+impl CompletionService for HttpLlmClient {
     fn model(&self) -> &str {
         &self.model
     }
 
-    fn call(&self, prompt: &str, opts: &crate::sim::GenOptions) -> CompletionOutcome {
+    fn call(&self, prompt: &str, opts: &GenOptions) -> CompletionOutcome {
         self.complete_http_with(prompt, opts)
             .map_err(|e| e.transport_error(1))
     }
@@ -1174,6 +1117,73 @@ impl nl2vis_service::CompletionService for HttpLlmClient {
 mod tests {
     use super::*;
     use crate::profile::ModelProfile;
+    use crate::SimLlm;
+    use nl2vis_service::{
+        Layer, MetricsLayer, RetryLayer, RetryPolicy, TraceLayer, VALIDATION_REJECTED_STATUS,
+    };
+
+    #[test]
+    fn transience_classification_via_transport_kinds() {
+        use std::io::{Error, ErrorKind};
+        let policy = RetryPolicy::default();
+        let transient = [
+            HttpError::Timeout("read".to_string()),
+            HttpError::Closed,
+            HttpError::Status(500, String::new()),
+            HttpError::Status(503, String::new()),
+            HttpError::Io(Error::new(ErrorKind::ConnectionRefused, "refused")),
+            HttpError::Io(Error::new(ErrorKind::ConnectionReset, "reset")),
+            HttpError::Overloaded {
+                retry_after: None,
+                body: String::new(),
+            },
+        ];
+        for e in transient {
+            assert!(policy.retryable(&e.transport_kind()), "{e}");
+        }
+        // Semantic failures are deterministic: retrying cannot help.
+        let permanent = [
+            HttpError::Status(400, String::new()),
+            HttpError::Status(404, String::new()),
+            HttpError::Status(VALIDATION_REJECTED_STATUS, String::new()),
+            HttpError::Protocol("bad body".to_string()),
+        ];
+        for e in permanent {
+            assert!(!policy.retryable(&e.transport_kind()), "{e}");
+        }
+    }
+
+    #[test]
+    fn refused_connection_exhausts_attempts_with_typed_error() {
+        // Bind then drop a listener: the port refuses connections.
+        let addr = {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            listener.local_addr().unwrap()
+        };
+        let policy = RetryPolicy {
+            max_attempts: 3,
+            base_backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(2),
+            jitter_seed: 1,
+        };
+        let client = TraceLayer::request().layer(
+            MetricsLayer::default()
+                .layer(RetryLayer::new(policy).layer(HttpLlmClient::new(addr, "gpt-4"))),
+        );
+        let retries_before = obs::global().counter("llm.retries_total").get();
+        let err = client
+            .call("Q: hello\nVQL:", &GenOptions::default())
+            .unwrap_err();
+        assert_eq!(err.attempts, 3);
+        assert!(
+            matches!(
+                err.kind,
+                TransportErrorKind::Connect | TransportErrorKind::Io
+            ),
+            "{err}"
+        );
+        assert!(obs::global().counter("llm.retries_total").get() >= retries_before + 2);
+    }
 
     #[test]
     fn end_to_end_completion_over_http() {
@@ -1299,7 +1309,7 @@ mod tests {
     fn healthz_reports_ok_and_hosted_model() {
         let registry = Arc::new(MetricsRegistry::new());
         let llm = SimLlm::new(ModelProfile::gpt_4(), 9);
-        let server = CompletionServer::start_with_registry(llm, registry).unwrap();
+        let server = CompletionServer::start_with_service_registry(llm, registry).unwrap();
         let response = raw_get(server.address(), "/healthz");
         assert!(response.starts_with("HTTP/1.1 200"), "{response}");
         assert!(response.contains(r#""status":"ok""#), "{response}");
@@ -1310,7 +1320,8 @@ mod tests {
     fn metrics_endpoint_exposes_request_counters_and_latency() {
         let registry = Arc::new(MetricsRegistry::new());
         let llm = SimLlm::new(ModelProfile::gpt_4(), 9);
-        let server = CompletionServer::start_with_registry(llm, Arc::clone(&registry)).unwrap();
+        let server =
+            CompletionServer::start_with_service_registry(llm, Arc::clone(&registry)).unwrap();
         let client = HttpLlmClient::new(server.address(), "gpt-4");
         for i in 0..3 {
             let prompt = format!(
@@ -1340,7 +1351,8 @@ mod tests {
     fn metrics_json_endpoint_serves_a_mergeable_snapshot() {
         let registry = Arc::new(MetricsRegistry::new());
         let llm = SimLlm::new(ModelProfile::gpt_4(), 9);
-        let server = CompletionServer::start_with_registry(llm, Arc::clone(&registry)).unwrap();
+        let server =
+            CompletionServer::start_with_service_registry(llm, Arc::clone(&registry)).unwrap();
         let client = HttpLlmClient::new(server.address(), "gpt-4");
         for i in 0..3 {
             let prompt = format!(
@@ -1400,7 +1412,8 @@ mod tests {
     fn stats_endpoint_pairs_window_with_cumulative() {
         let registry = Arc::new(MetricsRegistry::new());
         let llm = SimLlm::new(ModelProfile::gpt_4(), 9);
-        let server = CompletionServer::start_with_registry(llm, Arc::clone(&registry)).unwrap();
+        let server =
+            CompletionServer::start_with_service_registry(llm, Arc::clone(&registry)).unwrap();
         let client = HttpLlmClient::new(server.address(), "gpt-4");
         for i in 0..3 {
             let prompt = format!(
@@ -1450,7 +1463,8 @@ mod tests {
     fn concurrent_connections_record_a_peak_gauge() {
         let registry = Arc::new(MetricsRegistry::new());
         let llm = SimLlm::new(ModelProfile::davinci_003(), 1);
-        let server = CompletionServer::start_with_registry(llm, Arc::clone(&registry)).unwrap();
+        let server =
+            CompletionServer::start_with_service_registry(llm, Arc::clone(&registry)).unwrap();
         let addr = server.address();
         let handles: Vec<_> = (0..8)
             .map(|i| {
@@ -1505,7 +1519,8 @@ mod tests {
     fn oversized_declared_body_is_rejected_with_413() {
         let registry = Arc::new(MetricsRegistry::new());
         let llm = SimLlm::new(ModelProfile::davinci_003(), 1);
-        let server = CompletionServer::start_with_registry(llm, Arc::clone(&registry)).unwrap();
+        let server =
+            CompletionServer::start_with_service_registry(llm, Arc::clone(&registry)).unwrap();
         let mut stream = TcpStream::connect(server.address()).unwrap();
         // Declares a body far past the cap; the server must reject from the
         // header alone rather than allocate half a gigabyte.
@@ -1550,7 +1565,8 @@ mod tests {
         obs::recorder::install(Arc::clone(&recorder));
         let llm = SimLlm::new(ModelProfile::gpt_4(), 9);
         let server =
-            CompletionServer::start_with_registry(llm, Arc::new(MetricsRegistry::new())).unwrap();
+            CompletionServer::start_with_service_registry(llm, Arc::new(MetricsRegistry::new()))
+                .unwrap();
         let client = HttpLlmClient::new(server.address(), "gpt-4");
         let trace_id = {
             let root = obs::Span::enter("httptest.request");

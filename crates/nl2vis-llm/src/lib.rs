@@ -15,24 +15,26 @@
 //! - [`profile`]: capability profiles for the four model families;
 //! - [`sim`]: the generation engine with a failure-taxonomy-shaped seeded
 //!   error model;
-//! - [`http`] / [`client`]: an OpenAI-compatible HTTP transport (client and
-//!   local server) behind a uniform [`client::LlmClient`] trait, with
-//!   connect/read/write deadlines on both sides; the server runs on a
-//!   bounded worker pool with `429` load shedding and graceful drain;
-//! - [`resilient`]: a [`resilient::RetryPolicy`] (bounded attempts, capped
-//!   exponential backoff, deterministic jitter, server-directed
-//!   `Retry-After`) distinguishing transient transport faults from
-//!   semantic rejections — now a shim over the `nl2vis-service` layered
-//!   stack, with [`client::ClientService`] / [`client::ServiceClient`]
-//!   adapting between the trait and service worlds;
+//! - [`client`]: the completion surface — every caller talks to a
+//!   `nl2vis_service::CompletionService` (the simulated model is one, with
+//!   a batch entry point that deduplicates prompts), and [`LlmClient`]
+//!   gives every service the `try_complete_with` / `complete` call
+//!   names;
+//! - [`http`]: an OpenAI-compatible HTTP transport — a client leaf service
+//!   and a local server hosting any service — with connect/read/write
+//!   deadlines on both sides; the server runs on a bounded worker pool
+//!   with `429` load shedding and graceful drain. Retry, caching, tracing
+//!   and failure attribution are `nl2vis-service` layers composed around
+//!   the client ([`RetryPolicy`] is re-exported here);
 //! - [`fault`]: a deterministic [`fault::FaultInjector`] for the server —
 //!   stalls, dropped connections and injected 500s, scripted or seeded —
 //!   so the resilience layer is testable entirely offline.
 //!
 //! Transport failures travel as the typed
 //! [`client::TransportError`] (the error arm of
-//! [`client::CompletionOutcome`]) and are counted under
-//! `llm.error.transport`; they must never be scored as model output.
+//! [`client::CompletionOutcome`]); a `MetricsLayer` above the client
+//! counts them under `llm.error.transport`. They must never be scored as
+//! model output.
 
 pub mod client;
 pub(crate) mod event;
@@ -44,15 +46,15 @@ pub mod poll;
 pub mod profile;
 pub mod prompt_parse;
 pub mod recover;
-pub mod resilient;
 pub mod sim;
 pub mod understand;
 
 pub use client::{
-    ClientService, CompletionOutcome, LlmClient, ServiceClient, TransportError, TransportErrorKind,
+    CompletionOutcome, CompletionService, LlmClient, TransportError, TransportErrorKind,
+    VALIDATION_REJECTED_STATUS,
 };
 pub use fault::{Fault, FaultInjector};
 pub use http::{ServerConfig, ServerTuning};
+pub use nl2vis_service::RetryPolicy;
 pub use profile::ModelProfile;
-pub use resilient::{ResilientLlmClient, RetryPolicy};
 pub use sim::{corrupt_query, extract_vql, GenOptions, SimLlm};

@@ -54,27 +54,6 @@ impl SimLlm {
         self.complete_with(prompt, &GenOptions::default())
     }
 
-    /// Completes a batch of prompts sharing one set of generation options,
-    /// as the server's request-batching path does. Generation is
-    /// deterministic per `(prompt, opts)`, so identical prompts in the
-    /// batch are computed once and the memoized output reused — output `i`
-    /// is byte-identical to `complete_with(prompts[i], opts)` in every
-    /// case. This is where batching pays: under hot-key skew most of a
-    /// saturated queue is a handful of prompts, and the prompt parse that
-    /// dominates completion CPU runs once per distinct prompt instead of
-    /// once per request.
-    pub fn complete_batch(&self, prompts: &[&str], opts: &GenOptions) -> Vec<String> {
-        let mut memo: std::collections::HashMap<&str, String> = std::collections::HashMap::new();
-        prompts
-            .iter()
-            .map(|&prompt| {
-                memo.entry(prompt)
-                    .or_insert_with(|| self.complete_with(prompt, opts))
-                    .clone()
-            })
-            .collect()
-    }
-
     /// Completes a prompt with explicit generation options.
     pub fn complete_with(&self, prompt: &str, opts: &GenOptions) -> String {
         let Some(view) = parse_prompt(prompt) else {

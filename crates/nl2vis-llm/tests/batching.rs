@@ -1,8 +1,9 @@
 //! Event-core behavior the sequential tests cannot see: server-side
-//! batching of identical queued completions, connection-count/thread-count
-//! decoupling, and the header-parsing fixes (case-insensitive names,
-//! duplicate `Content-Length`, `Connection:` token lists) exercised over
-//! real sockets.
+//! batching of identical queued completions (and which hosted services get
+//! it), how a hosted stack's errors are answered, connection-count/
+//! thread-count decoupling, and the header-parsing fixes (case-insensitive
+//! names, duplicate `Content-Length`, `Connection:` token lists) exercised
+//! over real sockets.
 
 use nl2vis_llm::fault::{Fault, FaultInjector};
 use nl2vis_llm::http::{
@@ -13,6 +14,10 @@ use nl2vis_llm::profile::ModelProfile;
 use nl2vis_llm::sim::SimLlm;
 use nl2vis_obs as obs;
 use nl2vis_obs::MetricsRegistry;
+use nl2vis_service::{
+    service_fn, CompletionService, Layer, TraceLayer, TransportError, TransportErrorKind,
+    VALIDATION_REJECTED_STATUS,
+};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -76,7 +81,7 @@ fn identical_queued_completions_coalesce_into_one_invocation() {
     let registry = Arc::new(MetricsRegistry::new());
     // One worker, stalled 300ms on its first completion: the remaining
     // seven requests queue behind it and dequeue as one batch.
-    let server = CompletionServer::start_with_config(
+    let server = CompletionServer::start_with_service_config(
         SimLlm::new(ModelProfile::gpt_4(), 9),
         Arc::clone(&registry),
         FaultInjector::script(vec![Fault::Stall(Duration::from_millis(300))]),
@@ -160,6 +165,101 @@ fn identical_queued_completions_coalesce_into_one_invocation() {
 
     drop(server);
     obs::recorder::disable();
+}
+
+/// Sends eight identical completions at a one-worker server hosting
+/// `service` whose first completion stalls, so the other seven queue
+/// behind it. Returns the server's registry and every response.
+fn stalled_burst<S>(service: S) -> (Arc<MetricsRegistry>, Vec<Result<String, HttpError>>)
+where
+    S: CompletionService + Send + Sync + 'static,
+{
+    let registry = Arc::new(MetricsRegistry::new());
+    let model = service.model().to_string();
+    let server = CompletionServer::start_with_service_config(
+        service,
+        Arc::clone(&registry),
+        FaultInjector::script(vec![Fault::Stall(Duration::from_millis(300))]),
+        ServerConfig {
+            max_inflight: 1,
+            queue_depth: 64,
+            retry_after: Duration::from_millis(50),
+        },
+    )
+    .unwrap();
+    let addr = server.address();
+    let responses = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                let model = model.clone();
+                s.spawn(move || HttpLlmClient::new(addr, model).complete_http(PROMPT))
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    drop(server);
+    (registry, responses)
+}
+
+/// Batching follows the hosted service, not the constructor: a shared
+/// `Arc<SimLlm>` forwards its batch entry point and still coalesces, while
+/// a middleware stack over the same model (which does not override it) is
+/// served one request per worker — with identical answers either way.
+#[test]
+fn only_batching_services_coalesce() {
+    let llm = SimLlm::new(ModelProfile::gpt_4(), 9);
+    let expected = llm.complete(PROMPT);
+
+    let (shared, answers) = stalled_burst(Arc::new(llm.clone()));
+    assert!(answers
+        .iter()
+        .all(|a| a.as_deref().ok() == Some(expected.as_str())));
+    assert!(shared.counter("server.batch.invocations_total").get() < 8);
+
+    let (traced, answers) = stalled_burst(TraceLayer::request().layer(llm));
+    assert!(answers
+        .iter()
+        .all(|a| a.as_deref().ok() == Some(expected.as_str())));
+    assert_eq!(traced.counter("server.batch.batches_total").get(), 8);
+    assert_eq!(traced.counter("server.batch.invocations_total").get(), 8);
+    assert_eq!(traced.counter("server.batch.dedup_hits_total").get(), 0);
+}
+
+/// A hosted stack's validation rejection is a verdict on the model's
+/// answer: it goes out as a `422` the client does not retry, not as a
+/// retryable `502`, and it is not a backend error. Every other service
+/// error stays a counted `502`.
+#[test]
+fn hosted_rejections_answer_422_and_failures_502() {
+    let rejecting = service_fn("tiered", |_: &str, _: &_| {
+        Err(TransportError::new(
+            TransportErrorKind::Status(VALIDATION_REJECTED_STATUS),
+            1,
+            "no tier produced a valid answer",
+        ))
+    });
+    let (registry, answers) = stalled_burst(rejecting);
+    for answer in &answers {
+        match answer {
+            Err(HttpError::Status(422, body)) => assert!(body.contains("no tier"), "{body}"),
+            other => panic!("expected a 422, got {other:?}"),
+        }
+    }
+    assert_eq!(registry.counter("llm.status_422").get(), 8);
+    assert_eq!(registry.counter("server.backend_errors_total").get(), 0);
+
+    let failing = service_fn("tiered", |_: &str, _: &_| {
+        Err(TransportError::new(
+            TransportErrorKind::Timeout,
+            3,
+            "tier timed out",
+        ))
+    });
+    let (registry, answers) = stalled_burst(failing);
+    assert!(answers
+        .iter()
+        .all(|a| matches!(a, Err(HttpError::Status(502, _)))));
+    assert_eq!(registry.counter("server.backend_errors_total").get(), 8);
 }
 
 /// Open connections are poller state, not threads: hundreds of idle
@@ -263,7 +363,7 @@ fn mixed_case_trace_headers_round_trip_through_trace_endpoint() {
     let recorder = Arc::new(obs::FlightRecorder::new(512));
     obs::recorder::install(Arc::clone(&recorder));
 
-    let server = CompletionServer::start_with_registry(
+    let server = CompletionServer::start_with_service_registry(
         SimLlm::new(ModelProfile::gpt_4(), 9),
         Arc::new(MetricsRegistry::new()),
     )
@@ -309,7 +409,7 @@ fn mixed_case_trace_headers_round_trip_through_trace_endpoint() {
 /// conflicting ones are a request-smuggling vector and must be rejected.
 #[test]
 fn duplicate_content_length_is_rejected_only_when_conflicting() {
-    let server = CompletionServer::start_with_registry(
+    let server = CompletionServer::start_with_service_registry(
         SimLlm::new(ModelProfile::gpt_4(), 9),
         Arc::new(MetricsRegistry::new()),
     )
@@ -396,7 +496,7 @@ fn client_rejects_conflicting_response_content_length() {
 #[test]
 fn connection_token_lists_govern_keep_alive() {
     let registry = Arc::new(MetricsRegistry::new());
-    let server = CompletionServer::start_with_registry(
+    let server = CompletionServer::start_with_service_registry(
         SimLlm::new(ModelProfile::gpt_4(), 9),
         Arc::clone(&registry),
     )

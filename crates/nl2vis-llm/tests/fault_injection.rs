@@ -3,11 +3,12 @@
 //! deadline-bearing client and the retry policy. Everything runs offline
 //! over loopback.
 
-use nl2vis_llm::http::{CompletionServer, HttpError, HttpLlmClient, Timeouts};
+use nl2vis_llm::http::{CompletionServer, HttpError, HttpLlmClient, ServerConfig, Timeouts};
 use nl2vis_llm::{
-    Fault, FaultInjector, ModelProfile, ResilientLlmClient, RetryPolicy, SimLlm, TransportErrorKind,
+    Fault, FaultInjector, GenOptions, ModelProfile, RetryPolicy, SimLlm, TransportErrorKind,
 };
 use nl2vis_obs::MetricsRegistry;
+use nl2vis_service::{CompletionService, Layer, MetricsLayer, RetryLayer, TraceLayer};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -30,11 +31,27 @@ fn fast_policy(attempts: u32) -> RetryPolicy {
     }
 }
 
+/// The resilient client stack: `Trace(Metrics(Retry(http)))` with tight
+/// deadlines on the leaf.
+fn resilient(
+    server: &CompletionServer,
+    model: &str,
+    policy: RetryPolicy,
+) -> impl CompletionService {
+    let http = HttpLlmClient::with_timeouts(server.address(), model, tight_timeouts());
+    TraceLayer::request().layer(MetricsLayer::default().layer(RetryLayer::new(policy).layer(http)))
+}
+
 fn server_with(faults: FaultInjector) -> (CompletionServer, Arc<MetricsRegistry>) {
     let registry = Arc::new(MetricsRegistry::new());
     let llm = SimLlm::new(ModelProfile::davinci_003(), 1);
-    let server = CompletionServer::start_with_faults(llm, Arc::clone(&registry), faults)
-        .expect("server starts");
+    let server = CompletionServer::start_with_service_config(
+        llm,
+        Arc::clone(&registry),
+        faults,
+        ServerConfig::default(),
+    )
+    .expect("server starts");
     (server, registry)
 }
 
@@ -58,12 +75,11 @@ fn stalled_server_trips_the_client_read_deadline() {
 fn injected_drop_then_success_is_recovered_by_retry() {
     let (server, registry) = server_with(FaultInjector::script(vec![Fault::Drop]));
     let direct = SimLlm::new(ModelProfile::davinci_003(), 1);
-    let client = ResilientLlmClient::new(
-        HttpLlmClient::with_timeouts(server.address(), "text-davinci-003", tight_timeouts()),
-        fast_policy(3),
-    );
+    let client = resilient(&server, "text-davinci-003", fast_policy(3));
     let retries_before = nl2vis_obs::global().counter("llm.retries_total").get();
-    let out = client.try_complete(PROMPT).expect("retry recovers");
+    let out = client
+        .call(PROMPT, &GenOptions::default())
+        .expect("retry recovers");
     assert_eq!(out, direct.complete(PROMPT), "recovered output is lossless");
     assert!(
         nl2vis_obs::global().counter("llm.retries_total").get() >= retries_before + 1,
@@ -78,11 +94,10 @@ fn stall_timeout_then_success_is_recovered_by_retry() {
     let (server, _registry) = server_with(FaultInjector::script(vec![Fault::Stall(
         Duration::from_millis(800),
     )]));
-    let client = ResilientLlmClient::new(
-        HttpLlmClient::with_timeouts(server.address(), "text-davinci-003", tight_timeouts()),
-        fast_policy(3),
-    );
-    let out = client.try_complete(PROMPT).expect("retry after timeout");
+    let client = resilient(&server, "text-davinci-003", fast_policy(3));
+    let out = client
+        .call(PROMPT, &GenOptions::default())
+        .expect("retry after timeout");
     assert!(!out.is_empty());
 }
 
@@ -91,11 +106,8 @@ fn persistent_500_exhausts_bounded_attempts_with_typed_error() {
     // Every request answers 500: the client must stop after its budget and
     // return the typed error — never a scoreable string.
     let (server, registry) = server_with(FaultInjector::random(3, 0.0, 1.0, 0.0, Duration::ZERO));
-    let client = ResilientLlmClient::new(
-        HttpLlmClient::with_timeouts(server.address(), "text-davinci-003", tight_timeouts()),
-        fast_policy(3),
-    );
-    let err = client.try_complete(PROMPT).unwrap_err();
+    let client = resilient(&server, "text-davinci-003", fast_policy(3));
+    let err = client.call(PROMPT, &GenOptions::default()).unwrap_err();
     assert_eq!(err.kind, TransportErrorKind::Status(500));
     assert_eq!(err.attempts, 3, "bounded attempts: {err}");
     assert_eq!(
@@ -111,11 +123,8 @@ fn semantic_400_is_not_retried() {
     // Wrong model name: a deterministic rejection. Retrying would return
     // the same 400 forever, so the policy must give up after one attempt.
     let (server, _registry) = server_with(FaultInjector::none());
-    let client = ResilientLlmClient::new(
-        HttpLlmClient::with_timeouts(server.address(), "gpt-4", tight_timeouts()),
-        fast_policy(5),
-    );
-    let err = client.try_complete(PROMPT).unwrap_err();
+    let client = resilient(&server, "gpt-4", fast_policy(5));
+    let err = client.call(PROMPT, &GenOptions::default()).unwrap_err();
     assert_eq!(err.kind, TransportErrorKind::Status(400));
     assert_eq!(err.attempts, 1, "semantic failures burn one attempt: {err}");
     assert_eq!(server.faults().requests(), 1);

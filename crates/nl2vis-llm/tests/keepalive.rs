@@ -7,7 +7,7 @@
 //! not a client-side guess.
 
 use nl2vis_llm::fault::{Fault, FaultInjector};
-use nl2vis_llm::http::{CompletionServer, HttpLlmClient};
+use nl2vis_llm::http::{CompletionServer, HttpLlmClient, ServerConfig};
 use nl2vis_llm::profile::ModelProfile;
 use nl2vis_llm::sim::SimLlm;
 use nl2vis_obs::MetricsRegistry;
@@ -21,7 +21,7 @@ fn prompt(i: usize) -> String {
 fn sequential_requests_share_one_connection() {
     let registry = Arc::new(MetricsRegistry::new());
     let llm = SimLlm::new(ModelProfile::gpt_4(), 9);
-    let server = CompletionServer::start_with_registry(llm, Arc::clone(&registry)).unwrap();
+    let server = CompletionServer::start_with_service_registry(llm, Arc::clone(&registry)).unwrap();
     let client = HttpLlmClient::new(server.address(), "gpt-4");
 
     for i in 0..5 {
@@ -45,7 +45,7 @@ fn sequential_requests_share_one_connection() {
 fn keep_alive_opt_out_opens_a_connection_per_request() {
     let registry = Arc::new(MetricsRegistry::new());
     let llm = SimLlm::new(ModelProfile::gpt_4(), 9);
-    let server = CompletionServer::start_with_registry(llm, Arc::clone(&registry)).unwrap();
+    let server = CompletionServer::start_with_service_registry(llm, Arc::clone(&registry)).unwrap();
     let client = HttpLlmClient::new(server.address(), "gpt-4").without_keep_alive();
 
     for i in 0..3 {
@@ -68,10 +68,11 @@ fn stale_pooled_connection_is_retried_on_a_fresh_one() {
     // pooled socket and the server drops it without a response — exactly
     // what a pooled client sees when the server restarted or idled out the
     // socket between requests.
-    let server = CompletionServer::start_with_faults(
+    let server = CompletionServer::start_with_service_config(
         llm,
         Arc::clone(&registry),
         FaultInjector::script(vec![Fault::None, Fault::Drop]),
+        ServerConfig::default(),
     )
     .unwrap();
     let client = HttpLlmClient::new(server.address(), "gpt-4");
@@ -99,10 +100,11 @@ fn first_request_drop_is_not_silently_retried() {
     // to the retry/attribution layer above, not to the pool.
     let registry = Arc::new(MetricsRegistry::new());
     let llm = SimLlm::new(ModelProfile::gpt_4(), 9);
-    let server = CompletionServer::start_with_faults(
+    let server = CompletionServer::start_with_service_config(
         llm,
         Arc::clone(&registry),
         FaultInjector::script(vec![Fault::Drop]),
+        ServerConfig::default(),
     )
     .unwrap();
     let client = HttpLlmClient::new(server.address(), "gpt-4");
@@ -246,7 +248,7 @@ fn metrics_and_healthz_are_served_over_one_reused_connection() {
     // should be able to hold one connection for its whole polling loop.
     let registry = Arc::new(MetricsRegistry::new());
     let llm = SimLlm::new(ModelProfile::gpt_4(), 9);
-    let server = CompletionServer::start_with_registry(llm, Arc::clone(&registry)).unwrap();
+    let server = CompletionServer::start_with_service_registry(llm, Arc::clone(&registry)).unwrap();
     // Seed the registry with one completion so /metrics has content.
     let client = HttpLlmClient::new(server.address(), "gpt-4");
     client.complete_http(&prompt(0)).unwrap();
@@ -283,7 +285,7 @@ fn concurrent_pooled_clients_stay_correct() {
     let registry = Arc::new(MetricsRegistry::new());
     let llm = SimLlm::new(ModelProfile::gpt_4(), 9);
     let direct = llm.clone();
-    let server = CompletionServer::start_with_registry(llm, Arc::clone(&registry)).unwrap();
+    let server = CompletionServer::start_with_service_registry(llm, Arc::clone(&registry)).unwrap();
     let client = Arc::new(HttpLlmClient::new(server.address(), "gpt-4"));
 
     std::thread::scope(|s| {

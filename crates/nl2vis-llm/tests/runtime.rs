@@ -12,8 +12,9 @@ use nl2vis_llm::fault::{Fault, FaultInjector};
 use nl2vis_llm::http::{CompletionServer, HttpError, HttpLlmClient, ServerConfig};
 use nl2vis_llm::profile::ModelProfile;
 use nl2vis_llm::sim::SimLlm;
-use nl2vis_llm::{GenOptions, LlmClient, ResilientLlmClient, RetryPolicy, TransportErrorKind};
+use nl2vis_llm::{GenOptions, RetryPolicy, TransportErrorKind};
 use nl2vis_obs::MetricsRegistry;
+use nl2vis_service::{CompletionService, Layer, MetricsLayer, RetryLayer, TraceLayer};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -36,7 +37,7 @@ fn full_queue_sheds_with_429_and_retry_after() {
     // Every served request stalls 80ms, so the single worker stays busy
     // while the burst arrives: one request in service, one queued, the
     // rest must be shed at the accept thread.
-    let server = CompletionServer::start_with_config(
+    let server = CompletionServer::start_with_service_config(
         SimLlm::new(ModelProfile::gpt_4(), 9),
         Arc::clone(&registry),
         stall_all(8, Duration::from_millis(80)),
@@ -96,7 +97,7 @@ fn full_queue_sheds_with_429_and_retry_after() {
 #[test]
 fn inflight_work_is_bounded_by_the_pool() {
     let registry = Arc::new(MetricsRegistry::new());
-    let server = CompletionServer::start_with_config(
+    let server = CompletionServer::start_with_service_config(
         SimLlm::new(ModelProfile::gpt_4(), 9),
         Arc::clone(&registry),
         stall_all(8, Duration::from_millis(20)),
@@ -144,7 +145,7 @@ fn retry_layer_recovers_from_shedding() {
     };
     // Short service times: the overload is transient by construction, so a
     // client that honors the advertised 5ms backoff converges quickly.
-    let server = CompletionServer::start_with_config(
+    let server = CompletionServer::start_with_service_config(
         SimLlm::new(ModelProfile::gpt_4(), 9),
         Arc::clone(&registry),
         stall_all(64, Duration::from_millis(2)),
@@ -160,16 +161,17 @@ fn retry_layer_recovers_from_shedding() {
         let handles: Vec<_> = (0..8)
             .map(|i| {
                 s.spawn(move || {
-                    let client = ResilientLlmClient::new(
-                        HttpLlmClient::new(addr, "gpt-4"),
-                        RetryPolicy {
-                            max_attempts: 16,
-                            base_backoff: Duration::from_millis(1),
-                            max_backoff: Duration::from_millis(4),
-                            jitter_seed: i as u64,
-                        },
+                    let retry = RetryLayer::new(RetryPolicy {
+                        max_attempts: 16,
+                        base_backoff: Duration::from_millis(1),
+                        max_backoff: Duration::from_millis(4),
+                        jitter_seed: i as u64,
+                    });
+                    let client = TraceLayer::request().layer(
+                        MetricsLayer::default()
+                            .layer(retry.layer(HttpLlmClient::new(addr, "gpt-4"))),
                     );
-                    client.try_complete_with(&prompt(i), &GenOptions::default())
+                    client.call(&prompt(i), &GenOptions::default())
                 })
             })
             .collect();
@@ -241,7 +243,7 @@ fn raw_completion_request(prompt: &str) -> Vec<u8> {
 fn slow_writer_trickling_across_the_drain_boundary_is_served() {
     use std::io::Write;
     let registry = Arc::new(MetricsRegistry::new());
-    let server = CompletionServer::start_with_registry(
+    let server = CompletionServer::start_with_service_registry(
         SimLlm::new(ModelProfile::gpt_4(), 9),
         Arc::clone(&registry),
     )
@@ -287,7 +289,7 @@ fn slow_writer_trickling_across_the_drain_boundary_is_served() {
 fn slow_writer_on_kept_alive_conn_outlives_the_keepalive_idle_sweep() {
     use std::io::Write;
     let registry = Arc::new(MetricsRegistry::new());
-    let server = CompletionServer::start_with_registry(
+    let server = CompletionServer::start_with_service_registry(
         SimLlm::new(ModelProfile::gpt_4(), 9),
         Arc::clone(&registry),
     )
@@ -328,7 +330,7 @@ fn slow_writer_on_kept_alive_conn_outlives_the_keepalive_idle_sweep() {
 #[test]
 fn graceful_drain_serves_every_accepted_request() {
     let registry = Arc::new(MetricsRegistry::new());
-    let server = CompletionServer::start_with_config(
+    let server = CompletionServer::start_with_service_config(
         SimLlm::new(ModelProfile::gpt_4(), 9),
         Arc::clone(&registry),
         stall_all(8, Duration::from_millis(10)),

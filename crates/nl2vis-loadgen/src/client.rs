@@ -273,7 +273,7 @@ mod tests {
     #[test]
     fn request_reuses_the_connection_and_times_phases() {
         let registry = Arc::new(MetricsRegistry::new());
-        let server = nl2vis_llm::http::CompletionServer::start_with_registry(
+        let server = nl2vis_llm::http::CompletionServer::start_with_service_registry(
             SimLlm::new(ModelProfile::davinci_003(), 1),
             Arc::clone(&registry),
         )

@@ -281,7 +281,7 @@ impl RunTarget {
                     } else {
                         FaultInjector::none()
                     };
-                    let server = nl2vis_llm::http::CompletionServer::start_with_config(
+                    let server = nl2vis_llm::http::CompletionServer::start_with_service_config(
                         SimLlm::new(profile.clone(), config.seed),
                         Arc::new(MetricsRegistry::new()),
                         faults,

@@ -2,14 +2,24 @@
 //! cumulative convergence, and the coordinated-omission correction being
 //! real (not just two names for the same number).
 //!
-//! Scaled for a small CI box (the container has one core): a couple of
-//! seconds of closed-loop traffic is still thousands of requests.
+//! Scaled for a small CI box: a couple of seconds of closed-loop traffic
+//! is still thousands of requests. The tests run one at a time, so each
+//! one's throughput floor measures its own run, not its neighbours'.
 
 use nl2vis_data::Json;
 use nl2vis_loadgen::{run_load, Arrival, LoadConfig, Skew};
 use nl2vis_obs as obs;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
+
+/// Every test here starts its own server and load generator and asserts
+/// throughput floors. Run side by side they share the same few cores and
+/// starve each other below those floors, so each test holds this lock for
+/// its whole run. Poisoning is irrelevant — the lock only serializes.
+fn one_load_run_at_a_time() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn quick(threads: usize, arrival: Arrival) -> LoadConfig {
     LoadConfig {
@@ -34,6 +44,7 @@ fn quick(threads: usize, arrival: Arrival) -> LoadConfig {
 /// must not install their own.
 #[test]
 fn sustained_load_keeps_observability_memory_bounded() {
+    let _serial = one_load_run_at_a_time();
     let recorder = Arc::new(obs::FlightRecorder::new(64));
     obs::recorder::install(Arc::clone(&recorder));
 
@@ -114,6 +125,7 @@ fn sustained_load_keeps_observability_memory_bounded() {
 /// measures the requests the generator got around to sending.
 #[test]
 fn correction_diverges_from_uncorrected_at_saturation() {
+    let _serial = one_load_run_at_a_time();
     let mut config = quick(4, Arrival::Open { rps: 400.0 });
     // ~2 workers x 8ms service = ~250 rps capacity, under the 400 target.
     config.service_ms = 8;
@@ -137,6 +149,7 @@ fn correction_diverges_from_uncorrected_at_saturation() {
 /// fire, and the emitted run row carries the topology and router stats.
 #[test]
 fn routed_fleet_keeps_shard_hits_and_hedges_the_tail() {
+    let _serial = one_load_run_at_a_time();
     let mut config = quick(4, Arrival::Closed);
     config.replicas = 2;
     config.cache_capacity = 256;
@@ -177,6 +190,7 @@ fn routed_fleet_keeps_shard_hits_and_hedges_the_tail() {
 /// so the hit rate is substantial and cache hits count as completions.
 #[test]
 fn zipf_skew_drives_cache_hits() {
+    let _serial = one_load_run_at_a_time();
     let mut config = quick(2, Arrival::Closed);
     config.cache_capacity = 256;
     config.duration = Duration::from_millis(1000);

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use nl2vis_llm::fault::FaultInjector;
-use nl2vis_llm::http::CompletionServer;
+use nl2vis_llm::http::{CompletionServer, ServerConfig};
 use nl2vis_llm::profile::ModelProfile;
 use nl2vis_llm::sim::SimLlm;
 use nl2vis_obs::recorder::{self, FlightRecorder};
@@ -82,10 +82,11 @@ fn serve(args: &[String]) -> ! {
     } else {
         FaultInjector::none()
     };
-    let server = CompletionServer::start_with_faults(
+    let server = CompletionServer::start_with_service_config(
         SimLlm::new(ModelProfile::gpt_4(), seed),
         Arc::new(MetricsRegistry::new()),
         faults,
+        ServerConfig::default(),
     )
     .unwrap_or_else(|e| die(&format!("server failed to start: {e}")));
     // The caller reads this line to learn the ephemeral port.

@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use nl2vis_data::Json;
 use nl2vis_llm::fault::FaultInjector;
-use nl2vis_llm::http::CompletionServer;
+use nl2vis_llm::http::{CompletionServer, ServerConfig};
 use nl2vis_llm::profile::ModelProfile;
 use nl2vis_llm::sim::SimLlm;
 use nl2vis_obs::recorder::{self, FlightRecorder};
@@ -67,13 +67,14 @@ fn fleet_plane_merges_metrics_publishes_slos_and_stitches_hedged_traces() {
     recorder::install(Arc::new(FlightRecorder::new(256)));
 
     // Replica A stalls every completion by 150ms; replica B is prompt.
-    let slow = CompletionServer::start_with_faults(
+    let slow = CompletionServer::start_with_service_config(
         SimLlm::new(ModelProfile::gpt_4(), 9),
         Arc::new(MetricsRegistry::new()),
         FaultInjector::random(7, 0.0, 0.0, 1.0, Duration::from_millis(150)),
+        ServerConfig::default(),
     )
     .unwrap();
-    let fast = CompletionServer::start_with_registry(
+    let fast = CompletionServer::start_with_service_registry(
         SimLlm::new(ModelProfile::gpt_4(), 9),
         Arc::new(MetricsRegistry::new()),
     )

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use nl2vis_llm::fault::FaultInjector;
-use nl2vis_llm::http::CompletionServer;
+use nl2vis_llm::http::{CompletionServer, ServerConfig};
 use nl2vis_llm::profile::ModelProfile;
 use nl2vis_llm::sim::SimLlm;
 use nl2vis_obs::recorder::{self, FlightRecorder};
@@ -59,13 +59,14 @@ fn hedged_request_renders_as_one_trace_tree_with_the_winner_marked() {
     recorder::install(Arc::new(FlightRecorder::new(256)));
 
     // Replica A stalls every completion by 150ms; replica B is prompt.
-    let slow = CompletionServer::start_with_faults(
+    let slow = CompletionServer::start_with_service_config(
         SimLlm::new(ModelProfile::gpt_4(), 9),
         Arc::new(MetricsRegistry::new()),
         FaultInjector::random(7, 0.0, 0.0, 1.0, Duration::from_millis(150)),
+        ServerConfig::default(),
     )
     .unwrap();
-    let fast = CompletionServer::start_with_registry(
+    let fast = CompletionServer::start_with_service_registry(
         SimLlm::new(ModelProfile::gpt_4(), 9),
         Arc::new(MetricsRegistry::new()),
     )

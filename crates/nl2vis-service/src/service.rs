@@ -31,6 +31,26 @@ pub trait CompletionService {
     fn describe(&self, stack: &mut Vec<&'static str>) {
         stack.push("leaf");
     }
+
+    /// Performs several completion requests sharing one set of generation
+    /// options, answering `outcomes[i]` for `prompts[i]`. The default
+    /// serves each prompt through [`call`](CompletionService::call), in
+    /// order; a backend that can amortize work across a batch overrides
+    /// it together with [`batches`](CompletionService::batches).
+    fn call_batch(&self, prompts: &[&str], opts: &GenOptions) -> Vec<CompletionOutcome> {
+        prompts
+            .iter()
+            .map(|prompt| self.call(prompt, opts))
+            .collect()
+    }
+
+    /// Whether [`call_batch`](CompletionService::call_batch) does better
+    /// than one `call` per prompt. The completion server coalesces queued
+    /// requests only for a service that says so; every other service is
+    /// served one request per worker.
+    fn batches(&self) -> bool {
+        false
+    }
 }
 
 /// References delegate, so stacks can borrow shared leaves.
@@ -46,10 +66,19 @@ impl<S: CompletionService + ?Sized> CompletionService for &S {
     fn describe(&self, stack: &mut Vec<&'static str>) {
         (**self).describe(stack)
     }
+
+    fn call_batch(&self, prompts: &[&str], opts: &GenOptions) -> Vec<CompletionOutcome> {
+        (**self).call_batch(prompts, opts)
+    }
+
+    fn batches(&self) -> bool {
+        (**self).batches()
+    }
 }
 
 /// Boxed services delegate, so `Box<dyn CompletionService>` composes with
-/// generic layers.
+/// generic layers. Like the other forwarding impls, this one forwards the
+/// batch methods too: a boxed or shared batching backend keeps batching.
 impl<S: CompletionService + ?Sized> CompletionService for Box<S> {
     fn model(&self) -> &str {
         (**self).model()
@@ -61,6 +90,14 @@ impl<S: CompletionService + ?Sized> CompletionService for Box<S> {
 
     fn describe(&self, stack: &mut Vec<&'static str>) {
         (**self).describe(stack)
+    }
+
+    fn call_batch(&self, prompts: &[&str], opts: &GenOptions) -> Vec<CompletionOutcome> {
+        (**self).call_batch(prompts, opts)
+    }
+
+    fn batches(&self) -> bool {
+        (**self).batches()
     }
 }
 
@@ -75,6 +112,14 @@ impl<S: CompletionService + ?Sized> CompletionService for std::sync::Arc<S> {
 
     fn describe(&self, stack: &mut Vec<&'static str>) {
         (**self).describe(stack)
+    }
+
+    fn call_batch(&self, prompts: &[&str], opts: &GenOptions) -> Vec<CompletionOutcome> {
+        (**self).call_batch(prompts, opts)
+    }
+
+    fn batches(&self) -> bool {
+        (**self).batches()
     }
 }
 
@@ -279,6 +324,44 @@ mod tests {
         assert_eq!(boxed.model(), "m2");
         assert!(boxed.call("p", &GenOptions::default()).is_err());
         assert_eq!(stack_of(&boxed), vec!["fn"]);
+    }
+
+    #[test]
+    fn batch_methods_default_to_call_and_forward_through_wrappers() {
+        struct Batcher;
+        impl CompletionService for Batcher {
+            fn model(&self) -> &str {
+                "b"
+            }
+            fn call(&self, prompt: &str, _: &GenOptions) -> CompletionOutcome {
+                Ok(prompt.to_string())
+            }
+            fn call_batch(&self, prompts: &[&str], _: &GenOptions) -> Vec<CompletionOutcome> {
+                prompts.iter().map(|_| Ok("batched".to_string())).collect()
+            }
+            fn batches(&self) -> bool {
+                true
+            }
+        }
+        let opts = GenOptions::default();
+        let plain = service_fn("m", |p, _| Ok(p.to_string()));
+        assert!(!plain.batches());
+        assert_eq!(
+            plain.call_batch(&["a", "b"], &opts),
+            vec![Ok("a".to_string()), Ok("b".to_string())]
+        );
+        let wrapped: [Box<dyn CompletionService>; 3] = [
+            Box::new(&Batcher),
+            Box::new(Box::new(Batcher)),
+            Box::new(std::sync::Arc::new(Batcher)),
+        ];
+        for svc in &wrapped {
+            assert!(svc.batches());
+            assert_eq!(
+                svc.call_batch(&["a"], &opts),
+                vec![Ok("batched".to_string())]
+            );
+        }
     }
 
     #[test]

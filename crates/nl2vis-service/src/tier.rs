@@ -440,15 +440,17 @@ impl CompletionService for TieredService {
         let mut spent: u64 = 0;
         let mut attempted = 0usize;
         let mut last_err: Option<TransportError> = None;
+        // Always attempt at least one tier; past that, skip rungs the
+        // remaining budget cannot pay for.
+        let affordable = |tier: &Tier, spent: u64| match budget {
+            Some(b) => spent + tier.cost_units <= b,
+            None => true,
+        };
 
         for (walk_pos, &ti) in order.iter().enumerate() {
             let tier = &self.tiers[ti];
-            if let Some(b) = budget {
-                // Always attempt at least one tier; past that, skip rungs
-                // the remaining budget cannot pay for.
-                if attempted > 0 && spent + tier.cost_units > b {
-                    continue;
-                }
+            if attempted > 0 && !affordable(tier, spent) {
+                continue;
             }
             attempted += 1;
             spent += tier.cost_units;
@@ -463,11 +465,15 @@ impl CompletionService for TieredService {
             match outcome {
                 Ok(text) => {
                     span.annotate("route.winner", &tier.name);
-                    span.annotate("route.escalations", &walk_pos.to_string());
+                    span.annotate("route.escalations", &(attempted - 1).to_string());
                     return Ok(text);
                 }
                 Err(e) => {
-                    let will_escalate = walk_pos + 1 < order.len();
+                    // An escalation is another tier actually attempted, not
+                    // merely one that exists: the budget may skip them all.
+                    let will_escalate = order[walk_pos + 1..]
+                        .iter()
+                        .any(|&next| affordable(&self.tiers[next], spent));
                     if will_escalate {
                         obs::count("route.tier.escalations_total", 1);
                         let reason = match e.kind {
@@ -504,6 +510,14 @@ mod tests {
 
     fn good() -> &'static str {
         "VQL: VISUALIZE bar SELECT name , COUNT(name) FROM t"
+    }
+
+    /// The route counters are process-global: tests that escalate or
+    /// assert on them hold this lock, so the asserted deltas are exact.
+    static ROUTE_COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn route_counters() -> std::sync::MutexGuard<'static, ()> {
+        ROUTE_COUNTERS.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     #[test]
@@ -591,6 +605,7 @@ mod tests {
 
     #[test]
     fn cheap_first_escalates_past_a_failing_tier() {
+        let _counters = route_counters();
         let cheap_calls = Arc::new(AtomicUsize::new(0));
         let c = Arc::clone(&cheap_calls);
         let svc = RouteLayer::new(RoutePolicy::CheapFirst)
@@ -612,6 +627,7 @@ mod tests {
 
     #[test]
     fn quality_first_reverses_the_walk() {
+        let _counters = route_counters();
         let cheap_calls = Arc::new(AtomicUsize::new(0));
         let c = Arc::clone(&cheap_calls);
         let svc = RouteLayer::new(RoutePolicy::QualityFirst)
@@ -636,6 +652,8 @@ mod tests {
 
     #[test]
     fn budget_cap_skips_unaffordable_tiers() {
+        let _counters = route_counters();
+        let escalations_before = obs::global().counter("route.tier.escalations_total").get();
         let strong_calls = Arc::new(AtomicUsize::new(0));
         let s = Arc::clone(&strong_calls);
         let svc = RouteLayer::new(RoutePolicy::BudgetCapped(5))
@@ -656,13 +674,18 @@ mod tests {
             .build()
             .unwrap();
         // Budget 5 cannot pay 1 + 10, so the strong tier is skipped and the
-        // request fails with the cheap tier's validation rejection.
+        // request fails with the cheap tier's validation rejection. No other
+        // tier was attempted, so nothing escalated.
         let err = svc.call("p", &GenOptions::default()).unwrap_err();
         assert_eq!(
             err.kind,
             TransportErrorKind::Status(VALIDATION_REJECTED_STATUS)
         );
         assert_eq!(strong_calls.load(Ordering::SeqCst), 0);
+        assert_eq!(
+            obs::global().counter("route.tier.escalations_total").get(),
+            escalations_before
+        );
     }
 
     #[test]
@@ -676,6 +699,7 @@ mod tests {
 
     #[test]
     fn transport_failure_escalates_and_is_never_scored_as_output() {
+        let _counters = route_counters();
         let svc = RouteLayer::new(RoutePolicy::CheapFirst)
             .tier(
                 "down",
@@ -728,6 +752,7 @@ mod tests {
 
     #[test]
     fn route_metrics_move_on_escalation() {
+        let _counters = route_counters();
         let before_esc = obs::global().counter("route.tier.escalations_total").get();
         let before_cost = obs::global().counter("route.cost_units").get();
         let svc = RouteLayer::new(RoutePolicy::CheapFirst)

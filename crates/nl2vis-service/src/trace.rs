@@ -24,8 +24,8 @@ impl TraceLayer {
         TraceLayer { name }
     }
 
-    /// The canonical request layer: spans named `llm.request`, matching
-    /// the span the pre-layered `ResilientLlmClient` opened.
+    /// The canonical request layer: spans named `llm.request`, the root
+    /// name dashboards and the flight recorder key request traces by.
     pub fn request() -> TraceLayer {
         TraceLayer::new("llm.request")
     }

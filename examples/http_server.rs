@@ -69,7 +69,7 @@ fn main() {
     // The pipeline talks HTTP — swap the address for a real endpoint and
     // nothing else changes.
     let client = HttpLlmClient::new(server.address(), "gpt-4");
-    let pipeline = Pipeline::with_client(Box::new(client));
+    let pipeline = Pipeline::with_service(client);
     for question in [
         "Draw a pie chart of the total weight kg for each destination.",
         "Show a bar chart of the number of shipments for each destination.",

@@ -29,36 +29,12 @@ run() {
     echo
 }
 
-# Tier 1: the repo must build and its tests must pass.
+# Tier 1: the repo must build and the whole workspace's tests must pass —
+# every crate's unit and integration suites (fault injection, keep-alive,
+# the serving cache, the server runtime, layering, tracing, the router
+# and fleet planes), not only the root package's.
 run "cargo build --release" cargo build --release
-run "cargo test" cargo test -q
-
-# Transport resilience: the fault-injection suites, run explicitly so a
-# hang (lost deadline, missed retry) fails loudly here rather than
-# stalling the full test run.
-run "fault injection (llm)" cargo test -q -p nl2vis-llm --test fault_injection
-run "fault injection (eval)" cargo test -q -p nl2vis-eval --test transport
-
-# Serving path: keep-alive connection reuse and the completion cache's
-# end-to-end acceptance (repeat eval ≥90% hits, fewer connections,
-# errors never cached), run explicitly for the same loud-failure reason.
-run "keep-alive (llm)" cargo test -q -p nl2vis-llm --test keepalive
-run "serving cache (cache)" cargo test -q -p nl2vis-cache --test serving
-
-# Bounded server runtime: admission control (429 shedding with
-# Retry-After), in-flight bounded by the worker pool, retry-through-shed
-# recovery, and graceful drain.
-run "server runtime (llm)" cargo test -q -p nl2vis-llm --test runtime
-
-# Layered stack invariants: recovered retries cache exactly once,
-# failures are never memoized in any layer order, one trace spans every
-# layer, and the metric-name surface matches the pre-layer wrappers.
-run "layering (root)" cargo test -q -p nl2vis --test layering
-
-# End-to-end tracing: cross-process trace propagation, the flight
-# recorder's retention contract, and the instrumentation-changes-nothing
-# guarantee.
-run "tracing (root)" cargo test -q -p nl2vis --test tracing
+run "cargo test --workspace" cargo test -q --workspace
 
 # Sustained-load smoke: a short reduced-thread loadgen run against a
 # self-hosted server (open loop, coordinated-omission corrected). Kept
@@ -133,15 +109,6 @@ sys.exit(0 if ok else 1)
 EOF
 }
 run "tiered routing smoke" tiered_smoke
-
-# Trace stitching: the /trace/<id> acceptance demo — a hedged request's
-# primary and hedge attempts land in one trace tree with the winner
-# marked.
-run "router trace stitching" cargo test -q -p nl2vis-router --test tracing
-
-# Fleet plane (in-process): merged metrics exactness, SLO publication,
-# and cross-replica trace stitching through the FleetServer.
-run "fleet plane (router)" cargo test -q -p nl2vis-router --test fleet
 
 # Fleet plane (multi-process): two REAL server processes — separate
 # flight recorders, separate registries, colliding span-id counters —

@@ -3,12 +3,10 @@
 //! completion, VQL parsing, execution, and Vega-Lite / chart rendering come
 //! out.
 
-use nl2vis_cache::{CacheLayer, Cached, CachedLlmClient, CompletionCache};
+use nl2vis_cache::{CacheLayer, Cached, CompletionCache};
 use nl2vis_corpus::Example;
 use nl2vis_data::{Database, Json};
-use nl2vis_llm::{
-    extract_vql, GenOptions, LlmClient, ModelProfile, ServiceClient, SimLlm, TransportError,
-};
+use nl2vis_llm::{extract_vql, GenOptions, ModelProfile, SimLlm, TransportError};
 use nl2vis_obs as obs;
 use nl2vis_prompt::{build_prompt, PromptOptions};
 use nl2vis_query::ast::VqlQuery;
@@ -314,17 +312,11 @@ impl<S: CompletionService, Stage> StackBuilder<S, Stage> {
         }
         service
     }
-
-    /// Finishes the stack and adapts it to the [`LlmClient`] trait, ready
-    /// for [`Pipeline::with_client`] call sites.
-    pub fn build_client(self) -> ServiceClient<S> {
-        ServiceClient::new(self.build())
-    }
 }
 
 /// The end-to-end pipeline over a pluggable model.
 pub struct Pipeline {
-    client: Box<dyn LlmClient + Send + Sync>,
+    service: Box<dyn CompletionService + Send + Sync>,
     /// Prompt construction options (format, budget, CoT, persona).
     pub options: PromptOptions,
 }
@@ -335,31 +327,27 @@ impl Pipeline {
     /// `text-davinci-003`, the paper's workhorse.
     pub fn new(model: &str, seed: u64) -> Pipeline {
         let profile = ModelProfile::by_name(model).unwrap_or_else(ModelProfile::davinci_003);
-        Pipeline::with_client(Box::new(SimLlm::new(profile, seed)))
+        Pipeline::with_service(SimLlm::new(profile, seed))
     }
 
-    /// Builds a pipeline over any [`LlmClient`] (e.g. the HTTP client).
-    pub fn with_client(client: Box<dyn LlmClient + Send + Sync>) -> Pipeline {
-        Pipeline {
-            client,
-            options: PromptOptions::default(),
-        }
-    }
-
-    /// Builds a pipeline over a layered [`CompletionService`] stack —
-    /// typically the output of [`StackBuilder::build`].
+    /// Builds a pipeline over any [`CompletionService`]: the HTTP client, a
+    /// simulated model, or a layered stack — typically the output of
+    /// [`StackBuilder::build`].
     pub fn with_service<S>(service: S) -> Pipeline
     where
         S: CompletionService + Send + Sync + 'static,
     {
-        Pipeline::with_client(Box::new(ServiceClient::new(service)))
+        Pipeline {
+            service: Box::new(service),
+            options: PromptOptions::default(),
+        }
     }
 
-    /// Wraps the pipeline's model client in a bounded completion cache:
+    /// Wraps the pipeline's service in a bounded completion cache:
     /// repeated identical `(model, options, prompt)` requests are served
     /// from memory, concurrent identical misses collapse into one upstream
     /// call, and transport failures are never cached. The cache sits
-    /// *outside* any retry layer already in the client, so only
+    /// *outside* any retry layer already in the service, so only
     /// completions that survived the full transport path are stored.
     pub fn with_completion_cache(self, capacity: usize) -> Pipeline {
         self.with_shared_cache(std::sync::Arc::new(CompletionCache::in_memory(capacity)))
@@ -370,14 +358,14 @@ impl Pipeline {
     /// read [`nl2vis_cache::CacheStats`] afterwards).
     pub fn with_shared_cache(self, cache: std::sync::Arc<CompletionCache>) -> Pipeline {
         Pipeline {
-            client: Box::new(CachedLlmClient::with_cache(self.client, cache)),
+            service: Box::new(CacheLayer::with_cache(cache).layer(self.service)),
             options: self.options,
         }
     }
 
     /// The backing model's name.
     pub fn model(&self) -> &str {
-        self.client.name()
+        self.service.model()
     }
 
     /// Runs the zero-shot pipeline: question in, rendered visualization out.
@@ -405,7 +393,7 @@ impl Pipeline {
         F: Fn(&'a Example) -> &'a Database,
     {
         let trace = obs::span!("pipeline.run");
-        trace.annotate("model", self.client.name());
+        trace.annotate("model", self.service.model());
         obs::count("pipeline.runs_total", 1);
         let prompt = {
             let _s = obs::span!("pipeline.prompt_build");
@@ -413,8 +401,7 @@ impl Pipeline {
         };
         let completion = {
             let _s = obs::span!("pipeline.completion");
-            self.client
-                .try_complete_with(&prompt.text, &GenOptions::default())
+            self.service.call(&prompt.text, &GenOptions::default())
         };
         let completion = completion.map_err(|e| {
             obs::error("pipeline", "transport", &e.to_string());
@@ -523,7 +510,7 @@ mod tests {
             listener.local_addr().unwrap()
         };
         let client = nl2vis_llm::http::HttpLlmClient::new(addr, "gpt-4");
-        let p = Pipeline::with_client(Box::new(client));
+        let p = Pipeline::with_service(client);
         let transport_before = obs::global().counter("pipeline.error.transport").get();
         match p.run(
             &db(),
@@ -541,7 +528,7 @@ mod tests {
     }
 
     /// The typestate builder composes the canonical stack order and the
-    /// result drives the pipeline end-to-end like any other client.
+    /// result drives the pipeline end-to-end like any other service.
     #[test]
     fn stack_builder_composes_the_canonical_order() {
         let cache = std::sync::Arc::new(CompletionCache::in_memory(16));

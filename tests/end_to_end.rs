@@ -67,8 +67,8 @@ fn http_transport_is_equivalent_to_local_model() {
     let server = CompletionServer::start(local.clone()).unwrap();
     let remote = HttpLlmClient::new(server.address(), "text-davinci-003");
 
-    let local_pipeline = Pipeline::with_client(Box::new(local));
-    let remote_pipeline = Pipeline::with_client(Box::new(remote));
+    let local_pipeline = Pipeline::with_service(local);
+    let remote_pipeline = Pipeline::with_service(remote);
 
     let a = local_pipeline.run(db, &example.nl);
     let b = remote_pipeline.run(db, &example.nl);

@@ -4,13 +4,13 @@
 //! three properties make that order load-bearing: a retried-then-recovered
 //! request is cached exactly once, a transport failure is *never*
 //! memoized, and one trace id spans every layer including the failed
-//! attempt. Plus the refactor's non-regression contract: the metric-name
-//! surface of the pre-layer wrapper structs is byte-identical.
+//! attempt. Plus the non-regression contract: the metric-name surface of
+//! the pre-layer wrapper structs is byte-identical.
 
-use nl2vis::cache::{completion_key, CacheLayer, CachedLlmClient, CompletionCache};
+use nl2vis::cache::{completion_key, CacheLayer, CompletionCache};
 use nl2vis::llm::fault::{Fault, FaultInjector};
-use nl2vis::llm::http::{CompletionServer, HttpLlmClient};
-use nl2vis::llm::{GenOptions, LlmClient, ModelProfile, ResilientLlmClient, RetryPolicy, SimLlm};
+use nl2vis::llm::http::{CompletionServer, HttpLlmClient, ServerConfig};
+use nl2vis::llm::{GenOptions, ModelProfile, RetryPolicy, SimLlm};
 use nl2vis::obs::{self, recorder, FlightRecorder};
 use nl2vis::pipeline::StackBuilder;
 use nl2vis::service::{
@@ -157,10 +157,11 @@ fn one_trace_spans_every_layer_and_the_retried_attempt() {
     recorder::install(Arc::clone(&flight));
 
     let registry = Arc::new(obs::MetricsRegistry::new());
-    let server = CompletionServer::start_with_faults(
+    let server = CompletionServer::start_with_service_config(
         SimLlm::new(ModelProfile::gpt_4(), 7),
         Arc::clone(&registry),
         FaultInjector::script(vec![Fault::Http500]),
+        ServerConfig::default(),
     )
     .expect("server starts");
     let stack = StackBuilder::over(HttpLlmClient::new(server.address(), "gpt-4"))
@@ -207,8 +208,8 @@ fn one_trace_spans_every_layer_and_the_retried_attempt() {
     recorder::disable();
 }
 
-/// The refactor's non-regression contract: driving the *pre-layer* wrapper
-/// API (cached client over resilient client over HTTP client) touches
+/// The non-regression contract: the composition the pre-layer wrapper
+/// structs used — a cache over `Trace(Metrics(Retry(http)))` — touches
 /// exactly the metric names it touched before the middleware rewrite —
 /// dashboards and the eval runner read these by name.
 #[test]
@@ -225,28 +226,37 @@ fn shim_path_metric_names_are_byte_identical() {
         )
         .collect();
 
-    // Scenario 1: a 500-then-clean request through the full shim stack,
-    // then the identical request again (a cache hit).
+    // Scenario 1: a 500-then-clean request through the full stack, then
+    // the identical request again (a cache hit).
     let registry = Arc::new(obs::MetricsRegistry::new());
-    let server = CompletionServer::start_with_faults(
+    let server = CompletionServer::start_with_service_config(
         SimLlm::new(ModelProfile::gpt_4(), 7),
         Arc::clone(&registry),
         FaultInjector::script(vec![Fault::Http500]),
+        ServerConfig::default(),
     )
     .expect("server starts");
-    let client = CachedLlmClient::new(
-        ResilientLlmClient::new(
-            HttpLlmClient::new(server.address(), "gpt-4"),
-            fast_policy(3),
-        ),
-        64,
+    let resilient = |http: HttpLlmClient, policy: RetryPolicy| {
+        StackBuilder::over(http)
+            .retry(policy)
+            .metrics()
+            .trace()
+            .build()
+    };
+    let client = CacheLayer::new(64).layer(resilient(
+        HttpLlmClient::new(server.address(), "gpt-4"),
+        fast_policy(3),
+    ));
+    assert_eq!(
+        stack_of(&client),
+        vec!["cache", "trace", "metrics", "retry", "http"]
     );
     let opts = GenOptions::default();
     client
-        .try_complete_with(&prompt(1), &opts)
+        .call(&prompt(1), &opts)
         .expect("retry absorbs the 500");
     client
-        .try_complete_with(&prompt(1), &opts)
+        .call(&prompt(1), &opts)
         .expect("repeat is a cache hit");
     drop(server); // joins the workers, so server-side spans are closed
 
@@ -256,11 +266,11 @@ fn shim_path_metric_names_are_byte_identical() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         listener.local_addr().unwrap()
     };
-    let dead = ResilientLlmClient::new(
+    let dead = resilient(
         HttpLlmClient::new(dead_addr, "gpt-4"),
         RetryPolicy::no_retry(),
     );
-    dead.try_complete_with(&prompt(2), &opts)
+    dead.call(&prompt(2), &opts)
         .expect_err("nobody listens there");
 
     let names_after: std::collections::BTreeMap<String, u64> = obs::global()
@@ -333,7 +343,7 @@ fn escalating_stack(
 }
 
 /// The routing era's addition to the metric-name surface: one escalated
-/// request touches exactly these `route.*` names. Like the shim golden
+/// request touches exactly these `route.*` names. Like the serving golden
 /// list above, an edit here is a dashboard-compatibility decision.
 #[test]
 fn route_metric_surface_is_the_golden_set() {

@@ -14,10 +14,10 @@ use nl2vis::data::value::DataType;
 use nl2vis::data::{Database, Value};
 use nl2vis::eval::runner::{evaluate_llm, LlmEvalConfig};
 use nl2vis::llm::fault::{Fault, FaultInjector};
-use nl2vis::llm::http::{CompletionServer, HttpLlmClient};
-use nl2vis::llm::{ModelProfile, ResilientLlmClient, RetryPolicy, SimLlm};
+use nl2vis::llm::http::{CompletionServer, HttpLlmClient, ServerConfig};
+use nl2vis::llm::{ModelProfile, RetryPolicy, SimLlm};
 use nl2vis::obs::{self, recorder, FlightRecorder};
-use nl2vis::Pipeline;
+use nl2vis::{Pipeline, StackBuilder};
 use std::io::{Read, Write};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -68,10 +68,11 @@ fn one_trace_covers_retry_cache_miss_and_server_handling() {
     // fault the retrying client must absorb; everything after is clean.
     let llm = SimLlm::new(ModelProfile::gpt_4(), 7);
     let registry = Arc::new(obs::MetricsRegistry::new());
-    let server = CompletionServer::start_with_faults(
+    let server = CompletionServer::start_with_service_config(
         llm,
         Arc::clone(&registry),
         FaultInjector::script(vec![Fault::Http500]),
+        ServerConfig::default(),
     )
     .expect("server starts");
     let policy = RetryPolicy {
@@ -80,11 +81,12 @@ fn one_trace_covers_retry_cache_miss_and_server_handling() {
         max_backoff: std::time::Duration::from_millis(2),
         jitter_seed: 7,
     };
-    let pipeline = Pipeline::with_client(Box::new(ResilientLlmClient::new(
-        HttpLlmClient::new(server.address(), "gpt-4"),
-        policy,
-    )))
-    .with_completion_cache(64);
+    let stack = StackBuilder::over(HttpLlmClient::new(server.address(), "gpt-4"))
+        .retry(policy)
+        .metrics()
+        .trace()
+        .build();
+    let pipeline = Pipeline::with_service(stack).with_completion_cache(64);
 
     let db = shop_db();
     let question = "Show a bar chart of the total amount for each region.";
