@@ -1318,8 +1318,8 @@ pub fn traces(ctx: &ExperimentContext) -> (TracesSummary, String) {
     use nl2vis_llm::http::{CompletionServer, HttpLlmClient, ServerConfig};
     use nl2vis_llm::{FaultInjector, RetryPolicy};
     use nl2vis_obs::{recorder, FlightRecorder, MetricsRegistry};
-    use std::io::{Read as _, Write as _};
     use std::sync::Arc;
+    use std::time::Duration;
 
     const CAPACITY: usize = 256;
     let flight = Arc::new(FlightRecorder::new(CAPACITY));
@@ -1360,26 +1360,16 @@ pub fn traces(ctx: &ExperimentContext) -> (TracesSummary, String) {
         );
     }
 
-    // Pull the debug endpoints the way an operator would: raw HTTP.
-    let raw_get = |path: &str| -> String {
-        let mut stream = std::net::TcpStream::connect(server.address()).expect("connect");
-        write!(
-            stream,
-            "GET {path} HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
-        )
-        .expect("write request");
-        let mut response = String::new();
-        stream.read_to_string(&mut response).expect("read response");
-        response
+    // Pull the debug endpoints the way an operator would: plain GETs.
+    let get = |path: &str| {
+        nl2vis_llm::wire::get(server.address(), path, Duration::from_secs(5)).expect("GET")
     };
-    let requests_response = raw_get("/requests");
-    let requests_endpoint_ok =
-        requests_response.starts_with("HTTP/1.1 200") && requests_response.contains("\"traces\"");
+    let (status, requests_body) = get("/requests");
+    let requests_endpoint_ok = status == 200 && requests_body.contains("\"traces\"");
     let retained = flight.recent(CAPACITY);
     let trace_endpoint_ok = retained.first().is_some_and(|r| {
-        let response = raw_get(&format!("/trace/{}", r.trace_id));
-        response.starts_with("HTTP/1.1 200")
-            && response.contains(&format!("\"trace_id\":{}", r.trace_id))
+        let (status, body) = get(&format!("/trace/{}", r.trace_id));
+        status == 200 && body.contains(&format!("\"trace_id\":{}", r.trace_id))
     });
 
     let examples: Vec<_> = retained

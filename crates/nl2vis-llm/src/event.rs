@@ -34,12 +34,12 @@
 
 use crate::fault::{Fault, FaultInjector};
 use crate::http::{
-    completion_json, connection_keeps_alive, header_value, render_response, respond, route,
-    BadRequest, Request, ServerConfig, ServerTuning, JSON, MAX_BODY_BYTES, SERVER_IO_TIMEOUT,
+    completion_json, route, ServerConfig, ServerTuning, JSON, SERVER_IO_TIMEOUT,
     SERVER_KEEPALIVE_IDLE,
 };
 use crate::poll::{Poller, WakePair, WAKE_TOKEN};
 use crate::sim::GenOptions;
+use crate::wire::{self, Parsed, MAX_BODY_BYTES, MAX_HEADER_BYTES};
 use nl2vis_data::Json;
 use nl2vis_obs as obs;
 use nl2vis_obs::{MetricsRegistry, WindowedRegistry};
@@ -53,10 +53,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Header bytes a single request may occupy before parsing gives up; far
-/// above any legitimate request line + headers, far below a memory threat.
-const MAX_HEADER_BYTES: usize = 64 * 1024;
 
 /// How long an epoll-backed poller sleeps with nothing ready; bounds the
 /// latency of idle sweeps and drain checks, not of request handling
@@ -75,6 +71,37 @@ const DRAIN_GRACE: Duration = Duration::from_millis(250);
 /// exists to protect the workers; it must never park a poller on a slow
 /// peer.
 const POLLER_WRITE_TIMEOUT: Duration = Duration::from_millis(250);
+
+/// A parsed inbound request: the owned copy of the wire bytes that travels
+/// from a poller to a worker.
+pub(crate) struct Request {
+    pub method: String,
+    pub path: String,
+    pub body: String,
+    /// Did the client ask to keep the connection open (see
+    /// [`wire::Head::keep_alive`])?
+    pub keep_alive: bool,
+    /// Trace context imported from `X-Nl2vis-Trace-Id` /
+    /// `X-Nl2vis-Parent-Span` headers, if the client is propagating one —
+    /// the server-side handling span then joins the caller's trace instead
+    /// of starting its own.
+    pub trace: Option<obs::TraceContext>,
+}
+
+impl Request {
+    fn new(head: &wire::Head<'_>, body: &[u8]) -> Request {
+        Request {
+            method: head.method.to_string(),
+            path: head.path.to_string(),
+            body: String::from_utf8_lossy(body).into_owned(),
+            keep_alive: head.keep_alive,
+            trace: obs::TraceContext::from_headers(
+                head.header("x-nl2vis-trace-id"),
+                head.header("x-nl2vis-parent-span"),
+            ),
+        }
+    }
+}
 
 /// The completion request pre-parsed by the poller, so workers can form
 /// batches without re-reading JSON under the queue lock.
@@ -504,39 +531,37 @@ impl PollerThread {
             if conn.busy {
                 return;
             }
-            match try_parse(&mut conn.buf) {
-                Parse::NeedMore => return,
-                Parse::Bad(bad) => {
-                    self.fail(token, bad);
+            let (request, consumed) = match wire::parse_request(&conn.buf) {
+                Parsed::NeedMore => return,
+                Parsed::Bad(e) => {
+                    self.fail(token, e.status(), &e.to_string());
                     return;
                 }
-                Parse::Ok(request) => {
-                    if conn.served > 0 {
-                        self.shared
-                            .registry
-                            .counter("server.requests_on_reused_conn")
-                            .inc();
-                    }
-                    // Debug/health GETs bypass admission control: they are
-                    // cheap, their volume is bounded by the connection
-                    // count, and overload is exactly when `/stats` and
-                    // `/metrics` must stay answerable.
-                    let sheddable = request.method == "POST";
-                    let queue_full = sheddable
-                        && self.shared.queue.lock().expect("work queue").len()
-                            >= self.shared.config.queue_depth;
-                    if queue_full {
-                        if !self.shed(token, &request) {
-                            return;
-                        }
-                        // Connection kept: the buffer may hold another
-                        // pipelined request; keep parsing.
-                    } else {
-                        self.dispatch(token, request);
-                        return;
-                    }
-                }
+                Parsed::Ok(head, body) => (Request::new(&head, body), head.len + body.len()),
+            };
+            conn.buf.drain(..consumed);
+            if conn.served > 0 {
+                self.shared
+                    .registry
+                    .counter("server.requests_on_reused_conn")
+                    .inc();
             }
+            // Debug/health GETs bypass admission control: they are cheap,
+            // their volume is bounded by the connection count, and overload
+            // is exactly when `/stats` and `/metrics` must stay answerable.
+            let sheddable = request.method == "POST";
+            let queue_full = sheddable
+                && self.shared.queue.lock().expect("work queue").len()
+                    >= self.shared.config.queue_depth;
+            if !queue_full {
+                self.dispatch(token, request);
+                return;
+            }
+            if !self.shed(token, &request) {
+                return;
+            }
+            // Connection kept: the buffer may hold another pipelined
+            // request; keep parsing.
         }
     }
 
@@ -553,9 +578,10 @@ impl PollerThread {
         self.shared.windowed.counter("server.shed_total").inc();
         let keep = request.keep_alive && !self.draining;
         let body = r#"{"error":"server overloaded, retry later"}"#;
-        let raw = render_response(429, body, JSON, keep, Some(self.shared.config.retry_after));
+        let raw =
+            wire::render_response(429, body, JSON, keep, Some(self.shared.config.retry_after));
         let conn = self.conns.get_mut(&token).expect("shed target");
-        let ok = write_now(&conn.stream, raw.as_bytes());
+        let ok = write_now(&conn.stream, &raw);
         if keep && ok {
             conn.served += 1;
             conn.last_activity = Instant::now();
@@ -568,17 +594,15 @@ impl PollerThread {
 
     /// Responds to an unreadable request and closes the connection,
     /// mirroring the old blocking runtime's counters and bodies.
-    fn fail(&mut self, token: u64, bad: BadRequest) {
+    fn fail(&mut self, token: u64, status: u16, message: &str) {
         let registry = &self.shared.registry;
         registry.counter("server.bad_requests_total").inc();
-        registry
-            .counter(&format!("llm.status_{}", bad.status))
-            .inc();
-        let body = Json::object(vec![("error", Json::from(bad.message.as_str()))]).to_compact();
-        let raw = render_response(bad.status, &body, JSON, false, None);
+        registry.counter(&format!("llm.status_{status}")).inc();
+        let body = Json::object(vec![("error", Json::from(message))]).to_compact();
+        let raw = wire::render_response(status, &body, JSON, false, None);
         if let Some(conn) = self.conns.get(&token) {
             // Best-effort: the peer may already be gone.
-            write_now(&conn.stream, raw.as_bytes());
+            write_now(&conn.stream, &raw);
         }
         self.close(token);
     }
@@ -633,7 +657,7 @@ impl PollerThread {
             None if conn.buf.is_empty() => "empty request".to_string(),
             None => "request read failed: connection closed mid-request".to_string(),
         };
-        self.fail(token, BadRequest::new(400, message));
+        self.fail(token, 400, &message);
     }
 
     /// Applies the idle deadlines the blocking runtime enforced with
@@ -662,10 +686,7 @@ impl PollerThread {
             .collect();
         for (token, timed_out) in expired {
             if timed_out {
-                self.fail(
-                    token,
-                    BadRequest::new(400, "request read failed: read timed out"),
-                );
+                self.fail(token, 400, "request read failed: read timed out");
             } else {
                 self.close(token);
             }
@@ -752,117 +773,6 @@ fn parse_gen_options(request: &Json) -> GenOptions {
         }
     }
     opts
-}
-
-/// Result of one incremental parse attempt.
-enum Parse {
-    /// The buffer does not hold a complete request yet.
-    NeedMore,
-    Bad(BadRequest),
-    Ok(Request),
-}
-
-/// Finds the end of the header block: byte offsets (one past the blank
-/// line, start of body). Tolerates bare-LF line endings like the
-/// `read_line`-based parser did.
-fn find_header_end(buf: &[u8]) -> Option<(usize, usize)> {
-    for i in 0..buf.len() {
-        if buf[i] != b'\n' {
-            continue;
-        }
-        if buf.len() > i + 1 && buf[i + 1] == b'\n' {
-            return Some((i + 1, i + 2));
-        }
-        if buf.len() > i + 2 && buf[i + 1] == b'\r' && buf[i + 2] == b'\n' {
-            return Some((i + 1, i + 3));
-        }
-    }
-    None
-}
-
-/// Incrementally parses one HTTP/1.1 request off the front of `buf`,
-/// consuming its bytes only when complete. Header *names* match
-/// case-insensitively while values keep their original bytes
-/// ([`header_value`]), `Connection` is matched token-wise, and duplicate
-/// `Content-Length` headers that disagree are rejected outright — the
-/// request-smuggling-safe reading.
-fn try_parse(buf: &mut Vec<u8>) -> Parse {
-    let Some((head_end, body_start)) = find_header_end(buf) else {
-        if buf.len() > MAX_HEADER_BYTES {
-            return Parse::Bad(BadRequest::new(
-                400,
-                format!("header block exceeds the {MAX_HEADER_BYTES}-byte limit"),
-            ));
-        }
-        return Parse::NeedMore;
-    };
-    let head = String::from_utf8_lossy(&buf[..head_end]).to_string();
-    let mut lines = head.split('\n').map(|l| l.trim_end());
-    let request_line = lines.next().unwrap_or("");
-    if request_line.is_empty() {
-        return Parse::Bad(BadRequest::ended("empty request"));
-    }
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("").to_string();
-    let path = parts.next().unwrap_or("").to_string();
-
-    let mut content_length: Option<usize> = None;
-    let mut keep_alive = false;
-    let mut trace_id: Option<String> = None;
-    let mut parent_span: Option<String> = None;
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(v) = header_value(line, "content-length") {
-            // A Content-Length we cannot parse means we cannot know where
-            // the body ends: reject, never silently assume an empty body.
-            let Ok(parsed) = v.parse::<usize>() else {
-                return Parse::Bad(BadRequest::new(
-                    400,
-                    format!("malformed content-length: `{v}`"),
-                ));
-            };
-            if content_length.is_some_and(|prev| prev != parsed) {
-                return Parse::Bad(BadRequest::new(
-                    400,
-                    "conflicting duplicate content-length headers",
-                ));
-            }
-            content_length = Some(parsed);
-        }
-        if let Some(v) = header_value(line, "connection") {
-            keep_alive = connection_keeps_alive(v);
-        }
-        if let Some(v) = header_value(line, "x-nl2vis-trace-id") {
-            trace_id = Some(v.to_string());
-        }
-        if let Some(v) = header_value(line, "x-nl2vis-parent-span") {
-            parent_span = Some(v.to_string());
-        }
-    }
-    let content_length = content_length.unwrap_or(0);
-    if content_length > MAX_BODY_BYTES {
-        // Reject from the untrusted header alone — allocating
-        // `content_length` bytes first would let one request OOM the
-        // server.
-        return Parse::Bad(BadRequest::new(
-            413,
-            format!("body of {content_length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"),
-        ));
-    }
-    if buf.len() < body_start + content_length {
-        return Parse::NeedMore;
-    }
-    let body = String::from_utf8_lossy(&buf[body_start..body_start + content_length]).to_string();
-    buf.drain(..body_start + content_length);
-    Parse::Ok(Request {
-        method,
-        path,
-        body,
-        keep_alive,
-        trace: obs::TraceContext::from_headers(trace_id.as_deref(), parent_span.as_deref()),
-    })
 }
 
 /// Poller-side response write: flips the (registered, nonblocking) socket
@@ -994,7 +904,10 @@ fn blocking_respond(
     keep_alive: bool,
 ) -> bool {
     let _ = stream.set_nonblocking(false);
-    let ok = respond(stream, status, body, content_type, keep_alive).is_ok();
+    // One write for the whole response: head and body as separate writes
+    // would let Nagle hold the body back a delayed-ACK round trip.
+    let response = wire::render_response(status, body, content_type, keep_alive, None);
+    let ok = stream.write_all(&response).is_ok();
     let _ = stream.set_nonblocking(true);
     ok
 }

@@ -2,7 +2,8 @@
 //!
 //! The paper drives GPT-3.5/GPT-4 through the OpenAI completions API over
 //! HTTPS. This module reproduces that wire surface with a small HTTP/1.1
-//! implementation over `std::net`: a [`CompletionServer`] that hosts any
+//! implementation over `std::net`, framed by [`crate::wire`]: a
+//! [`CompletionServer`] that hosts any
 //! [`CompletionService`] (typically a [`SimLlm`](crate::SimLlm)), and a
 //! [`HttpLlmClient`] leaf service that speaks the same
 //! `POST /v1/completions` JSON protocol. The rest of the system only sees
@@ -13,22 +14,15 @@ use crate::client::{CompletionOutcome, TransportError, TransportErrorKind};
 use crate::event;
 use crate::fault::FaultInjector;
 use crate::sim::GenOptions;
+use crate::wire::{self, AcceptLoop, WireError};
 use nl2vis_data::Json;
 use nl2vis_obs as obs;
 use nl2vis_obs::{MetricsRegistry, WindowedRegistry};
 use nl2vis_service::CompletionService;
-use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::AtomicUsize;
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Largest request/response body either side will buffer. Prompts run to
-/// tens of kilobytes; anything past this is a protocol violation, not a
-/// bigger prompt, and must not translate an untrusted `Content-Length`
-/// header into an allocation.
-pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
 
 /// Deadline for a fresh connection to produce a complete request, and for
 /// response writes. A stalled or dead peer is swept (and the response
@@ -95,6 +89,29 @@ impl From<std::io::Error> for HttpError {
                 HttpError::Timeout(e.to_string())
             }
             _ => HttpError::Io(e),
+        }
+    }
+}
+
+impl From<WireError> for HttpError {
+    /// A readable `429` status line is the shed verdict whatever followed
+    /// it: the body and `Retry-After` are advisory, so a malformed or
+    /// truncated remainder is still [`HttpError::Overloaded`]. Otherwise a
+    /// close before any response byte is [`HttpError::Closed`].
+    fn from(e: WireError) -> HttpError {
+        if e.status() == Some(429) {
+            return HttpError::Overloaded {
+                retry_after: e.header("retry-after").and_then(wire::parse_retry_after),
+                body: String::new(),
+            };
+        }
+        let started = e.started();
+        match e.cause {
+            wire::Cause::Io(io) if !started && io.kind() == std::io::ErrorKind::UnexpectedEof => {
+                HttpError::Closed
+            }
+            wire::Cause::Io(io) => io.into(),
+            wire::Cause::Frame(f) => HttpError::Protocol(f.to_string()),
         }
     }
 }
@@ -237,8 +254,7 @@ impl Default for ServerTuning {
 /// with the cumulative totals), and `GET /healthz`.
 pub struct CompletionServer {
     addr: std::net::SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    accept: Option<AcceptLoop>,
     core: Option<event::Core>,
     registry: Arc<MetricsRegistry>,
     windowed: Arc<WindowedRegistry>,
@@ -323,8 +339,6 @@ impl CompletionServer {
     ) -> Result<CompletionServer, HttpError> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
         let faults = Arc::new(faults);
         let windowed = Arc::new(WindowedRegistry::new(obs::WindowConfig::seconds_10()));
         let core = event::Core::start(
@@ -335,35 +349,16 @@ impl CompletionServer {
             config,
             tuning,
         )?;
+        // The accept thread does nothing but deal accepted sockets to the
+        // poller shards.
         let pollers = core.pollers.clone();
-        // The accept loop blocks in `accept` — zero CPU while idle — and is
-        // woken on shutdown by `Drop` connecting to the listener itself. It
-        // does nothing but deal accepted sockets to the poller shards.
-        let handle = std::thread::spawn(move || {
-            let rr = AtomicUsize::new(0);
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        if stop_flag.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        event::hand_off(&pollers, &rr, stream);
-                    }
-                    Err(_) => {
-                        if stop_flag.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        // Transient accept failure (e.g. fd pressure): back
-                        // off briefly instead of spinning.
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                }
-            }
-        });
+        let rr = AtomicUsize::new(0);
+        let accept = AcceptLoop::spawn(listener, move |stream| {
+            event::hand_off(&pollers, &rr, stream)
+        })?;
         Ok(CompletionServer {
             addr,
-            stop,
-            handle: Some(handle),
+            accept: Some(accept),
             core: Some(core),
             registry,
             windowed,
@@ -409,145 +404,14 @@ impl CompletionServer {
 
 impl Drop for CompletionServer {
     fn drop(&mut self) {
-        // Phase 1: stop accepting. The throwaway connection wakes the
-        // blocking accept loop, which re-checks the stop flag.
-        self.stop.store(true, Ordering::Relaxed);
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        // Phase 1: stop accepting (see [`AcceptLoop`]'s drop).
+        drop(self.accept.take());
         // Phase 2: drain. Pollers serve what has already been read, then
         // the workers drain the request queue (see [`event::Core::shutdown`]).
         if let Some(core) = self.core.take() {
             core.shutdown();
         }
     }
-}
-
-/// A parsed inbound request.
-pub(crate) struct Request {
-    pub method: String,
-    pub path: String,
-    pub body: String,
-    /// Did the client ask to keep the connection open (`Connection:
-    /// keep-alive`)? Despite HTTP/1.1's persistent-by-default rule, this
-    /// server is close-by-default and only keeps connections the client
-    /// explicitly asked for — raw-socket callers that read to EOF keep
-    /// working, and pooling clients opt in per request.
-    pub keep_alive: bool,
-    /// Trace context imported from `X-Nl2vis-Trace-Id` /
-    /// `X-Nl2vis-Parent-Span` headers, if the client is propagating one —
-    /// the server-side handling span then joins the caller's trace instead
-    /// of starting its own.
-    pub trace: Option<obs::TraceContext>,
-}
-
-/// A request that could not be read: the status and body of the error
-/// response the client deserves before the connection closes.
-pub(crate) struct BadRequest {
-    pub status: u16,
-    pub message: String,
-}
-
-impl BadRequest {
-    pub fn new(status: u16, message: impl Into<String>) -> BadRequest {
-        BadRequest {
-            status,
-            message: message.into(),
-        }
-    }
-
-    pub fn ended(message: impl Into<String>) -> BadRequest {
-        BadRequest::new(400, message)
-    }
-}
-
-/// Extracts a header value from one `Name: value` line when the *name*
-/// matches `name` case-insensitively (RFC 9110 §5.1 — field names are
-/// case-insensitive). The value is returned from the original line,
-/// whitespace-trimmed but otherwise byte-for-byte: header values are NOT
-/// case-insensitive, and folding them (as an earlier lowercase-the-line
-/// parser did) silently corrupts case-sensitive payloads like trace ids.
-pub fn header_value<'a>(line: &'a str, name: &str) -> Option<&'a str> {
-    let (field, value) = line.split_once(':')?;
-    if field.trim().eq_ignore_ascii_case(name) {
-        Some(value.trim())
-    } else {
-        None
-    }
-}
-
-/// Does a `Connection:` header value ask for keep-alive? The value is a
-/// comma-separated token list (`keep-alive, TE`), so membership is tested
-/// per token, case-insensitively — exact-equality matching would read any
-/// multi-token list as "close". A list naming both tokens closes: `close`
-/// is the stronger directive.
-pub fn connection_keeps_alive(value: &str) -> bool {
-    let mut keep = false;
-    for token in value.split(',') {
-        let token = token.trim();
-        if token.eq_ignore_ascii_case("close") {
-            return false;
-        }
-        if token.eq_ignore_ascii_case("keep-alive") {
-            keep = true;
-        }
-    }
-    keep
-}
-
-/// Serializes one complete response. Kept in one place so the worker
-/// pool, the poller-side shed/error paths, and tests all emit the same
-/// wire bytes.
-pub(crate) fn render_response(
-    status: u16,
-    body: &str,
-    content_type: &str,
-    keep_alive: bool,
-    retry_after: Option<Duration>,
-) -> String {
-    // Fractional seconds in Retry-After are a protocol extension over RFC
-    // 9110 (which allows only whole seconds): local tests and benchmarks
-    // shed with millisecond backoffs, and rounding them up to 1s would
-    // serialize the whole recovery. Our client parses either form.
-    let retry_after = match retry_after {
-        Some(backoff) => format!("Retry-After: {}\r\n", backoff.as_secs_f64()),
-        None => String::new(),
-    };
-    format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n{retry_after}Connection: {}\r\n\r\n{body}",
-        match status {
-            200 => "OK",
-            404 => "Not Found",
-            413 => "Payload Too Large",
-            422 => "Unprocessable Content",
-            429 => "Too Many Requests",
-            500 => "Internal Server Error",
-            502 => "Bad Gateway",
-            _ => "Bad Request",
-        },
-        body.len(),
-        if keep_alive { "keep-alive" } else { "close" }
-    )
-}
-
-/// Writes one response, advertising `Connection: keep-alive` or `close` to
-/// match what the serving loop will actually do next. Best-effort by
-/// construction: the caller decides whether a write failure matters.
-pub(crate) fn respond(
-    stream: &mut TcpStream,
-    status: u16,
-    body: &str,
-    content_type: &str,
-    keep_alive: bool,
-) -> Result<(), HttpError> {
-    // Serialize the whole response first and send it in one write: header
-    // and body as separate writes would let Nagle hold the body back a
-    // delayed-ACK round trip on connections without NODELAY.
-    let response = render_response(status, body, content_type, keep_alive, None);
-    stream.write_all(response.as_bytes())?;
-    stream.flush()?;
-    Ok(())
 }
 
 /// Renders the OpenAI-style completion response body.
@@ -754,51 +618,6 @@ pub struct HttpLlmClient {
     pool: Option<Mutex<Vec<PooledConn>>>,
 }
 
-/// Is this error consistent with the server having silently closed a
-/// pooled connection while it sat idle? Only these justify the one-shot
-/// fresh-connection retry — anything else (timeout, HTTP status, protocol
-/// violation) is a real answer from a live server and must be surfaced.
-fn is_stale_conn_error(e: &HttpError) -> bool {
-    match e {
-        HttpError::Closed => true,
-        HttpError::Io(io) => matches!(
-            io.kind(),
-            std::io::ErrorKind::ConnectionReset
-                | std::io::ErrorKind::ConnectionAborted
-                | std::io::ErrorKind::BrokenPipe
-                | std::io::ErrorKind::UnexpectedEof
-        ),
-        _ => false,
-    }
-}
-
-/// A [`HttpLlmClient::roundtrip`] failure, tagged with whether any response
-/// byte had arrived first. The stale-socket retry is only legal while the
-/// response has *not* started: after that the server demonstrably processed
-/// the request, so replaying it would double-send — and a readable 429
-/// whose remainder got truncated must stay a 429, never a
-/// `http.conn_stale_retries` increment.
-struct RoundtripError {
-    error: HttpError,
-    response_started: bool,
-}
-
-impl RoundtripError {
-    fn before_response(error: HttpError) -> RoundtripError {
-        RoundtripError {
-            error,
-            response_started: false,
-        }
-    }
-
-    fn mid_response(error: HttpError) -> RoundtripError {
-        RoundtripError {
-            error,
-            response_started: true,
-        }
-    }
-}
-
 impl HttpLlmClient {
     /// Creates a client for a server address with default [`Timeouts`] and
     /// connection keep-alive enabled.
@@ -907,7 +726,7 @@ impl HttpLlmClient {
             let attempt = obs::span!("llm.attempt");
             attempt.annotate("conn", "reused");
             match self.roundtrip(stream, &request) {
-                Err(e) if !e.response_started && is_stale_conn_error(&e.error) => {
+                Err(e) if e.is_stale() => {
                     // The parked socket died while idle, before a single
                     // response byte. The request never reached the
                     // application layer, so retrying it on a fresh
@@ -917,181 +736,66 @@ impl HttpLlmClient {
                     attempt.annotate("stale", "true");
                     obs::count("http.conn_stale_retries", 1);
                 }
-                Err(e) => return Err(e.error),
-                Ok(done) => return Ok(done),
+                done => return completion_text(done?),
             }
         }
         let attempt = obs::span!("llm.attempt");
         attempt.annotate("conn", "fresh");
         let stream = self.connect_fresh()?;
-        self.roundtrip(stream, &request).map_err(|e| e.error)
+        completion_text(self.roundtrip(stream, &request)?)
     }
 
-    /// One request/response exchange on `stream`. On success, a response
-    /// tagged `Connection: keep-alive` sends the socket back to the pool.
-    /// Failures carry whether the response had started (see
-    /// [`RoundtripError`]); only pre-response failures are stale-retryable.
-    fn roundtrip(&self, mut stream: TcpStream, request: &str) -> Result<String, RoundtripError> {
-        let want_keep_alive = self.pool.is_some();
+    /// One request/response exchange on `stream`. A response the server
+    /// will keep alive sends the socket back to the pool.
+    fn roundtrip(&self, mut stream: TcpStream, body: &str) -> Result<wire::Message, WireError> {
+        let keep_alive = self.pool.is_some();
         // Propagate the caller's trace so the server's handling span joins
         // it instead of starting a disconnected one.
-        let trace_headers = match obs::current_context() {
-            Some(ctx) => format!(
-                "X-Nl2vis-Trace-Id: {}\r\nX-Nl2vis-Parent-Span: {}\r\n",
-                ctx.trace_header(),
-                ctx.parent_header()
-            ),
-            None => String::new(),
-        };
-        // One buffered write for the whole request (see `respond` for the
-        // Nagle/delayed-ACK rationale).
-        let wire_request = format!(
-            "POST /v1/completions HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n{trace_headers}\r\n{request}",
+        let trace = obs::current_context().map(|ctx| (ctx.trace_header(), ctx.parent_header()));
+        let mut headers = vec![("Content-Type", JSON)];
+        if let Some((trace_id, parent)) = &trace {
+            headers.push(("X-Nl2vis-Trace-Id", trace_id));
+            headers.push(("X-Nl2vis-Parent-Span", parent));
+        }
+        let request = wire::render_request(
+            "POST",
+            "/v1/completions",
             self.addr,
-            request.len(),
-            if want_keep_alive { "keep-alive" } else { "close" }
+            &headers,
+            body,
+            keep_alive,
         );
-        stream
-            .write_all(wire_request.as_bytes())
-            .and_then(|()| stream.flush())
-            .map_err(|e| RoundtripError::before_response(e.into()))?;
-
-        // Exactly one length-delimited response is outstanding, so a
-        // temporary reader over a clone of the socket cannot buffer bytes
-        // that a later request would need.
-        let mut reader = BufReader::new(
-            stream
-                .try_clone()
-                .map_err(|e| RoundtripError::before_response(e.into()))?,
-        );
-        let mut status_line = String::new();
-        match reader.read_line(&mut status_line) {
-            // Clean EOF before any response byte: the server (or an
-            // injected fault) dropped the connection.
-            Ok(0) => return Err(RoundtripError::before_response(HttpError::Closed)),
-            Ok(_) => {}
-            Err(e) => {
-                // A read error counts as pre-response only while the
-                // status line is still empty.
-                return Err(RoundtripError {
-                    response_started: !status_line.is_empty(),
-                    error: e.into(),
-                });
-            }
-        }
-        let status: u16 = status_line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| {
-                RoundtripError::mid_response(HttpError::Protocol(format!(
-                    "bad status line: {status_line}"
-                )))
-            })?;
-        self.read_response_rest(reader, stream, status)
-            .map_err(RoundtripError::mid_response)
-    }
-
-    /// Reads headers and body after a parsed status line, parks the socket
-    /// on keep-alive, and maps the status to the final result. The status
-    /// is authoritative from here: a 429 whose headers or body get
-    /// truncated still surfaces as [`HttpError::Overloaded`].
-    fn read_response_rest(
-        &self,
-        mut reader: BufReader<TcpStream>,
-        stream: TcpStream,
-        status: u16,
-    ) -> Result<String, HttpError> {
-        let want_keep_alive = self.pool.is_some();
-        let mut content_length: Option<usize> = None;
-        let mut server_keeps_alive = false;
-        let mut retry_after: Option<Duration> = None;
-        // The shed verdict is carried by the status line alone; the body
-        // and `Retry-After` are advisory. So a truncation below is reported
-        // as `Overloaded` when the status was 429.
-        let overloaded_or = |e: HttpError, retry_after: Option<Duration>| -> HttpError {
-            if status == 429 {
-                HttpError::Overloaded {
-                    retry_after,
-                    body: String::new(),
-                }
-            } else {
-                e
-            }
-        };
-        loop {
-            let mut line = String::new();
-            match reader.read_line(&mut line) {
-                Ok(0) => {
-                    return Err(overloaded_or(
-                        HttpError::Protocol("truncated response headers".to_string()),
-                        retry_after,
-                    ))
-                }
-                Ok(_) => {}
-                Err(e) => return Err(overloaded_or(e.into(), retry_after)),
-            }
-            let line = line.trim_end();
-            if line.is_empty() {
-                break;
-            }
-            if let Some(v) = header_value(line, "content-length") {
-                let parsed = v.parse::<usize>().map_err(|_| {
-                    HttpError::Protocol(format!("malformed response content-length: `{v}`"))
-                })?;
-                if content_length.is_some_and(|prev| prev != parsed) {
-                    // Two different lengths means we cannot know where this
-                    // response ends — the next response on the connection
-                    // would be misframed (the smuggling-shaped failure).
-                    return Err(HttpError::Protocol(
-                        "conflicting duplicate content-length headers".to_string(),
-                    ));
-                }
-                content_length = Some(parsed);
-            }
-            if let Some(v) = header_value(line, "connection") {
-                server_keeps_alive = connection_keeps_alive(v);
-            }
-            if let Some(v) = header_value(line, "retry-after") {
-                // Seconds, fractional allowed (see `render_response`); an
-                // unparseable value degrades to "no advertised backoff",
-                // never an error.
-                retry_after = v
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|s| s.is_finite() && *s >= 0.0)
-                    .map(Duration::from_secs_f64);
-            }
-        }
-        let content_length = content_length.unwrap_or(0);
-        if content_length > MAX_BODY_BYTES {
-            return Err(HttpError::Protocol(format!(
-                "response body of {content_length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
-            )));
-        }
-        let mut body = vec![0u8; content_length];
-        if let Err(e) = reader.read_exact(&mut body) {
-            return Err(overloaded_or(e.into(), retry_after));
-        }
-        drop(reader);
-        let body = String::from_utf8_lossy(&body).to_string();
-        if want_keep_alive && server_keeps_alive {
+        let response = wire::exchange(&mut stream, &request)?;
+        if keep_alive && response.keep_alive {
             self.park(stream);
         }
-        if status == 429 {
-            return Err(HttpError::Overloaded { retry_after, body });
-        }
-        if status != 200 {
-            return Err(HttpError::Status(status, body));
-        }
-        let json = Json::parse(&body).map_err(|e| HttpError::Protocol(format!("bad body: {e}")))?;
-        json.get("choices")
-            .and_then(|c| c.at(0))
-            .and_then(|c| c.get("text"))
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| HttpError::Protocol("missing choices[0].text".to_string()))
+        Ok(response)
     }
+}
+
+/// Maps a complete response to the completion text or the error its
+/// status names.
+fn completion_text(response: wire::Message) -> Result<String, HttpError> {
+    let body = response.body_text();
+    match response.status {
+        200 => {}
+        429 => {
+            return Err(HttpError::Overloaded {
+                retry_after: response
+                    .header("retry-after")
+                    .and_then(wire::parse_retry_after),
+                body,
+            })
+        }
+        status => return Err(HttpError::Status(status, body)),
+    }
+    let json = Json::parse(&body).map_err(|e| HttpError::Protocol(format!("bad body: {e}")))?;
+    json.get("choices")
+        .and_then(|c| c.at(0))
+        .and_then(|c| c.get("text"))
+        .and_then(Json::as_str)
+        .map(str::to_string)
+        .ok_or_else(|| HttpError::Protocol("missing choices[0].text".to_string()))
 }
 
 /// The HTTP client as a leaf [`CompletionService`]. The error conversion
@@ -1121,6 +825,7 @@ mod tests {
     use nl2vis_service::{
         Layer, MetricsLayer, RetryLayer, RetryPolicy, TraceLayer, VALIDATION_REJECTED_STATUS,
     };
+    use std::io::{BufRead, BufReader, Read, Write};
 
     #[test]
     fn transience_classification_via_transport_kinds() {
@@ -1290,19 +995,11 @@ mod tests {
         assert!(!out.is_empty());
     }
 
-    /// Issues a bare GET and returns the whole HTTP response as text.
-    fn raw_get(addr: std::net::SocketAddr, path: &str) -> String {
+    /// Issues one `Connection: close` GET and returns the whole response.
+    fn get(addr: std::net::SocketAddr, path: &str) -> wire::Message {
         let mut stream = TcpStream::connect(addr).unwrap();
-        write!(
-            stream,
-            "GET {path} HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n"
-        )
-        .unwrap();
-        let mut response = String::new();
-        BufReader::new(stream)
-            .read_to_string(&mut response)
-            .unwrap();
-        response
+        let request = wire::render_request("GET", path, addr, &[], "", false);
+        wire::exchange(&mut stream, &request).unwrap()
     }
 
     #[test]
@@ -1310,8 +1007,9 @@ mod tests {
         let registry = Arc::new(MetricsRegistry::new());
         let llm = SimLlm::new(ModelProfile::gpt_4(), 9);
         let server = CompletionServer::start_with_service_registry(llm, registry).unwrap();
-        let response = raw_get(server.address(), "/healthz");
-        assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+        let response = get(server.address(), "/healthz");
+        assert_eq!(response.status, 200);
+        let response = response.body_text();
         assert!(response.contains(r#""status":"ok""#), "{response}");
         assert!(response.contains("gpt-4"), "{response}");
     }
@@ -1329,9 +1027,11 @@ mod tests {
             );
             client.complete_http(&prompt).unwrap();
         }
-        let response = raw_get(server.address(), "/metrics");
-        assert!(response.starts_with("HTTP/1.1 200"), "{response}");
-        assert!(response.contains("text/plain"), "{response}");
+        let response = get(server.address(), "/metrics");
+        assert_eq!(response.status, 200);
+        let content_type = response.header("content-type").unwrap_or_default();
+        assert!(content_type.contains("text/plain"), "{content_type}");
+        let response = response.body_text();
         assert!(response.contains("llm.requests_total 3"), "{response}");
         assert!(response.contains("llm.status_200"), "{response}");
         assert!(
@@ -1360,10 +1060,11 @@ mod tests {
             );
             client.complete_http(&prompt).unwrap();
         }
-        let response = raw_get(server.address(), "/metrics.json");
-        assert!(response.starts_with("HTTP/1.1 200"), "{response}");
-        assert!(response.contains("application/json"), "{response}");
-        let body = response.split("\r\n\r\n").nth(1).unwrap();
+        let response = get(server.address(), "/metrics.json");
+        assert_eq!(response.status, 200);
+        let content_type = response.header("content-type").unwrap_or_default();
+        assert!(content_type.contains("application/json"), "{content_type}");
+        let body = &response.body_text();
         let json = Json::parse(body).unwrap();
         assert_eq!(
             json.get("format").and_then(Json::as_str),
@@ -1421,10 +1122,9 @@ mod tests {
             );
             client.complete_http(&prompt).unwrap();
         }
-        let response = raw_get(server.address(), "/stats");
-        assert!(response.starts_with("HTTP/1.1 200"), "{response}");
-        let body = response.split("\r\n\r\n").nth(1).unwrap();
-        let json = Json::parse(body).unwrap();
+        let response = get(server.address(), "/stats");
+        assert_eq!(response.status, 200);
+        let json = Json::parse(&response.body_text()).unwrap();
         assert_eq!(
             json.get("window_seconds").and_then(Json::as_f64),
             Some(10.0)
@@ -1593,22 +1293,23 @@ mod tests {
         );
 
         // The stitched record is fetchable over HTTP.
-        let response = raw_get(server.address(), &format!("/trace/{trace_id}"));
-        assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+        let response = get(server.address(), &format!("/trace/{trace_id}"));
+        assert_eq!(response.status, 200);
+        let response = response.body_text();
         assert!(response.contains(&format!("\"trace_id\":{trace_id}")));
         assert!(response.contains("server.handle"), "{response}");
-        let index = raw_get(server.address(), "/requests");
+        let index = get(server.address(), "/requests").body_text();
         assert!(
             index.contains(&format!("\"trace_id\":{trace_id}")),
             "{index}"
         );
 
         // Unknown and malformed ids fail cleanly.
-        assert!(raw_get(server.address(), "/trace/999999999").starts_with("HTTP/1.1 404"));
-        assert!(raw_get(server.address(), "/trace/banana").starts_with("HTTP/1.1 400"));
+        assert_eq!(get(server.address(), "/trace/999999999").status, 404);
+        assert_eq!(get(server.address(), "/trace/banana").status, 400);
         obs::recorder::disable();
         // Without a recorder the endpoints say so instead of pretending.
-        assert!(raw_get(server.address(), "/requests").starts_with("HTTP/1.1 404"));
+        assert_eq!(get(server.address(), "/requests").status, 404);
     }
 
     #[test]

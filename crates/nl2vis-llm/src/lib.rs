@@ -26,6 +26,11 @@
 //!   with `429` load shedding and graceful drain. Retry, caching, tracing
 //!   and failure attribution are `nl2vis-service` layers composed around
 //!   the client ([`RetryPolicy`] is re-exported here);
+//! - [`wire`]: the HTTP/1.1 wire format — the one head parser, the
+//!   event core's incremental request parse, the blocking readers both
+//!   clients and the fleet server use, `render_request` /
+//!   `render_response`, a `Connection: close` GET, and the accept loop
+//!   every server shares;
 //! - [`fault`]: a deterministic [`fault::FaultInjector`] for the server —
 //!   stalls, dropped connections and injected 500s, scripted or seeded —
 //!   so the resilience layer is testable entirely offline.
@@ -48,6 +53,7 @@ pub mod prompt_parse;
 pub mod recover;
 pub mod sim;
 pub mod understand;
+pub mod wire;
 
 pub use client::{
     CompletionOutcome, CompletionService, LlmClient, TransportError, TransportErrorKind,

@@ -6,12 +6,10 @@
 //! over real sockets.
 
 use nl2vis_llm::fault::{Fault, FaultInjector};
-use nl2vis_llm::http::{
-    connection_keeps_alive, header_value, CompletionServer, HttpError, HttpLlmClient, ServerConfig,
-    ServerTuning,
-};
+use nl2vis_llm::http::{CompletionServer, HttpError, HttpLlmClient, ServerConfig, ServerTuning};
 use nl2vis_llm::profile::ModelProfile;
 use nl2vis_llm::sim::SimLlm;
+use nl2vis_llm::wire::{self, connection_keeps_alive, header_value};
 use nl2vis_obs as obs;
 use nl2vis_obs::MetricsRegistry;
 use nl2vis_service::{
@@ -19,7 +17,7 @@ use nl2vis_service::{
     VALIDATION_REJECTED_STATUS,
 };
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -32,37 +30,9 @@ const PROMPT: &str = "-- Test:\n-- Database:\nDatabase: d\nt = [ a , b ]\nQ: sha
 
 /// Reads exactly one `Content-Length`-framed response from a kept-alive
 /// socket (a plain `read_to_string` would block until the peer closes).
-fn read_one_response(reader: &mut BufReader<TcpStream>) -> (u16, bool, String) {
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).unwrap();
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .unwrap_or_else(|| panic!("bad status line `{status_line}`"))
-        .parse()
-        .unwrap();
-    let mut content_length = 0usize;
-    let mut keep_alive = false;
-    loop {
-        let mut line = String::new();
-        assert!(
-            reader.read_line(&mut line).unwrap() > 0,
-            "truncated headers"
-        );
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some(v) = header_value(line, "content-length") {
-            content_length = v.parse().unwrap();
-        }
-        if let Some(v) = header_value(line, "connection") {
-            keep_alive = connection_keeps_alive(v);
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).unwrap();
-    (status, keep_alive, String::from_utf8(body).unwrap())
+fn read_one_response(stream: &mut TcpStream) -> (u16, bool, String) {
+    let response = wire::read_response(stream).expect("one framed response");
+    (response.status, response.keep_alive, response.body_text())
 }
 
 /// A burst of identical completions against a single stalled worker must
@@ -504,38 +474,36 @@ fn connection_token_lists_govern_keep_alive() {
 
     // `keep-alive, TE`: the token list keeps the socket; a second request
     // rides it and counts as reuse.
-    let stream = TcpStream::connect(server.address()).unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = BufReader::new(stream);
+    let mut stream = TcpStream::connect(server.address()).unwrap();
     write!(
-        writer,
+        stream,
         "GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\nConnection: keep-alive, TE\r\n\r\n"
     )
     .unwrap();
-    let (status, keep, _) = read_one_response(&mut reader);
+    let (status, keep, _) = read_one_response(&mut stream);
     assert_eq!(status, 200);
     assert!(keep, "the server must echo keep-alive for a token list");
 
     // Mixed case on the reused socket, then an explicit close.
     write!(
-        writer,
+        stream,
         "GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\nConnection: Keep-Alive\r\n\r\n"
     )
     .unwrap();
-    let (status, keep, _) = read_one_response(&mut reader);
+    let (status, keep, _) = read_one_response(&mut stream);
     assert_eq!(status, 200);
     assert!(keep, "mixed-case `Keep-Alive` must match");
 
     write!(
-        writer,
+        stream,
         "GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\nConnection: keep-alive, close\r\n\r\n"
     )
     .unwrap();
-    let (status, keep, _) = read_one_response(&mut reader);
+    let (status, keep, _) = read_one_response(&mut stream);
     assert_eq!(status, 200);
     assert!(!keep, "`close` anywhere in the list wins");
     let mut rest = String::new();
-    reader.read_to_string(&mut rest).unwrap();
+    stream.read_to_string(&mut rest).unwrap();
     assert!(rest.is_empty(), "the server must close after `close`");
 
     assert!(

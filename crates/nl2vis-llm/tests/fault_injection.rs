@@ -82,7 +82,7 @@ fn injected_drop_then_success_is_recovered_by_retry() {
         .expect("retry recovers");
     assert_eq!(out, direct.complete(PROMPT), "recovered output is lossless");
     assert!(
-        nl2vis_obs::global().counter("llm.retries_total").get() >= retries_before + 1,
+        nl2vis_obs::global().counter("llm.retries_total").get() > retries_before,
         "the recovery must be visible on llm.retries_total"
     );
     assert_eq!(registry.counter("server.fault.drop").get(), 1);

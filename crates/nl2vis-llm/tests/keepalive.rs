@@ -119,7 +119,8 @@ fn first_request_drop_is_not_silently_retried() {
 
 #[test]
 fn truncated_429_on_reused_conn_is_overloaded_not_a_stale_retry() {
-    use std::io::{BufRead, BufReader, Read, Write};
+    use nl2vis_llm::wire;
+    use std::io::Write;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     // A scripted raw server: request 1 gets a keep-alive 200 (so the
@@ -128,35 +129,13 @@ fn truncated_429_on_reused_conn_is_overloaded_not_a_stale_retry() {
     // truncation (`UnexpectedEof`) as a stale pooled socket and silently
     // replayed the shed request on a fresh connection, incrementing
     // `http.conn_stale_retries` for a 429 the server fully decided on.
-    fn read_request(reader: &mut BufReader<std::net::TcpStream>) -> bool {
-        let mut content_length = 0usize;
-        loop {
-            let mut line = String::new();
-            if reader.read_line(&mut line).unwrap_or(0) == 0 {
-                return false;
-            }
-            let line = line.trim_end();
-            if line.is_empty() {
-                break;
-            }
-            if let Some(v) = nl2vis_llm::http::header_value(line, "content-length") {
-                content_length = v.parse().unwrap_or(0);
-            }
-        }
-        let mut body = vec![0u8; content_length];
-        reader.read_exact(&mut body).unwrap();
-        true
-    }
-
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let requests_seen = Arc::new(AtomicUsize::new(0));
     let seen = Arc::clone(&requests_seen);
     let server = std::thread::spawn(move || {
-        let (stream, _) = listener.accept().unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut stream = stream;
-        assert!(read_request(&mut reader));
+        let (mut stream, _) = listener.accept().unwrap();
+        assert!(wire::read_request(&mut stream).is_ok());
         seen.fetch_add(1, Ordering::SeqCst);
         let body = r#"{"choices":[{"text":"ok"}]}"#;
         write!(
@@ -166,7 +145,7 @@ fn truncated_429_on_reused_conn_is_overloaded_not_a_stale_retry() {
             body
         )
         .unwrap();
-        assert!(read_request(&mut reader));
+        assert!(wire::read_request(&mut stream).is_ok());
         seen.fetch_add(1, Ordering::SeqCst);
         stream
             .write_all(
@@ -178,9 +157,8 @@ fn truncated_429_on_reused_conn_is_overloaded_not_a_stale_retry() {
         // briefly to catch it without hanging the test.
         std::thread::sleep(std::time::Duration::from_millis(200));
         listener.set_nonblocking(true).unwrap();
-        if let Ok((stream, _)) = listener.accept() {
-            let mut reader = BufReader::new(stream);
-            if read_request(&mut reader) {
+        if let Ok((mut stream, _)) = listener.accept() {
+            if wire::read_request(&mut stream).is_ok() {
                 seen.fetch_add(100, Ordering::SeqCst);
             }
         }
@@ -210,35 +188,10 @@ fn truncated_429_on_reused_conn_is_overloaded_not_a_stale_retry() {
 /// Writes one `GET` with `Connection: keep-alive` on an existing socket
 /// and reads back exactly one length-delimited response.
 fn keep_alive_get(stream: &mut std::net::TcpStream, path: &str) -> (u16, String) {
-    use std::io::{BufRead, BufReader, Read, Write};
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\nConnection: keep-alive\r\n\r\n"
-    )
-    .unwrap();
-    stream.flush().unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).unwrap();
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line: {status_line}"));
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        if line.trim_end().is_empty() {
-            break;
-        }
-        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_length = v.trim().parse().unwrap();
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).unwrap();
-    (status, String::from_utf8_lossy(&body).to_string())
+    let addr = stream.peer_addr().unwrap();
+    let request = nl2vis_llm::wire::render_request("GET", path, addr, &[], "", true);
+    let response = nl2vis_llm::wire::exchange(stream, &request).unwrap();
+    (response.status, response.body_text())
 }
 
 #[test]

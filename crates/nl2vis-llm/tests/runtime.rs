@@ -195,33 +195,11 @@ fn retry_layer_recovers_from_shedding() {
     );
 }
 
-/// Reads one length-delimited HTTP response off a raw socket reader;
-/// returns `(status, body)`, or `None` on EOF before a status line.
-fn read_raw_response(
-    reader: &mut std::io::BufReader<std::net::TcpStream>,
-) -> Option<(u16, String)> {
-    use std::io::{BufRead, Read};
-    let mut status_line = String::new();
-    if reader.read_line(&mut status_line).ok()? == 0 {
-        return None;
-    }
-    let status: u16 = status_line.split_whitespace().nth(1)?.parse().ok()?;
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line).ok()? == 0 {
-            return None;
-        }
-        if line.trim_end().is_empty() {
-            break;
-        }
-        if let Some(v) = nl2vis_llm::http::header_value(line.trim_end(), "content-length") {
-            content_length = v.parse().ok()?;
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).ok()?;
-    Some((status, String::from_utf8_lossy(&body).to_string()))
+/// Reads one length-delimited HTTP response off a raw socket; returns
+/// `(status, body)`, or `None` when the response fails to arrive.
+fn read_raw_response(stream: &mut std::net::TcpStream) -> Option<(u16, String)> {
+    let response = nl2vis_llm::wire::read_response(stream).ok()?;
+    Some((response.status, response.body_text()))
 }
 
 fn raw_completion_request(prompt: &str) -> Vec<u8> {
@@ -254,7 +232,6 @@ fn slow_writer_trickling_across_the_drain_boundary_is_served() {
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
     let request = raw_completion_request("hello across the drain");
     // First half of the request lands before shutdown begins...
     let split = request.len() - 12;
@@ -270,7 +247,7 @@ fn slow_writer_trickling_across_the_drain_boundary_is_served() {
     stream.write_all(&request[split..]).unwrap();
     stream.flush().unwrap();
 
-    let response = read_raw_response(&mut reader);
+    let response = read_raw_response(&mut stream);
     shutdown.join().unwrap();
     match response {
         Some((200, body)) => assert!(!body.is_empty()),
@@ -299,12 +276,11 @@ fn slow_writer_on_kept_alive_conn_outlives_the_keepalive_idle_sweep() {
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
     // Request 1 completes normally, marking the connection kept-alive.
     stream
         .write_all(&raw_completion_request("first request"))
         .unwrap();
-    let first = read_raw_response(&mut reader).expect("first response");
+    let first = read_raw_response(&mut stream).expect("first response");
     assert_eq!(first.0, 200);
 
     // Request 2 starts, then stalls past SERVER_KEEPALIVE_IDLE (5s) with
@@ -318,7 +294,7 @@ fn slow_writer_on_kept_alive_conn_outlives_the_keepalive_idle_sweep() {
     stream.write_all(&request[split..]).unwrap();
     stream.flush().unwrap();
 
-    match read_raw_response(&mut reader) {
+    match read_raw_response(&mut stream) {
         Some((200, _)) => {}
         other => {
             panic!("a mid-request connection must survive the keep-alive idle sweep, got {other:?}")

@@ -6,7 +6,6 @@
 //! global and these cases exercise both its installed and uninstalled
 //! states.
 
-use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
@@ -14,25 +13,20 @@ use nl2vis_data::Json;
 use nl2vis_llm::http::CompletionServer;
 use nl2vis_llm::profile::ModelProfile;
 use nl2vis_llm::sim::SimLlm;
+use nl2vis_llm::wire;
 use nl2vis_obs::recorder::{self, FlightRecorder};
 
-/// One GET over a throwaway connection; returns the full response text.
-fn raw_get(addr: std::net::SocketAddr, path: &str) -> String {
+/// One `Connection: close` GET; returns the status, the content type and
+/// the body.
+fn fetch(addr: std::net::SocketAddr, path: &str) -> (u16, String, String) {
     let mut stream = TcpStream::connect(addr).unwrap();
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
-    )
-    .unwrap();
-    let mut response = String::new();
-    BufReader::new(stream)
-        .read_to_string(&mut response)
-        .unwrap();
-    response
-}
-
-fn body_of(response: &str) -> &str {
-    response.split("\r\n\r\n").nth(1).unwrap()
+    let request = wire::render_request("GET", path, addr, &[], "", false);
+    let response = wire::exchange(&mut stream, &request).unwrap();
+    let content_type = response
+        .header("content-type")
+        .unwrap_or_default()
+        .to_string();
+    (response.status, content_type, response.body_text())
 }
 
 #[test]
@@ -40,10 +34,10 @@ fn trace_endpoint_error_contract_is_json_all_the_way_down() {
     let server = CompletionServer::start(SimLlm::new(ModelProfile::gpt_4(), 9)).unwrap();
 
     // No recorder installed yet: still a JSON 404, not an empty body.
-    let response = raw_get(server.address(), "/trace/987654321");
-    assert!(response.starts_with("HTTP/1.1 404"), "{response}");
-    assert!(response.contains("application/json"), "{response}");
-    let json = Json::parse(body_of(&response)).expect("404 body must be JSON");
+    let (status, content_type, body) = fetch(server.address(), "/trace/987654321");
+    assert_eq!(status, 404, "{body}");
+    assert!(content_type.contains("application/json"), "{content_type}");
+    let json = Json::parse(&body).expect("404 body must be JSON");
     assert_eq!(
         json.get("error").and_then(Json::as_str),
         Some("flight recorder not installed")
@@ -53,20 +47,17 @@ fn trace_endpoint_error_contract_is_json_all_the_way_down() {
     // router's fleet stitcher can tell "not retained here" apart from a
     // dead replica or a malformed reply.
     recorder::install(Arc::new(FlightRecorder::new(16)));
-    let response = raw_get(server.address(), "/trace/987654321");
-    assert!(response.starts_with("HTTP/1.1 404"), "{response}");
-    assert!(response.contains("application/json"), "{response}");
-    let json = Json::parse(body_of(&response)).expect("404 body must be JSON");
+    let (status, content_type, body) = fetch(server.address(), "/trace/987654321");
+    assert_eq!(status, 404, "{body}");
+    assert!(content_type.contains("application/json"), "{content_type}");
+    let json = Json::parse(&body).expect("404 body must be JSON");
     assert_eq!(
         json.get("error").and_then(Json::as_str),
         Some("trace 987654321 not retained")
     );
 
     // Malformed id: a JSON 400.
-    let response = raw_get(server.address(), "/trace/banana");
-    assert!(response.starts_with("HTTP/1.1 400"), "{response}");
-    assert!(
-        Json::parse(body_of(&response)).is_ok(),
-        "400 body must be JSON: {response}"
-    );
+    let (status, _, body) = fetch(server.address(), "/trace/banana");
+    assert_eq!(status, 400, "{body}");
+    assert!(Json::parse(&body).is_ok(), "400 body must be JSON: {body}");
 }

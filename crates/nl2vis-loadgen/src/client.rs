@@ -10,7 +10,7 @@
 //! exactly once when a parked socket turns out to be stale.
 
 use nl2vis_data::Json;
-use std::io::{BufRead, BufReader, Read, Write};
+use nl2vis_llm::wire;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -46,14 +46,6 @@ pub struct LoadConn {
     addr: SocketAddr,
     model: String,
     stream: Option<TcpStream>,
-}
-
-enum WireError {
-    /// The reused socket died before delivering a status line — retryable
-    /// once on a fresh connection.
-    Stale,
-    /// A real failure.
-    Fatal(String),
 }
 
 impl LoadConn {
@@ -102,165 +94,44 @@ impl LoadConn {
         }
 
         let started = Instant::now();
-        match self.roundtrip(&body) {
-            Ok(outcome) => WireResult {
-                outcome,
-                connect_us,
-                serve_us: started.elapsed().as_micros() as u64,
-            },
-            Err(WireError::Stale) if reused => {
-                // The parked socket died while idle; the request never
-                // reached the server, so a single fresh-connection retry is
-                // safe. `self.stream` is already cleared.
-                self.request(prompt)
-            }
-            Err(WireError::Stale) => WireResult {
-                outcome: Outcome::Error("connection closed before response".to_string()),
-                connect_us,
-                serve_us: started.elapsed().as_micros() as u64,
-            },
-            Err(WireError::Fatal(message)) => WireResult {
-                outcome: Outcome::Error(message),
-                connect_us,
-                serve_us: started.elapsed().as_micros() as u64,
-            },
-        }
-    }
-
-    /// One exchange on the live socket. On any error the socket is
-    /// dropped; on success it is kept only if the server said keep-alive.
-    fn roundtrip(&mut self, body: &str) -> Result<Outcome, WireError> {
         let mut stream = self.stream.take().expect("live socket");
-        let fatal = |e: std::io::Error| WireError::Fatal(format!("io: {e}"));
-        // One write syscall for the whole request: header-then-body writes
-        // on a non-NODELAY path would hand Nagle a stall opportunity, and
-        // even with NODELAY two segments cost more than one.
-        let request = format!(
-            "POST /v1/completions HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n{body}",
+        let request = wire::render_request(
+            "POST",
+            "/v1/completions",
             self.addr,
-            body.len(),
+            &[("Content-Type", "application/json")],
+            &body,
+            true,
         );
-        stream
-            .write_all(request.as_bytes())
-            .and_then(|_| stream.flush())
-            .map_err(|e| {
-                // A write failing on a reused socket is the stale signature too
-                // (RST from a closed peer surfaces on write).
-                if is_disconnect(&e) {
-                    WireError::Stale
-                } else {
-                    fatal(e)
-                }
-            })?;
-
-        let mut reader = BufReader::new(stream.try_clone().map_err(fatal)?);
-        let mut status_line = String::new();
-        // `Stale` (and the transparent retry it buys) is only safe while
-        // the response has not started: once any status-line byte arrived,
-        // the server *did* process the request, so replaying it would
-        // double-send — and a readable 429 would be retried instead of
-        // counted as the shed it is.
-        match reader.read_line(&mut status_line) {
-            Ok(0) => return Err(WireError::Stale),
-            Ok(_) => {}
-            Err(e) if is_disconnect(&e) && status_line.is_empty() => return Err(WireError::Stale),
-            Err(e) => return Err(fatal(e)),
-        }
-        let status: u16 = status_line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| WireError::Fatal(format!("bad status line `{status_line}`")))?;
-
-        // Past this point the status is authoritative. If the connection
-        // dies mid-headers or mid-body, a 429 is still a shed (admission
-        // control spoke; the body was only advisory) — anything else is a
-        // fatal truncation. Never `Stale`.
-        match Self::read_rest(&mut reader) {
-            Ok((keep_alive, response)) => {
-                drop(reader);
-                if keep_alive && status == 200 {
+        let outcome = match wire::exchange(&mut stream, &request) {
+            Ok(response) => {
+                // Kept only while the server keeps it; dropped on any error.
+                if response.keep_alive && response.status == 200 {
                     self.stream = Some(stream);
                 }
-                Ok(match status {
+                match response.status {
                     200 => Outcome::Ok,
                     429 => Outcome::Shed,
-                    other => Outcome::Error(format!(
-                        "http {other}: {}",
-                        String::from_utf8_lossy(&response)
-                    )),
-                })
-            }
-            Err(_) if status == 429 => Ok(Outcome::Shed),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Reads headers and body after the status line; returns
-    /// `(keep_alive, body)`.
-    fn read_rest(reader: &mut BufReader<TcpStream>) -> Result<(bool, Vec<u8>), WireError> {
-        let fatal = |e: std::io::Error| WireError::Fatal(format!("io: {e}"));
-        let mut content_length: Option<usize> = None;
-        let mut keep_alive = false;
-        loop {
-            let mut line = String::new();
-            if reader.read_line(&mut line).map_err(fatal)? == 0 {
-                return Err(WireError::Fatal("truncated headers".to_string()));
-            }
-            let line = line.trim_end();
-            if line.is_empty() {
-                break;
-            }
-            // Shared header helpers: names match case-insensitively, values
-            // keep their bytes, and a `Connection:` token list is matched
-            // per token.
-            if let Some(v) = nl2vis_llm::http::header_value(line, "content-length") {
-                let parsed = v
-                    .parse::<usize>()
-                    .map_err(|_| WireError::Fatal(format!("bad content-length `{v}`")))?;
-                if content_length.is_some_and(|prev| prev != parsed) {
-                    return Err(WireError::Fatal(
-                        "conflicting duplicate content-length headers".to_string(),
-                    ));
+                    other => Outcome::Error(format!("http {other}: {}", response.body_text())),
                 }
-                content_length = Some(parsed);
             }
-            if let Some(v) = nl2vis_llm::http::header_value(line, "connection") {
-                keep_alive = nl2vis_llm::http::connection_keeps_alive(v);
+            // The parked socket died while idle; the request never reached
+            // the server, so a single fresh-connection retry is safe.
+            Err(e) if e.is_stale() && reused => return self.request(prompt),
+            Err(e) if e.is_stale() => {
+                Outcome::Error("connection closed before response".to_string())
             }
+            // Admission control spoke: a readable 429 is a shed whatever
+            // followed it, never a retry.
+            Err(e) if e.status() == Some(429) => Outcome::Shed,
+            Err(e) => Outcome::Error(format!("io: {e}")),
+        };
+        WireResult {
+            outcome,
+            connect_us,
+            serve_us: started.elapsed().as_micros() as u64,
         }
-        let content_length = content_length.unwrap_or(0);
-        let mut response = vec![0u8; content_length.min(nl2vis_llm::http::MAX_BODY_BYTES)];
-        reader.read_exact(&mut response).map_err(fatal)?;
-        Ok((keep_alive, response))
     }
-}
-
-fn is_disconnect(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::ConnectionReset
-            | std::io::ErrorKind::ConnectionAborted
-            | std::io::ErrorKind::BrokenPipe
-            | std::io::ErrorKind::UnexpectedEof
-    )
-}
-
-/// Fetches a debug endpoint (`/stats`, `/metrics`) from the server and
-/// returns the response body. Best-effort: any failure yields `None`.
-pub fn fetch(addr: SocketAddr, path: &str) -> Option<String> {
-    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(2)).ok()?;
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: 0\r\n\r\n"
-    )
-    .ok()?;
-    let mut response = String::new();
-    BufReader::new(stream).read_to_string(&mut response).ok()?;
-    response
-        .split_once("\r\n\r\n")
-        .map(|(_, body)| body.to_string())
 }
 
 #[cfg(test)]
@@ -268,6 +139,7 @@ mod tests {
     use super::*;
     use nl2vis_llm::{ModelProfile, SimLlm};
     use nl2vis_obs::MetricsRegistry;
+    use std::io::Write;
     use std::sync::Arc;
 
     #[test]
@@ -291,34 +163,14 @@ mod tests {
         assert_eq!(second.connect_us, 0, "second request rides keep-alive");
         assert_eq!(registry.counter("server.connections_total").get(), 1);
 
-        let stats = fetch(server.address(), "/stats").expect("stats body");
+        let (status, stats) =
+            wire::get(server.address(), "/stats", Duration::from_secs(2)).expect("stats");
+        assert_eq!(status, 200);
         let json = Json::parse(&stats).unwrap();
         assert_eq!(
             json.get("window_requests").and_then(Json::as_f64),
             Some(2.0)
         );
-    }
-
-    /// Reads one HTTP request (headers + content-length body) off a raw
-    /// socket; returns false on EOF before any byte.
-    fn read_request(reader: &mut BufReader<TcpStream>) -> bool {
-        let mut content_length = 0usize;
-        loop {
-            let mut line = String::new();
-            if reader.read_line(&mut line).unwrap_or(0) == 0 {
-                return false;
-            }
-            let line = line.trim_end();
-            if line.is_empty() {
-                break;
-            }
-            if let Some(v) = nl2vis_llm::http::header_value(line, "content-length") {
-                content_length = v.parse().unwrap_or(0);
-            }
-        }
-        let mut body = vec![0u8; content_length];
-        reader.read_exact(&mut body).unwrap();
-        true
     }
 
     /// The satellite regression: a 429 delivered on a *reused* connection —
@@ -332,12 +184,10 @@ mod tests {
         let requests_seen = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let seen = Arc::clone(&requests_seen);
         let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut stream = stream;
+            let (mut stream, _) = listener.accept().unwrap();
             // First request: a normal keep-alive 200 so the client parks
             // the socket as reused.
-            assert!(read_request(&mut reader));
+            assert!(wire::read_request(&mut stream).is_ok());
             seen.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             stream
                 .write_all(
@@ -346,7 +196,7 @@ mod tests {
                 .unwrap();
             // Second request: a shed whose advertised body never fully
             // arrives — the server dies right after the headers.
-            assert!(read_request(&mut reader));
+            assert!(wire::read_request(&mut stream).is_ok());
             seen.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             stream
                 .write_all(b"HTTP/1.1 429 Too Many Requests\r\nContent-Length: 40\r\n\r\nshort")
@@ -356,9 +206,8 @@ mod tests {
             // give it a beat, then poll the backlog without hanging.
             std::thread::sleep(Duration::from_millis(200));
             listener.set_nonblocking(true).unwrap();
-            if let Ok((stream, _)) = listener.accept() {
-                let mut reader = BufReader::new(stream);
-                if read_request(&mut reader) {
+            if let Ok((mut stream, _)) = listener.accept() {
+                if wire::read_request(&mut stream).is_ok() {
                     seen.fetch_add(100, std::sync::atomic::Ordering::SeqCst);
                 }
             }

@@ -22,7 +22,7 @@
 //! server kept up; if corrected >> uncorrected, the generator was being
 //! throttled and uncorrected numbers were lying.
 
-use crate::client::{fetch, LoadConn, Outcome};
+use crate::client::{LoadConn, Outcome};
 use crate::config::{Arrival, LoadConfig, Target};
 use crate::prompts::PromptPool;
 use nl2vis_cache::{completion_key, CompletionCache};
@@ -471,7 +471,9 @@ pub fn run_once(
         let _ = handle.join();
     }
 
-    let server_stats = fetch(target.addr, "/stats").and_then(|body| Json::parse(&body).ok());
+    let server_stats = nl2vis_llm::wire::get(target.addr, "/stats", Duration::from_secs(2))
+        .ok()
+        .and_then(|(_, body)| Json::parse(&body).ok());
     // A final poll so the recorded fleet snapshot covers the whole run.
     let fleet = observer.map(|observer| {
         observer.poll_once();

@@ -29,13 +29,14 @@
 //! reported in `partial`, never as a fan-out failure.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use nl2vis_data::Json;
+use nl2vis_llm::wire::{self, AcceptLoop};
 use nl2vis_obs::slo::{evaluate_all, publish, SloSpec, SloStatus};
 use nl2vis_obs::snapshot::{HistSnapshot, Snapshot, FORMAT};
 use nl2vis_obs::{recorder, registry};
@@ -64,59 +65,9 @@ impl Default for FleetConfig {
     }
 }
 
-/// One blocking `GET` against `addr`; returns `(status, body)` or a
-/// transport-level error string. `Connection: close`, like the health
-/// prober, so observer sockets never linger in replica keep-alive tables.
-pub fn http_get(addr: SocketAddr, path: &str, timeout: Duration) -> Result<(u16, String), String> {
-    let mut stream =
-        TcpStream::connect_timeout(&addr, timeout).map_err(|e| format!("connect: {e}"))?;
-    stream
-        .set_read_timeout(Some(timeout))
-        .and_then(|()| stream.set_write_timeout(Some(timeout)))
-        .map_err(|e| format!("socket: {e}"))?;
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: fleet\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
-    )
-    .map_err(|e| format!("write: {e}"))?;
-    let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader
-        .read_line(&mut status_line)
-        .map_err(|e| format!("read: {e}"))?;
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("bad status line `{}`", status_line.trim_end()))?;
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        if reader
-            .read_line(&mut line)
-            .map_err(|e| format!("read: {e}"))?
-            == 0
-        {
-            return Err("truncated headers".to_string());
-        }
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some(v) = line
-            .to_ascii_lowercase()
-            .strip_prefix("content-length:")
-            .map(str::trim)
-        {
-            content_length = v.parse().unwrap_or(0);
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader
-        .read_exact(&mut body)
-        .map_err(|e| format!("read body: {e}"))?;
-    Ok((status, String::from_utf8_lossy(&body).into_owned()))
-}
+/// Deadline for each socket operation of one request the [`FleetServer`]
+/// serves on its accept thread.
+const SERVE_TIMEOUT: Duration = Duration::from_secs(2);
 
 fn u64_of(json: Option<&Json>) -> u64 {
     json.and_then(Json::as_f64).unwrap_or(0.0) as u64
@@ -231,19 +182,21 @@ impl FleetObserver {
         let mut fresh: Vec<ReplicaScrape> = Vec::with_capacity(self.addrs.len());
         for &addr in &self.addrs {
             let mut scrape = ReplicaScrape::default();
-            match http_get(addr, "/metrics.json", self.config.fetch_timeout).and_then(
-                |(status, body)| match status {
+            // Scrapes are `Connection: close` GETs, so observer sockets
+            // never linger in replica keep-alive tables.
+            match wire::get(addr, "/metrics.json", self.config.fetch_timeout)
+                .map_err(|e| e.to_string())
+                .and_then(|(status, body)| match status {
                     200 => parse_snapshot(&body),
                     other => Err(format!("/metrics.json: http {other}")),
-                },
-            ) {
+                }) {
                 Ok(snapshot) => scrape.snapshot = Some(snapshot),
                 Err(e) => scrape.error = Some(e),
             }
             if scrape.error.is_none() {
                 // Best-effort: /stats enriches per-replica rows but its
                 // loss does not fail the scrape.
-                if let Ok((200, body)) = http_get(addr, "/stats", self.config.fetch_timeout) {
+                if let Ok((200, body)) = wire::get(addr, "/stats", self.config.fetch_timeout) {
                     scrape.stats = Json::parse(&body).ok();
                 }
             }
@@ -396,11 +349,12 @@ impl FleetObserver {
             local.ok_or_else(|| format!("trace {trace_id} not retained")),
         ));
         for &addr in &self.addrs {
-            let fetched = http_get(
+            let fetched = wire::get(
                 addr,
                 &format!("/trace/{trace_id}"),
                 self.config.trace_timeout,
             )
+            .map_err(|e| e.to_string())
             .and_then(|(status, body)| match status {
                 200 => Ok(body),
                 404 => Err(Json::parse(&body)
@@ -680,11 +634,14 @@ fn partial_json(partial: &[(String, String)]) -> Json {
 
 /// The observer's HTTP face plus its background poller. Dropping stops
 /// and joins both threads.
+///
+/// The fleet's only traffic is sequential GETs from an operator, tests and
+/// the smoke run, so each request is served on the accept thread: no
+/// thread per connection, and no polling while idle.
 pub struct FleetServer {
-    addr: SocketAddr,
+    accept: AcceptLoop,
     observer: Arc<FleetObserver>,
     stop: Arc<AtomicBool>,
-    accept_handle: Option<std::thread::JoinHandle<()>>,
     poll_handle: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -694,28 +651,13 @@ impl FleetServer {
     /// poll loops.
     pub fn start(observer: Arc<FleetObserver>) -> std::io::Result<FleetServer> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         observer.poll_once();
-        let stop = Arc::new(AtomicBool::new(false));
-
-        let accept_stop = Arc::clone(&stop);
         let accept_observer = Arc::clone(&observer);
-        let accept_handle = std::thread::spawn(move || {
-            while !accept_stop.load(Ordering::Acquire) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let observer = Arc::clone(&accept_observer);
-                        std::thread::spawn(move || serve_connection(stream, &observer));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(5)),
-                }
-            }
-        });
+        let accept = AcceptLoop::spawn(listener, move |stream| {
+            serve_connection(stream, &accept_observer)
+        })?;
 
+        let stop = Arc::new(AtomicBool::new(false));
         let poll_stop = Arc::clone(&stop);
         let poll_observer = Arc::clone(&observer);
         let interval = poll_observer.config.poll_interval;
@@ -735,17 +677,16 @@ impl FleetServer {
         });
 
         Ok(FleetServer {
-            addr,
+            accept,
             observer,
             stop,
-            accept_handle: Some(accept_handle),
             poll_handle: Some(poll_handle),
         })
     }
 
     /// The frontend's bound address.
     pub fn address(&self) -> SocketAddr {
-        self.addr
+        self.accept.address()
     }
 
     /// The shared observer (e.g. to force a poll in tests).
@@ -756,51 +697,33 @@ impl FleetServer {
 
 impl Drop for FleetServer {
     fn drop(&mut self) {
+        // The poller stops here; the accept loop stops when the field drops.
         self.stop.store(true, Ordering::Release);
-        for handle in [self.accept_handle.take(), self.poll_handle.take()]
-            .into_iter()
-            .flatten()
-        {
+        if let Some(handle) = self.poll_handle.take() {
             let _ = handle.join();
         }
     }
 }
 
-/// Handles one `Connection: close` request on `stream`.
-fn serve_connection(stream: TcpStream, observer: &FleetObserver) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut request_line = String::new();
-    if reader.read_line(&mut request_line).unwrap_or(0) == 0 {
-        return;
-    }
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("").to_string();
-    let path = parts.next().unwrap_or("").to_string();
-    // Drain headers; the observer surface is GET-only, bodies ignored.
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line).unwrap_or(0) == 0 || line.trim_end().is_empty() {
-            break;
+/// Serves one `Connection: close` request on `stream`.
+fn serve_connection(mut stream: TcpStream, observer: &FleetObserver) {
+    let _ = stream.set_read_timeout(Some(SERVE_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(SERVE_TIMEOUT));
+    let (status, body) = match wire::read_request(&mut stream) {
+        Ok(request) => {
+            let head = request.head();
+            route_fleet(head.method, head.path, observer)
         }
-    }
-    let (status, body) = route_fleet(&method, &path, observer);
-    let reason = match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        _ => "Error",
+        // The peer left without sending a byte: nothing to answer.
+        Err(e) if e.is_stale() => return,
+        Err(e) => {
+            let (status, message) = e.rejection();
+            let body = Json::object(vec![("error", Json::from(message.as_str()))]);
+            (status, body.to_compact())
+        }
     };
-    let mut stream = stream;
-    let _ = write!(
-        stream,
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
+    let response = wire::render_response(status, &body, "application/json", false, None);
+    let _ = stream.write_all(&response);
 }
 
 /// Routes one observer request; exposed at crate level for direct tests.

@@ -3,7 +3,7 @@
 //! completion-cache shard modelling the warmth consistent hashing is
 //! trying to preserve.
 
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -169,34 +169,8 @@ impl Replica {
 }
 
 /// One blocking `GET /healthz` against `addr`; healthy iff it answers 200
-/// within `timeout`. Uses `Connection: close` so probe sockets never
-/// linger in the replica's keep-alive table.
+/// within `timeout`. The GET is `Connection: close`, so probe sockets
+/// never linger in the replica's keep-alive table.
 pub(crate) fn probe_healthz(addr: SocketAddr, timeout: Duration) -> bool {
-    use std::io::{BufRead, BufReader, Write};
-    let Ok(mut stream) = TcpStream::connect_timeout(&addr, timeout) else {
-        return false;
-    };
-    if stream.set_read_timeout(Some(timeout)).is_err()
-        || stream.set_write_timeout(Some(timeout)).is_err()
-    {
-        return false;
-    }
-    if write!(
-        stream,
-        "GET /healthz HTTP/1.1\r\nHost: router\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
-    )
-    .and_then(|()| stream.flush())
-    .is_err()
-    {
-        return false;
-    }
-    let mut status_line = String::new();
-    if BufReader::new(stream).read_line(&mut status_line).is_err() {
-        return false;
-    }
-    status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse::<u16>().ok())
-        == Some(200)
+    nl2vis_llm::wire::get(addr, "/healthz", timeout).is_ok_and(|(status, _)| status == 200)
 }

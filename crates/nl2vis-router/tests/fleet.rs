@@ -24,38 +24,9 @@ use nl2vis_router::fleet::{parse_snapshot, FleetConfig, FleetObserver, FleetServ
 use nl2vis_router::{Router, RouterConfig};
 use nl2vis_service::GenOptions;
 
-/// One `GET` over a throwaway connection; returns (status, body).
-fn raw_get(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
-    use std::io::{BufRead, BufReader, Read, Write};
-    let mut stream = std::net::TcpStream::connect(addr).unwrap();
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
-    )
-    .unwrap();
-    let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).unwrap();
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .unwrap()
-        .parse()
-        .unwrap();
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        if line.trim_end().is_empty() {
-            break;
-        }
-        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_length = v.trim().parse().unwrap();
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).unwrap();
-    (status, String::from_utf8_lossy(&body).to_string())
+/// One `Connection: close` GET; returns (status, body).
+fn get(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
+    nl2vis_llm::wire::get(addr, path, Duration::from_secs(5)).expect("GET")
 }
 
 fn sql_prompt(i: usize) -> String {
@@ -121,14 +92,14 @@ fn fleet_plane_merges_metrics_publishes_slos_and_stitches_hedged_traces() {
     // take a fresh poll; no traffic moves in between, so the fleet view
     // must equal the direct merge exactly.
     let scrape = |addr| {
-        let (status, body) = raw_get(addr, "/metrics.json");
+        let (status, body) = get(addr, "/metrics.json");
         assert_eq!(status, 200, "{body}");
         parse_snapshot(&body).expect("replica snapshot decodes")
     };
     let (snap_slow, snap_fast) = (scrape(slow.address()), scrape(fast.address()));
     observer.poll_once();
 
-    let (status, body) = raw_get(fleet.address(), "/fleet/metrics");
+    let (status, body) = get(fleet.address(), "/fleet/metrics");
     assert_eq!(status, 200, "{body}");
     let merged = parse_snapshot(&body).expect("fleet metrics is itself a mergeable snapshot");
     assert_eq!(merged.sources, 2);
@@ -152,7 +123,7 @@ fn fleet_plane_merges_metrics_publishes_slos_and_stitches_hedged_traces() {
     }
 
     // --- SLO gauges published globally from the merged view.
-    let (status, body) = raw_get(fleet.address(), "/fleet/stats");
+    let (status, body) = get(fleet.address(), "/fleet/stats");
     assert_eq!(status, 200, "{body}");
     let stats = Json::parse(&body).expect("fleet stats parses");
     assert_eq!(stats.get("replicas_ok").and_then(Json::as_f64), Some(2.0));
@@ -176,7 +147,7 @@ fn fleet_plane_merges_metrics_publishes_slos_and_stitches_hedged_traces() {
         .all(|r| r.get("ok").and_then(Json::as_bool) == Some(true)));
 
     // --- The hedged trace, stitched by the fleet plane.
-    let (status, body) = raw_get(fleet.address(), &format!("/fleet/trace/{trace_id}"));
+    let (status, body) = get(fleet.address(), &format!("/fleet/trace/{trace_id}"));
     assert_eq!(status, 200, "{body}");
     let trace = Json::parse(&body).expect("stitched trace parses");
     assert_eq!(trace.get("stitched").and_then(Json::as_bool), Some(true));
@@ -210,12 +181,12 @@ fn fleet_plane_merges_metrics_publishes_slos_and_stitches_hedged_traces() {
     assert_eq!(covered, 2, "a server.handle under each attempt: {body}");
 
     // --- Error surfaces stay JSON through the fleet layer.
-    let (status, body) = raw_get(fleet.address(), "/fleet/trace/999999999");
+    let (status, body) = get(fleet.address(), "/fleet/trace/999999999");
     assert_eq!(status, 404, "{body}");
     assert!(Json::parse(&body).is_ok(), "fleet 404 is JSON: {body}");
-    let (status, _) = raw_get(fleet.address(), "/fleet/trace/banana");
+    let (status, _) = get(fleet.address(), "/fleet/trace/banana");
     assert_eq!(status, 400);
-    let (status, body) = raw_get(fleet.address(), "/healthz");
+    let (status, body) = get(fleet.address(), "/healthz");
     assert_eq!(status, 200);
     assert!(body.contains("fleet-observer"));
 }

@@ -20,38 +20,9 @@ use nl2vis_obs::{MetricsRegistry, Span};
 use nl2vis_router::{Router, RouterConfig};
 use nl2vis_service::GenOptions;
 
-/// One `GET` over a throwaway connection; returns (status, body).
-fn raw_get(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
-    use std::io::{BufRead, BufReader, Read, Write};
-    let mut stream = std::net::TcpStream::connect(addr).unwrap();
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
-    )
-    .unwrap();
-    let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).unwrap();
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .unwrap()
-        .parse()
-        .unwrap();
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        if line.trim_end().is_empty() {
-            break;
-        }
-        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_length = v.trim().parse().unwrap();
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).unwrap();
-    (status, String::from_utf8_lossy(&body).to_string())
+/// One `Connection: close` GET; returns (status, body).
+fn get(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
+    nl2vis_llm::wire::get(addr, path, Duration::from_secs(5)).expect("GET")
 }
 
 #[test]
@@ -112,7 +83,7 @@ fn hedged_request_renders_as_one_trace_tree_with_the_winner_marked() {
     drop(root);
 
     // Either replica can serve the stitched trace; ask the *loser*.
-    let (status, body) = raw_get(slow.address(), &format!("/trace/{trace_id}"));
+    let (status, body) = get(slow.address(), &format!("/trace/{trace_id}"));
     assert_eq!(status, 200, "trace endpoint: {body}");
 
     assert!(body.contains(r#""name":"router.request""#), "{body}");

@@ -9,34 +9,14 @@
 //! ```
 
 use nl2vis::llm::http::{CompletionServer, HttpLlmClient};
+use nl2vis::llm::wire;
 use nl2vis::prelude::*;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::time::Duration;
 
-/// A bare HTTP GET, returning the response body.
+/// A plain HTTP GET, returning the response body.
 fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
-    )
-    .expect("send request");
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    let mut content_length = 0usize;
-    loop {
-        line.clear();
-        reader.read_line(&mut line).expect("read header");
-        if line.trim_end().is_empty() {
-            break;
-        }
-        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_length = v.trim().parse().unwrap_or(0);
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).expect("read body");
-    String::from_utf8_lossy(&body).to_string()
+    let (_, body) = wire::get(addr, path, Duration::from_secs(5)).expect("GET");
+    body
 }
 
 fn main() {

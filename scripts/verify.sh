@@ -212,9 +212,10 @@ else
     echo
 fi
 
-# Lints — skip gracefully if clippy isn't installed.
+# Lints over every package and target — skip gracefully if clippy isn't
+# installed.
 if cargo clippy --version >/dev/null 2>&1; then
-    run "cargo clippy" cargo clippy --all-targets -- -D warnings
+    run "cargo clippy --workspace" cargo clippy --workspace --all-targets -- -D warnings
 else
     echo "==> cargo clippy: skipped (clippy not installed)"
     echo

@@ -17,7 +17,7 @@
 
 use nl2vis::corpus::{Corpus, CorpusConfig};
 use nl2vis::prelude::*;
-use std::io::{BufRead, Write as _};
+use std::io::Write as _;
 
 fn main() {
     println!("nl2vis — natural language to visualization (simulated LLM backend)");
@@ -37,15 +37,14 @@ fn main() {
         names.len()
     );
 
-    let stdin = std::io::stdin();
+    let mut input = std::io::stdin().lines();
     let mut conversation_vql: Vec<nl2vis::query::ast::VqlQuery> = Vec::new();
     loop {
         print!("nl2vis> ");
         std::io::stdout().flush().ok();
-        let mut line = String::new();
-        if stdin.lock().read_line(&mut line).unwrap_or(0) == 0 {
+        let Some(Ok(line)) = input.next() else {
             break;
-        }
+        };
         let line = line.trim();
         if line.is_empty() {
             continue;

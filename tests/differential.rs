@@ -8,14 +8,19 @@
 //! completion, exact, exec — whether the server coalesces requests into
 //! batches or serves them one at a time. Under a seeded fault schedule an
 //! example may instead be lost to transport (unscored), but never scored
-//! with output the bare model did not produce.
+//! with output the bare model did not produce. A validating two-tier
+//! router scores the same in-process and hosted, escalations and `422`
+//! rejections included.
 
 use nl2vis::corpus::{Corpus, CorpusConfig};
 use nl2vis::eval::runner::{evaluate_llm, EvalReport, LlmEvalConfig};
 use nl2vis::llm::http::{CompletionServer, HttpLlmClient, ServerConfig, ServerTuning, Timeouts};
-use nl2vis::llm::{FaultInjector, ModelProfile, RetryPolicy, SimLlm};
-use nl2vis::obs::MetricsRegistry;
-use nl2vis::service::{CompletionService, RouteLayer, RoutePolicy};
+use nl2vis::llm::{FaultInjector, GenOptions, ModelProfile, RetryPolicy, SimLlm};
+use nl2vis::obs::{self, MetricsRegistry};
+use nl2vis::service::{
+    service_fn, CompletionService, Layer, RouteLayer, RoutePolicy, TieredService, ValidateLayer,
+    VqlSyntaxValidator,
+};
 use nl2vis::StackBuilder;
 use std::sync::Arc;
 use std::time::Duration;
@@ -198,6 +203,90 @@ fn faults_lose_examples_but_never_change_scored_output() {
             assert_eq!(result.id, expected.0);
             let error = result.transport_error.as_deref().unwrap_or_default();
             assert!(error.contains("transport error"), "{error}");
+        }
+    }
+}
+
+/// A validating two-tier router: the cheap tier answers prose for a
+/// deterministic third of the prompts and a weaker model's VQL for the
+/// rest, behind a syntax gate; the strong tier is the bare model.
+fn two_tier(policy: RoutePolicy) -> TieredService {
+    let weak = SimLlm::new(ModelProfile::davinci_002(), 17);
+    let cheap = service_fn(weak.profile.name, move |prompt: &str, opts: &GenOptions| {
+        if prompt.len() % 3 == 0 {
+            Ok("I cannot answer that from this schema.".to_string())
+        } else {
+            weak.call(prompt, opts)
+        }
+    });
+    RouteLayer::new(policy)
+        .model("diff-tiered")
+        .tier(
+            "diff-cheap",
+            1,
+            ValidateLayer::new(VqlSyntaxValidator).layer(cheap),
+        )
+        .tier("diff-strong", 10, model())
+        .build()
+        .expect("a two-tier router")
+}
+
+fn cheap_escalations() -> u64 {
+    obs::global()
+        .counter("route.tier.diff-cheap.escalations_total")
+        .get()
+}
+
+#[test]
+fn a_validating_tier_router_scores_the_same_in_process_and_hosted() {
+    let corpus = Corpus::build(&CorpusConfig::small(23));
+    let split = corpus.split_cross_domain(1);
+    // Cheap-first escalates every rejected cheap answer to the strong tier;
+    // a budget of one unit never affords the strong tier, so a rejected
+    // cheap answer is the request's final `422`.
+    for (policy, escalates) in [
+        (RoutePolicy::CheapFirst, true),
+        (RoutePolicy::BudgetCapped(1), false),
+    ] {
+        let before = cheap_escalations();
+        let local = evaluate_llm(
+            &two_tier(policy),
+            &corpus,
+            &split.train,
+            &split.test,
+            &config(),
+            Some(EXAMPLES),
+        );
+        let local_escalations = cheap_escalations() - before;
+        let hosted = hosted_eval(
+            &corpus,
+            two_tier(policy),
+            FaultInjector::none(),
+            Timeouts::default(),
+        );
+        let hosted_escalations = cheap_escalations() - before - local_escalations;
+        assert_eq!(rows(&hosted.report), rows(&local), "{policy:?}");
+        assert_eq!(hosted.report.transport_failures(), 0, "{policy:?}");
+
+        let rejected = local
+            .results
+            .iter()
+            .filter(|r| r.scored() && r.completion.is_none())
+            .count() as u64;
+        let status_422 = hosted.registry.counter("llm.status_422").get();
+        assert_eq!(status_422, rejected, "{policy:?}: one 422 per rejection");
+        if escalates {
+            assert!(
+                local_escalations > 0 && hosted_escalations > 0,
+                "cheap-first escalated: {local_escalations} in process, {hosted_escalations} hosted"
+            );
+            assert_eq!(rejected, 0, "the strong tier answers every escalation");
+        } else {
+            assert_eq!(local_escalations + hosted_escalations, 0, "{policy:?}");
+            assert!(
+                rejected > 0 && rejected < EXAMPLES as u64,
+                "the budget both rejected and kept examples: {rejected} of {EXAMPLES}"
+            );
         }
     }
 }

@@ -18,7 +18,6 @@ use nl2vis::llm::http::{CompletionServer, HttpLlmClient, ServerConfig};
 use nl2vis::llm::{ModelProfile, RetryPolicy, SimLlm};
 use nl2vis::obs::{self, recorder, FlightRecorder};
 use nl2vis::{Pipeline, StackBuilder};
-use std::io::{Read, Write};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The flight recorder is process-global; tests that install (or assert the
@@ -44,18 +43,9 @@ fn shop_db() -> Database {
     d
 }
 
-/// One `Connection: close` GET against the server, returning the raw
-/// response (status line, headers, body).
-fn raw_get(addr: std::net::SocketAddr, path: &str) -> String {
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
-    )
-    .expect("write request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    response
+/// One `Connection: close` GET against the server; returns (status, body).
+fn get(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
+    nl2vis::llm::wire::get(addr, path, std::time::Duration::from_secs(5)).expect("GET")
 }
 
 #[test]
@@ -128,13 +118,13 @@ fn one_trace_covers_retry_cache_miss_and_server_handling() {
     assert!(first.has_annotation("outcome", "ok"));
 
     // The record is fetchable over the wire, exactly as an operator would.
-    let response = raw_get(server.address(), &format!("/trace/{}", first.trace_id));
-    assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+    let (status, response) = get(server.address(), &format!("/trace/{}", first.trace_id));
+    assert_eq!(status, 200, "{response}");
     assert!(response.contains(&format!("\"trace_id\":{}", first.trace_id)));
     assert!(response.contains("\"name\":\"server.handle\""));
     assert!(response.contains("\"name\":\"llm.attempt\""));
-    let index = raw_get(server.address(), "/requests");
-    assert!(index.starts_with("HTTP/1.1 200"), "{index}");
+    let (status, index) = get(server.address(), "/requests");
+    assert_eq!(status, 200, "{index}");
     assert!(index.contains(&format!("\"trace_id\":{}", first.trace_id)));
 
     // The identical question again: a cache hit that never touches the
