@@ -31,8 +31,11 @@
 //! queue is a handful of hot prompts, so one invocation amortizes the
 //! prompt/schema parse that dominates completion CPU. Any other service
 //! (a tier router escalates per request) is served one request per worker.
+//!
+//! One function serves every completion, lone or coalesced, and it is the
+//! only place the server's [`FaultInjector`] plan is drawn, counted and
+//! applied. Every other request goes to [`route`] and never draws a fault.
 
-use crate::fault::{Fault, FaultInjector};
 use crate::http::{
     completion_json, route, ServerConfig, ServerTuning, JSON, SERVER_IO_TIMEOUT,
     SERVER_KEEPALIVE_IDLE,
@@ -44,7 +47,8 @@ use nl2vis_data::Json;
 use nl2vis_obs as obs;
 use nl2vis_obs::{MetricsRegistry, WindowedRegistry};
 use nl2vis_service::{
-    CompletionOutcome, CompletionService, TransportErrorKind, VALIDATION_REJECTED_STATUS,
+    CompletionOutcome, CompletionService, Fault, FaultInjector, TransportErrorKind,
+    VALIDATION_REJECTED_STATUS,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
@@ -150,13 +154,6 @@ fn batch_key(work: &Work) -> Option<(u64, u64, u64)> {
     match &work.parse {
         Some(CompletionParse::Call(call)) => Some(opts_key(&call.opts)),
         _ => None,
-    }
-}
-
-fn call_of(work: &Work) -> &CompletionCall {
-    match &work.parse {
-        Some(CompletionParse::Call(call)) => call,
-        _ => unreachable!("batch members are parsed completion calls"),
     }
 }
 
@@ -598,8 +595,7 @@ impl PollerThread {
         let registry = &self.shared.registry;
         registry.counter("server.bad_requests_total").inc();
         registry.counter(&format!("llm.status_{status}")).inc();
-        let body = Json::object(vec![("error", Json::from(message))]).to_compact();
-        let raw = wire::render_response(status, &body, JSON, false, None);
+        let raw = wire::render_response(status, &error_json(message), JSON, false, None);
         if let Some(conn) = self.conns.get(&token) {
             // Best-effort: the peer may already be gone.
             write_now(&conn.stream, &raw);
@@ -795,16 +791,16 @@ fn write_now(stream: &TcpStream, raw: &[u8]) -> bool {
 // ---------------------------------------------------------------------------
 
 fn worker_loop(shared: &Shared, pollers: &[Arc<PollerShared>]) {
-    while let Some(batch) = next_batch(shared) {
+    while let Some(group) = next_batch(shared) {
         let registry = &shared.registry;
         let active = registry.gauge("server.active_connections");
         let now_active = active.add(1);
         registry.gauge("server.concurrent_peak").set_max(now_active);
-        if batch.len() == 1 {
-            let work = batch.into_iter().next().expect("singleton batch");
-            serve_single(shared, pollers, work);
+        if group[0].parse.is_some() {
+            serve_completions(shared, pollers, group);
         } else {
-            serve_batch(shared, pollers, batch);
+            let work = group.into_iter().next().expect("a lone route request");
+            serve_route(shared, pollers, work);
         }
         active.add(-1);
     }
@@ -912,23 +908,43 @@ fn blocking_respond(
     ok
 }
 
-/// The shared per-request accounting: status counters, completion
-/// latency (measured from parse completion, so queue wait counts), and
-/// the access log line.
-fn record_request(
+/// A JSON error body: `{"error":"<message>"}`.
+fn error_json(message: &str) -> String {
+    Json::object(vec![("error", Json::from(message))]).to_compact()
+}
+
+/// Opens a request's `server.handle` span, joining the caller's trace when
+/// it propagated one.
+fn handle_span(request: &Request) -> obs::Span {
+    let span = match request.trace {
+        Some(ctx) => obs::Span::enter_with("server.handle", ctx),
+        None => obs::Span::enter("server.handle"),
+    };
+    span.annotate("path", &request.path);
+    span
+}
+
+/// Accounts for one response and writes it: status counters, completion
+/// latency (measured from parse completion, so queue wait counts), the
+/// access log line, then the write and the hand-back to the poller. The
+/// handling span closes before the response goes out: by the time the
+/// client reads the body, its side of the trace is consistent.
+fn respond(
     shared: &Shared,
-    request: &Request,
+    pollers: &[Arc<PollerShared>],
+    mut work: Work,
+    span: Option<obs::Span>,
     status: u16,
-    body_len: usize,
-    received: Instant,
-    trace: u64,
-    is_completion: bool,
+    body: &str,
+    content_type: &'static str,
 ) {
     let registry = &shared.registry;
+    let request = &work.request;
     registry.counter("server.http_requests_total").inc();
     registry.counter(&format!("llm.status_{status}")).inc();
-    let elapsed = received.elapsed();
-    if is_completion {
+    let elapsed = work.received.elapsed();
+    if work.parse.is_some() {
+        let trace = span.as_ref().map_or(0, |s| s.trace());
         registry.counter("llm.requests_total").inc();
         registry
             .histogram("llm.request_latency_us")
@@ -944,122 +960,174 @@ fn record_request(
             ("method".to_string(), request.method.clone()),
             ("path".to_string(), request.path.clone()),
             ("status".to_string(), status.to_string()),
-            ("bytes".to_string(), body_len.to_string()),
+            ("bytes".to_string(), body.len().to_string()),
             ("duration_us".to_string(), elapsed.as_micros().to_string()),
         ]
     });
-}
-
-/// Serves one request — the path every non-completion and every unbatched
-/// completion takes, mirroring the old blocking runtime request-for-
-/// request (spans, fault handling, counters, response).
-fn serve_single(shared: &Shared, pollers: &[Arc<PollerShared>], work: Work) {
-    let Work {
-        conn,
-        poller,
-        mut stream,
-        request,
-        parse,
-        received,
-    } = work;
-    let registry = &shared.registry;
-    let is_completion = parse.is_some();
-    // Join the caller's trace when it propagated one; otherwise only
-    // completions get a span of their own (tracing every /metrics poll
-    // would flood the flight recorder with noise).
-    let span = match request.trace {
-        Some(ctx) => Some(obs::Span::enter_with("server.handle", ctx)),
-        None if is_completion => Some(obs::Span::enter("server.handle")),
-        None => None,
-    };
-    if let Some(span) = &span {
-        span.annotate("path", &request.path);
-    }
-    let trace = span.as_ref().map(|s| s.trace()).unwrap_or(0);
-    let fault = if is_completion {
-        shared.faults.next()
-    } else {
-        Fault::None
-    };
-    if fault != Fault::None {
-        registry.counter("server.faults_injected_total").inc();
-        registry
-            .counter(&format!("server.fault.{}", fault.label()))
-            .inc();
-        if let Some(span) = &span {
-            span.annotate("fault", fault.label());
-        }
-    }
-    if let Fault::Stall(pause) = fault {
-        std::thread::sleep(pause);
-    }
-    if fault == Fault::Drop {
-        // Close without a response: the client sees a clean EOF (and a
-        // pooled client exercises its stale-retry path).
-        drop(span);
-        finish(pollers, conn, poller, stream, false);
-        return;
-    }
-
-    let (status, response_body, content_type) = if fault == Fault::Http500 {
-        (
-            500,
-            Json::object(vec![("error", Json::from("injected server error"))]).to_compact(),
-            JSON,
-        )
-    } else {
-        match &parse {
-            Some(CompletionParse::Call(call)) => {
-                registry.counter("server.batch.batches_total").inc();
-                registry.counter("server.batch.requests_total").inc();
-                registry.counter("server.batch.invocations_total").inc();
-                registry.histogram("server.batch.size").record(1);
-                let outcome = shared.service.call(&call.prompt, &call.opts);
-                let (status, body) = completion_response(shared, outcome);
-                (status, body, JSON)
-            }
-            Some(CompletionParse::BadModel(requested)) => {
-                let err = Json::object(vec![(
-                    "error",
-                    Json::from(format!("model `{requested}` not hosted here").as_str()),
-                )]);
-                (400, err.to_compact(), JSON)
-            }
-            Some(CompletionParse::BadJson(message)) => (
-                400,
-                Json::object(vec![("error", Json::from(message.as_str()))]).to_compact(),
-                JSON,
-            ),
-            None => route(
-                &request.method,
-                &request.path,
-                &request.body,
-                shared.service.model(),
-                registry,
-                &shared.windowed,
-            ),
-        }
-    };
-
-    record_request(
-        shared,
-        &request,
-        status,
-        response_body.len(),
-        received,
-        trace,
-        is_completion,
-    );
     if let Some(span) = &span {
         span.annotate("status", &status.to_string());
     }
-    // Close the handling span before the response goes out: by the time
-    // the client reads the body, its side of the trace is consistent.
     drop(span);
-
     let keep = request.keep_alive && !shared.draining.load(Ordering::Relaxed);
-    let ok = blocking_respond(&mut stream, status, &response_body, content_type, keep);
-    finish(pollers, conn, poller, stream, keep && ok);
+    let ok = blocking_respond(&mut work.stream, status, body, content_type, keep);
+    finish(pollers, work.conn, work.poller, work.stream, keep && ok);
+}
+
+/// Serves one request on the [`route`] surface: everything but
+/// `POST /v1/completions`. It never draws a fault, and it gets a span
+/// only when the caller propagated a trace (tracing every `/metrics` poll
+/// would flood the flight recorder with noise).
+fn serve_route(shared: &Shared, pollers: &[Arc<PollerShared>], work: Work) {
+    let request = &work.request;
+    let span = request.trace.map(|_| handle_span(request));
+    let (status, body, content_type) = route(
+        &request.method,
+        &request.path,
+        &request.body,
+        shared.service.model(),
+        &shared.registry,
+        &shared.windowed,
+    );
+    respond(shared, pollers, work, span, status, &body, content_type);
+}
+
+/// Serves a dequeue group of 1 to `batch_max` completion requests: the one
+/// path every `POST /v1/completions` takes, lone or coalesced.
+///
+/// The group draws one fault per member in arrival order — malformed
+/// requests too, since a scripted plan indexes every completion request —
+/// and counts them here. It stalls once, for the longest stall drawn. A
+/// `Drop` member is closed without a response and an `Http500` member
+/// answered `500`; neither reaches the service. The rest are served by
+/// [`invoke`]. A group of calls counts as one batch of its size whatever
+/// its members draw; `invocations_total` counts only calls to the service.
+///
+/// Every member gets its own `server.handle` span, counters, log line and
+/// response. A group of two or more also gets a `server.batch` span that
+/// covers its stall and its call; untraced members nest under it, and
+/// every member names it in a `batch` annotation. A lone request has no
+/// batch span: its handle span opens first and covers the stall instead.
+fn serve_completions(shared: &Shared, pollers: &[Arc<PollerShared>], group: Vec<Work>) {
+    let registry = &shared.registry;
+    let n = group.len();
+    let batch_span = (n > 1).then(|| {
+        let span = obs::Span::enter_root("server.batch");
+        span.annotate("size", &n.to_string());
+        span.annotate("model", shared.service.model());
+        span
+    });
+    let mut lone_span = (n == 1).then(|| handle_span(&group[0].request));
+    let faults: Vec<Fault> = group.iter().map(|_| shared.faults.next()).collect();
+    for fault in &faults {
+        if *fault != Fault::None {
+            registry.counter("server.faults_injected_total").inc();
+            registry
+                .counter(&format!("server.fault.{}", fault.label()))
+                .inc();
+        }
+    }
+    if matches!(group[0].parse, Some(CompletionParse::Call(_))) {
+        registry.counter("server.batch.batches_total").inc();
+        registry
+            .counter("server.batch.requests_total")
+            .add(n as u64);
+        registry.histogram("server.batch.size").record(n as u64);
+    }
+    let stall = faults
+        .iter()
+        .filter_map(|f| match f {
+            Fault::Stall(pause) => Some(*pause),
+            _ => None,
+        })
+        .max();
+    if let Some(pause) = stall {
+        if let Some(span) = &batch_span {
+            span.annotate("stall_ms", &pause.as_millis().to_string());
+        }
+        std::thread::sleep(pause);
+    }
+    let outcomes = invoke(shared, &group, &faults);
+
+    let batch_trace = batch_span.as_ref().map(|span| span.trace().to_string());
+    for ((work, fault), outcome) in group.into_iter().zip(faults).zip(outcomes) {
+        let span = lone_span
+            .take()
+            .unwrap_or_else(|| handle_span(&work.request));
+        if let Some(batch) = &batch_trace {
+            span.annotate("batch", batch);
+        }
+        if fault != Fault::None {
+            span.annotate("fault", fault.label());
+        }
+        if fault == Fault::Drop {
+            // Close without a response: the client sees a clean EOF (and a
+            // pooled client exercises its stale-retry path).
+            drop(span);
+            finish(pollers, work.conn, work.poller, work.stream, false);
+            continue;
+        }
+        let (status, body) = match (&work.parse, outcome) {
+            _ if fault == Fault::Http500 => (500, error_json("injected server error")),
+            (_, Some(outcome)) => completion_response(shared, outcome),
+            (Some(CompletionParse::BadModel(requested)), None) => (
+                400,
+                error_json(&format!("model `{requested}` not hosted here")),
+            ),
+            (Some(CompletionParse::BadJson(message)), None) => (400, error_json(message)),
+            _ => unreachable!("the service answered every live call"),
+        };
+        respond(shared, pollers, work, Some(span), status, &body, JSON);
+    }
+}
+
+/// Calls the hosted service for a group's live calls — the parsed calls
+/// whose fault let them through — and returns one outcome per member,
+/// `None` where the service was not called. A lone call is one
+/// [`CompletionService::call`]; a larger group's live calls are one
+/// [`CompletionService::call_batch`], which deduplicates identical
+/// prompts.
+fn invoke(shared: &Shared, group: &[Work], faults: &[Fault]) -> Vec<Option<CompletionOutcome>> {
+    let registry = &shared.registry;
+    if let [work] = group {
+        return vec![live_call(work, faults[0]).map(|call| {
+            registry.counter("server.batch.invocations_total").inc();
+            shared.service.call(&call.prompt, &call.opts)
+        })];
+    }
+    let calls: Vec<Option<&CompletionCall>> = group
+        .iter()
+        .zip(faults)
+        .map(|(work, fault)| live_call(work, *fault))
+        .collect();
+    let prompts: Vec<&str> = calls.iter().flatten().map(|c| c.prompt.as_str()).collect();
+    let mut outputs = match calls.iter().flatten().next() {
+        Some(first) => {
+            let unique = prompts.iter().collect::<HashSet<_>>().len();
+            registry
+                .counter("server.batch.invocations_total")
+                .add(unique as u64);
+            registry
+                .counter("server.batch.dedup_hits_total")
+                .add((prompts.len() - unique) as u64);
+            shared.service.call_batch(&prompts, &first.opts)
+        }
+        None => Vec::new(),
+    }
+    .into_iter();
+    calls
+        .iter()
+        .map(|call| call.map(|_| outputs.next().expect("one outcome per prompt")))
+        .collect()
+}
+
+/// The call a member puts to the service: its parsed request, unless the
+/// request is malformed or its fault answers it first.
+fn live_call(work: &Work, fault: Fault) -> Option<&CompletionCall> {
+    match (&work.parse, fault) {
+        (_, Fault::Drop | Fault::Http500) => None,
+        (Some(CompletionParse::Call(call)), _) => Some(call),
+        _ => None,
+    }
 }
 
 /// The status and body answering one completion outcome. Model text is a
@@ -1078,120 +1146,7 @@ fn completion_response(shared: &Shared, outcome: CompletionOutcome) -> (u16, Str
                 shared.registry.counter("server.backend_errors_total").inc();
                 502
             };
-            let body = Json::object(vec![(
-                "error",
-                Json::from(format!("backend failed: {e}").as_str()),
-            )]);
-            (status, body.to_compact())
+            (status, error_json(&format!("backend failed: {e}")))
         }
-    }
-}
-
-/// Serves a coalesced batch: one `server.batch` span, one fault draw per
-/// member (in arrival order, preserving scripted-injector semantics), one
-/// stall (the max drawn — a shared invocation stalls once), and one
-/// [`CompletionService::call_batch`] invocation, which deduplicates
-/// identical prompts. Every member still gets its own `server.handle` span
-/// (linked to the batch by annotation and, for untraced requests, by
-/// parentage), counters, log line, and byte-identical response.
-fn serve_batch(shared: &Shared, pollers: &[Arc<PollerShared>], works: Vec<Work>) {
-    let registry = &shared.registry;
-    let n = works.len();
-    let batch_span = obs::Span::enter_root("server.batch");
-    batch_span.annotate("size", &n.to_string());
-    batch_span.annotate("model", shared.service.model());
-    let batch_trace = batch_span.trace().to_string();
-    registry.counter("server.batch.batches_total").inc();
-    registry
-        .counter("server.batch.requests_total")
-        .add(n as u64);
-    registry.histogram("server.batch.size").record(n as u64);
-
-    let faults: Vec<Fault> = works.iter().map(|_| shared.faults.next()).collect();
-    for fault in &faults {
-        if *fault != Fault::None {
-            registry.counter("server.faults_injected_total").inc();
-            registry
-                .counter(&format!("server.fault.{}", fault.label()))
-                .inc();
-        }
-    }
-    let stall = faults
-        .iter()
-        .filter_map(|f| match f {
-            Fault::Stall(pause) => Some(*pause),
-            _ => None,
-        })
-        .max();
-    if let Some(pause) = stall {
-        batch_span.annotate("stall_ms", &pause.as_millis().to_string());
-        std::thread::sleep(pause);
-    }
-
-    let live: Vec<usize> = (0..n)
-        .filter(|&i| !matches!(faults[i], Fault::Drop | Fault::Http500))
-        .collect();
-    let mut outcomes: HashMap<usize, CompletionOutcome> = if live.is_empty() {
-        HashMap::new()
-    } else {
-        let opts = call_of(&works[live[0]]).opts.clone();
-        let prompts: Vec<&str> = live
-            .iter()
-            .map(|&i| call_of(&works[i]).prompt.as_str())
-            .collect();
-        let unique: HashSet<&str> = prompts.iter().copied().collect();
-        registry
-            .counter("server.batch.invocations_total")
-            .add(unique.len() as u64);
-        registry
-            .counter("server.batch.dedup_hits_total")
-            .add((prompts.len() - unique.len()) as u64);
-        let outputs = shared.service.call_batch(&prompts, &opts);
-        live.iter().copied().zip(outputs).collect()
-    };
-
-    for (i, mut work) in works.into_iter().enumerate() {
-        let fault = faults[i];
-        // Traced requests join their caller's trace; untraced ones nest
-        // under the batch span — either way the annotation names the
-        // shared batch.
-        let span = match work.request.trace {
-            Some(ctx) => obs::Span::enter_with("server.handle", ctx),
-            None => obs::Span::enter("server.handle"),
-        };
-        span.annotate("path", &work.request.path);
-        span.annotate("batch", &batch_trace);
-        if fault != Fault::None {
-            span.annotate("fault", fault.label());
-        }
-        let trace = span.trace();
-        if fault == Fault::Drop {
-            drop(span);
-            finish(pollers, work.conn, work.poller, work.stream, false);
-            continue;
-        }
-        let (status, response_body) = if fault == Fault::Http500 {
-            (
-                500,
-                Json::object(vec![("error", Json::from("injected server error"))]).to_compact(),
-            )
-        } else {
-            let outcome = outcomes.remove(&i).expect("a live member has an outcome");
-            completion_response(shared, outcome)
-        };
-        record_request(
-            shared,
-            &work.request,
-            status,
-            response_body.len(),
-            work.received,
-            trace,
-            true,
-        );
-        span.annotate("status", &status.to_string());
-        drop(span);
-        let keep = work.request.keep_alive && !shared.draining.load(Ordering::Relaxed);
-        let ok = blocking_respond(&mut work.stream, status, &response_body, JSON, keep);
-        finish(pollers, work.conn, work.poller, work.stream, keep && ok);
     }
 }

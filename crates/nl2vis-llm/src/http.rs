@@ -12,13 +12,12 @@
 
 use crate::client::{CompletionOutcome, TransportError, TransportErrorKind};
 use crate::event;
-use crate::fault::FaultInjector;
 use crate::sim::GenOptions;
 use crate::wire::{self, AcceptLoop, WireError};
 use nl2vis_data::Json;
 use nl2vis_obs as obs;
 use nl2vis_obs::{MetricsRegistry, WindowedRegistry};
-use nl2vis_service::CompletionService;
+use nl2vis_service::{CompletionService, FaultInjector};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::AtomicUsize;
 use std::sync::{Arc, Mutex};

@@ -31,9 +31,10 @@
 //!   clients and the fleet server use, `render_request` /
 //!   `render_response`, a `Connection: close` GET, and the accept loop
 //!   every server shares;
-//! - [`fault`]: a deterministic [`fault::FaultInjector`] for the server —
-//!   stalls, dropped connections and injected 500s, scripted or seeded —
-//!   so the resilience layer is testable entirely offline.
+//! - [`fault`]: `nl2vis-service`'s fault plan, re-exported — the server
+//!   applies a [`FaultInjector`] (stalls, dropped connections and injected
+//!   500s, scripted or seeded) to every completion request, so the
+//!   resilience layer is testable entirely offline.
 //!
 //! Transport failures travel as the typed
 //! [`client::TransportError`] (the error arm of
@@ -43,7 +44,6 @@
 
 pub mod client;
 pub(crate) mod event;
-pub mod fault;
 pub mod followup;
 pub mod http;
 pub mod link;
@@ -59,8 +59,8 @@ pub use client::{
     CompletionOutcome, CompletionService, LlmClient, TransportError, TransportErrorKind,
     VALIDATION_REJECTED_STATUS,
 };
-pub use fault::{Fault, FaultInjector};
 pub use http::{ServerConfig, ServerTuning};
+pub use nl2vis_service::fault::{self, Fault, FaultInjector};
 pub use nl2vis_service::RetryPolicy;
 pub use profile::ModelProfile;
 pub use sim::{corrupt_query, extract_vql, GenOptions, SimLlm};

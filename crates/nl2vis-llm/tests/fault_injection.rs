@@ -144,3 +144,25 @@ fn fault_free_injector_is_transparent() {
     assert_eq!(registry.counter("server.faults_injected_total").get(), 0);
     assert_eq!(registry.counter("llm.requests_total").get(), 3);
 }
+
+#[test]
+fn a_lone_faulted_completion_counts_one_batch_and_no_invocation() {
+    // A dequeue group is one batch of its size whatever its members draw;
+    // `invocations_total` counts only calls that reached the service.
+    for (fault, kind) in [
+        (Fault::Http500, TransportErrorKind::Status(500)),
+        (Fault::Drop, TransportErrorKind::ConnectionClosed),
+    ] {
+        let (server, registry) = server_with(FaultInjector::script(vec![fault]));
+        let client = HttpLlmClient::new(server.address(), "text-davinci-003");
+        let err = client.complete_http(PROMPT).unwrap_err();
+        assert_eq!(err.transport_kind(), kind, "{fault:?}: {err}");
+        drop(server);
+        let counter = |name: &str| registry.counter(name).get();
+        assert_eq!(counter("server.batch.batches_total"), 1, "{fault:?}");
+        assert_eq!(counter("server.batch.requests_total"), 1, "{fault:?}");
+        assert_eq!(registry.histogram("server.batch.size").count(), 1);
+        assert_eq!(counter("server.batch.invocations_total"), 0, "{fault:?}");
+        assert_eq!(counter(&format!("server.fault.{}", fault.label())), 1);
+    }
+}

@@ -190,6 +190,26 @@ fn build_tiers(config: &LoadConfig) -> Result<TieredService, String> {
     route.build()
 }
 
+/// The self-hosted server's service-time plan. The simulated model
+/// completes in microseconds of CPU; `--service-ms` stalls every
+/// completion for a realistic service time and `--tail` adds a rare heavy
+/// tail, so queueing dynamics and hedging have something to act on.
+fn service_time(config: &LoadConfig, seed: u64) -> FaultInjector {
+    if config.service_ms > 0 || config.tail_prob > 0.0 {
+        FaultInjector::random_with_tail(
+            seed,
+            0.0,
+            0.0,
+            if config.service_ms > 0 { 1.0 } else { 0.0 },
+            Duration::from_millis(config.service_ms),
+            config.tail_prob,
+            Duration::from_millis(config.tail_ms),
+        )
+    } else {
+        FaultInjector::none()
+    }
+}
+
 impl RunTarget {
     /// Resolves the configured target, starting the in-process replica
     /// fleet for [`Target::SelfHosted`].
@@ -206,23 +226,10 @@ impl RunTarget {
             }
             let tiered = build_tiers(config)?;
             let model = "tiered".to_string();
-            let faults = if config.service_ms > 0 || config.tail_prob > 0.0 {
-                FaultInjector::random_with_tail(
-                    1,
-                    0.0,
-                    0.0,
-                    if config.service_ms > 0 { 1.0 } else { 0.0 },
-                    Duration::from_millis(config.service_ms),
-                    config.tail_prob,
-                    Duration::from_millis(config.tail_ms),
-                )
-            } else {
-                FaultInjector::none()
-            };
             let server = nl2vis_llm::http::CompletionServer::start_with_service_config(
                 tiered,
                 Arc::new(MetricsRegistry::new()),
-                faults,
+                service_time(config, 1),
                 ServerConfig {
                     max_inflight: config.server_workers,
                     queue_depth: config.server_queue,
@@ -263,28 +270,12 @@ impl RunTarget {
                 let model = profile.name.to_string();
                 let mut servers = Vec::with_capacity(config.replicas);
                 for replica in 0..config.replicas {
-                    // The simulated model completes in microseconds of CPU;
-                    // the injected stall gives every completion a realistic
-                    // service time (plus an optional heavy tail) so queueing
-                    // dynamics and hedging have something to act on. Each
-                    // replica draws from its own seed so tails de-correlate.
-                    let faults = if config.service_ms > 0 || config.tail_prob > 0.0 {
-                        FaultInjector::random_with_tail(
-                            1 + replica as u64,
-                            0.0,
-                            0.0,
-                            if config.service_ms > 0 { 1.0 } else { 0.0 },
-                            Duration::from_millis(config.service_ms),
-                            config.tail_prob,
-                            Duration::from_millis(config.tail_ms),
-                        )
-                    } else {
-                        FaultInjector::none()
-                    };
+                    // Each replica draws from its own seed so tails
+                    // de-correlate.
                     let server = nl2vis_llm::http::CompletionServer::start_with_service_config(
                         SimLlm::new(profile.clone(), config.seed),
                         Arc::new(MetricsRegistry::new()),
-                        faults,
+                        service_time(config, 1 + replica as u64),
                         ServerConfig {
                             max_inflight: config.server_workers,
                             queue_depth: config.server_queue,

@@ -15,8 +15,12 @@
 //!   service in a new one. Shipped layers: [`RetryLayer`] (bounded retry
 //!   with deterministic backoff and 429 `Retry-After` honoring),
 //!   [`TraceLayer`] (one request span per call), [`MetricsLayer`]
-//!   (transport-failure attribution counters), and [`FaultLayer`]
-//!   (scripted client-side fault injection for tests).
+//!   (failure attribution counters), and [`FaultLayer`] (fault
+//!   injection inside a stack).
+//! - [`fault`]: the one fault vocabulary — [`Fault`] and the scripted or
+//!   seeded [`FaultInjector`] plan. The completion server applies a plan
+//!   on the wire and [`FaultLayer`] applies the same plan to a stack's
+//!   outcomes, so one plan means the same at either end.
 //! - [`stack_of`] / [`validate_stack`]: runtime introspection of a
 //!   composed stack's layer order, so misordered stacks (a cache inside
 //!   retry would memoize per-attempt state) are rejected by debug
@@ -32,9 +36,9 @@
 //! `StackBuilder` in the root crate enforces the order at compile time.
 //!
 //! The wire-level transport types ([`TransportError`],
-//! [`TransportErrorKind`], [`GenOptions`]) live here — the bottom of the
-//! dependency stack — and are re-exported by `nl2vis-llm` for
-//! back-compatibility.
+//! [`TransportErrorKind`], [`GenOptions`]) and the fault vocabulary live
+//! here — the bottom of the dependency stack — and are re-exported by
+//! `nl2vis-llm`, whose server applies the same [`FaultInjector`].
 
 pub mod fault;
 pub mod metrics;
@@ -44,7 +48,7 @@ pub mod service;
 pub mod tier;
 pub mod trace;
 
-pub use fault::{FaultLayer, Faulted};
+pub use fault::{Fault, FaultInjector, FaultLayer, Faulted};
 pub use metrics::{Metrics, MetricsLayer};
 pub use outcome::{CompletionOutcome, GenOptions, TransportError, TransportErrorKind};
 pub use retry::{Retry, RetryLayer, RetryPolicy};

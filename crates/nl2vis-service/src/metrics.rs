@@ -1,18 +1,21 @@
-//! The metrics middleware: transport-failure attribution counters.
+//! The metrics middleware: failure attribution counters.
 //!
 //! [`MetricsLayer`] sits just inside the trace layer and counts each call
-//! whose *final* outcome is a transport failure — once, regardless of how
-//! many attempts the retry layer below it burned. It emits the exact
-//! counter names the pre-layered stack emitted
-//! (`llm.errors_total`, `llm.error.transport`), which the golden-list test
-//! in the root crate pins.
+//! whose *final* outcome is an error — once, regardless of how many
+//! attempts the retry layer below it burned. A validation rejection
+//! (`Status(422)`) is a verdict on the model's answer, so it lands on
+//! `<component>.error.rejected`; every other error is a transport failure
+//! on `<component>.error.transport`. Both also count on
+//! `<component>.errors_total`. `llm.errors_total` and `llm.error.transport`
+//! are the exact counter names the pre-layered stack emitted, which the
+//! golden-list test in the root crate pins.
 
-use crate::outcome::{CompletionOutcome, GenOptions};
+use crate::outcome::{CompletionOutcome, GenOptions, TransportErrorKind};
 use crate::service::{CompletionService, Layer};
+use crate::tier::VALIDATION_REJECTED_STATUS;
 use nl2vis_obs as obs;
 
-/// [`Layer`] attributing final transport failures to a component's
-/// error counters.
+/// [`Layer`] attributing final failures to a component's error counters.
 #[derive(Debug, Clone, Copy)]
 pub struct MetricsLayer {
     component: &'static str,
@@ -64,7 +67,11 @@ impl<S: CompletionService> CompletionService for Metrics<S> {
     fn call(&self, prompt: &str, opts: &GenOptions) -> CompletionOutcome {
         let outcome = self.inner.call(prompt, opts);
         if let Err(e) = &outcome {
-            obs::transport_error(self.component, &e.message);
+            if e.kind == TransportErrorKind::Status(VALIDATION_REJECTED_STATUS) {
+                obs::error(self.component, "rejected", &e.message);
+            } else {
+                obs::transport_error(self.component, &e.message);
+            }
         }
         outcome
     }
@@ -78,7 +85,7 @@ impl<S: CompletionService> CompletionService for Metrics<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::outcome::{TransportError, TransportErrorKind};
+    use crate::outcome::TransportError;
     use crate::retry::{RetryLayer, RetryPolicy};
     use crate::service::service_fn;
 
@@ -103,6 +110,22 @@ mod tests {
         assert!(svc.call("p", &GenOptions::default()).is_err());
         // Three attempts failed below, but the *request* failed once.
         assert_eq!(errors.get(), before + 1);
+    }
+
+    #[test]
+    fn a_rejection_is_counted_as_rejected_not_transport() {
+        let counter = |name: &str| obs::global().counter(name).get();
+        let svc = MetricsLayer::new("metrics-test-reject").layer(service_fn("m", |_, _| {
+            Err(TransportError::new(
+                TransportErrorKind::Status(VALIDATION_REJECTED_STATUS),
+                1,
+                "validation rejected",
+            ))
+        }));
+        assert!(svc.call("p", &GenOptions::default()).is_err());
+        assert_eq!(counter("metrics-test-reject.errors_total"), 1);
+        assert_eq!(counter("metrics-test-reject.error.rejected"), 1);
+        assert_eq!(counter("metrics-test-reject.error.transport"), 0);
     }
 
     #[test]

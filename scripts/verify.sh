@@ -36,6 +36,12 @@ run() {
 run "cargo build --release" cargo build --release
 run "cargo test --workspace" cargo test -q --workspace
 
+# Scan mode: the workspace suites link nl2vis-llm with its default
+# `epoll` feature. Without it the event core runs on the portable
+# nonblocking scan poller, the only poller on non-Linux targets; this
+# step runs nl2vis-llm's own suites over that build.
+run "cargo test nl2vis-llm (scan poller)" cargo test -q -p nl2vis-llm --no-default-features
+
 # Sustained-load smoke: a short reduced-thread loadgen run against a
 # self-hosted server (open loop, coordinated-omission corrected). Kept
 # under ~10 s; writes its snapshot under target/ so it never clobbers a

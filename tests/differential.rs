@@ -8,8 +8,10 @@
 //! completion, exact, exec — whether the server coalesces requests into
 //! batches or serves them one at a time. Under a seeded fault schedule an
 //! example may instead be lost to transport (unscored), but never scored
-//! with output the bare model did not produce. A validating two-tier
-//! router scores the same in-process and hosted, escalations and `422`
+//! with output the bare model did not produce. One seeded fault plan
+//! loses the same examples whether a `FaultLayer` applies it in process
+//! or the server applies it on the wire. A validating two-tier router
+//! scores the same in-process and hosted, escalations and `422`
 //! rejections included.
 
 use nl2vis::corpus::{Corpus, CorpusConfig};
@@ -18,8 +20,8 @@ use nl2vis::llm::http::{CompletionServer, HttpLlmClient, ServerConfig, ServerTun
 use nl2vis::llm::{FaultInjector, GenOptions, ModelProfile, RetryPolicy, SimLlm};
 use nl2vis::obs::{self, MetricsRegistry};
 use nl2vis::service::{
-    service_fn, CompletionService, Layer, RouteLayer, RoutePolicy, TieredService, ValidateLayer,
-    VqlSyntaxValidator,
+    service_fn, CompletionService, FaultLayer, Layer, RouteLayer, RoutePolicy, TieredService,
+    ValidateLayer, VqlSyntaxValidator,
 };
 use nl2vis::StackBuilder;
 use std::sync::Arc;
@@ -67,6 +69,35 @@ fn batching_tuning() -> (ServerConfig, ServerTuning) {
     (config, tuning)
 }
 
+/// Evaluates through the canonical client stack
+/// `Trace(Metrics(Cache(Retry(leaf))))` with a 2-attempt retry policy.
+fn client_eval<S>(leaf: S, corpus: &Corpus, config: &LlmEvalConfig) -> EvalReport
+where
+    S: CompletionService + Send + Sync + 'static,
+{
+    let split = corpus.split_cross_domain(1);
+    let policy = RetryPolicy {
+        max_attempts: 2,
+        base_backoff: Duration::from_millis(1),
+        max_backoff: Duration::from_millis(4),
+        jitter_seed: 5,
+    };
+    let stack = StackBuilder::over(leaf)
+        .retry(policy)
+        .cache(256)
+        .metrics()
+        .trace()
+        .build();
+    evaluate_llm(
+        &stack,
+        corpus,
+        &split.train,
+        &split.test,
+        config,
+        Some(EXAMPLES),
+    )
+}
+
 /// A hosted run's report plus the server's view of it.
 struct Hosted {
     report: EvalReport,
@@ -80,7 +111,6 @@ fn hosted_eval<S>(corpus: &Corpus, service: S, faults: FaultInjector, timeouts: 
 where
     S: CompletionService + Send + Sync + 'static,
 {
-    let split = corpus.split_cross_domain(1);
     let registry = Arc::new(MetricsRegistry::new());
     let model = service.model().to_string();
     let (server_config, tuning) = batching_tuning();
@@ -92,30 +122,8 @@ where
         tuning,
     )
     .expect("server starts");
-    let policy = RetryPolicy {
-        max_attempts: 2,
-        base_backoff: Duration::from_millis(1),
-        max_backoff: Duration::from_millis(4),
-        jitter_seed: 5,
-    };
-    let stack = StackBuilder::over(HttpLlmClient::with_timeouts(
-        server.address(),
-        model,
-        timeouts,
-    ))
-    .retry(policy)
-    .cache(256)
-    .metrics()
-    .trace()
-    .build();
-    let report = evaluate_llm(
-        &stack,
-        corpus,
-        &split.train,
-        &split.test,
-        &config(),
-        Some(EXAMPLES),
-    );
+    let http = HttpLlmClient::with_timeouts(server.address(), model, timeouts);
+    let report = client_eval(http, corpus, &config());
     let faults_injected = server.faults().injected();
     drop(server);
     Hosted {
@@ -205,6 +213,65 @@ fn faults_lose_examples_but_never_change_scored_output() {
             assert!(error.contains("transport error"), "{error}");
         }
     }
+}
+
+/// A report's rows, each with the head of its transport error —
+/// `transport error (<kind>, <n> attempts)` — when the example was lost.
+fn rows_and_losses(report: &EvalReport) -> Vec<(Row, Option<String>)> {
+    let losses = report.results.iter().map(|r| {
+        let error = r.transport_error.as_deref()?;
+        Some(
+            error
+                .split_once("): ")
+                .map_or(error, |(head, _)| head)
+                .to_string(),
+        )
+    });
+    rows(report).into_iter().zip(losses).collect()
+}
+
+/// One fault plan means the same thing at either end of the wire. The
+/// seeded drop/500 plan is applied in process by a `FaultLayer` under the
+/// client stack, and on the wire by the server under the same client
+/// stack: both runs lose the same examples with the same error kind and
+/// attempt count, score the rest identically, and draw the same number
+/// of times. One eval worker keeps the order of draws fixed.
+///
+/// The hosted client opens a fresh connection per request. A pooled
+/// client re-sends a request once on a fresh connection when its reused
+/// socket closes before the first response byte, so an injected `Drop`
+/// on a pooled socket is absorbed below the retry layer, which never
+/// sees that attempt: with keep-alive on, the same plan loses 1 example
+/// and draws 59 times, where the in-process run loses 5 and draws 54.
+#[test]
+fn one_fault_plan_loses_the_same_examples_in_process_and_hosted() {
+    let corpus = Corpus::build(&CorpusConfig::small(23));
+    let config = LlmEvalConfig {
+        workers: Some(1),
+        ..config()
+    };
+    let plan = || FaultInjector::random(41, 0.2, 0.2, 0.0, Duration::ZERO);
+
+    let layer = FaultLayer::new(plan());
+    let local = client_eval(layer.layer(model()), &corpus, &config);
+
+    let server = CompletionServer::start_with_service_config(
+        model(),
+        Arc::new(MetricsRegistry::new()),
+        plan(),
+        ServerConfig::default(),
+    )
+    .expect("server starts");
+    let http = HttpLlmClient::new(server.address(), model().model()).without_keep_alive();
+    let hosted = client_eval(http, &corpus, &config);
+
+    assert_eq!(rows_and_losses(&hosted), rows_and_losses(&local));
+    assert_eq!(server.faults().requests(), layer.faults().requests());
+    let lost = local.transport_failures();
+    assert!(
+        lost > 0 && lost < EXAMPLES,
+        "the plan both lost and kept examples: {lost} of {EXAMPLES} lost"
+    );
 }
 
 /// A validating two-tier router: the cheap tier answers prose for a

@@ -54,7 +54,7 @@ fn recovered_retry_is_cached_exactly_once() {
     });
     // The fault layer sits between retry and the leaf: attempt 1 of the
     // first request dies with a 500 before reaching the upstream.
-    let faulted = FaultLayer::script(vec![Some(TransportErrorKind::Status(500))]).layer(leaf);
+    let faulted = FaultLayer::new(FaultInjector::script(vec![Fault::Http500])).layer(leaf);
     let cache = Arc::new(CompletionCache::in_memory(16));
     let stack = StackBuilder::over(faulted)
         .retry(fast_policy(3))
