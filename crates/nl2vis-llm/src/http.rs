@@ -16,7 +16,7 @@ use crate::sim::GenOptions;
 use crate::wire::{self, AcceptLoop, WireError};
 use nl2vis_data::Json;
 use nl2vis_obs as obs;
-use nl2vis_obs::{MetricsRegistry, WindowedRegistry};
+use nl2vis_obs::{HistSnapshot, MetricsRegistry, Snapshot, WindowedRegistry};
 use nl2vis_service::{CompletionService, FaultInjector};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::AtomicUsize;
@@ -248,9 +248,11 @@ impl Default for ServerTuning {
 ///
 /// Besides the OpenAI-compatible surface, the server exposes
 /// `GET /metrics` (plain-text exposition of the registry),
-/// `GET /stats` (a JSON snapshot pairing a sliding-window view — rolling
-/// throughput, windowed p50/p95/p99, shed rate over the last 10 seconds —
-/// with the cumulative totals), and `GET /healthz`.
+/// `GET /metrics.json` (the mergeable `nl2vis.metrics.v1` snapshot of the
+/// registry and its sliding window), `GET /stats` (that same snapshot
+/// rendered by [`stats_json`]: rolling throughput, windowed p50/p95/p99
+/// and shed rate over the last 10 seconds next to the cumulative totals),
+/// and `GET /healthz`.
 pub struct CompletionServer {
     addr: std::net::SocketAddr,
     accept: Option<AcceptLoop>,
@@ -377,8 +379,9 @@ impl CompletionServer {
         &self.registry
     }
 
-    /// The sliding-window registry backing `GET /stats` — rolling
-    /// throughput/latency/shed over the last 10 seconds.
+    /// The sliding-window registry behind the windowed sections of
+    /// `GET /metrics.json` and `GET /stats` — rolling throughput, latency
+    /// and shed over the last 10 seconds.
     pub fn windowed(&self) -> &Arc<WindowedRegistry> {
         &self.windowed
     }
@@ -433,65 +436,90 @@ pub(crate) fn completion_json(model: &str, completion: &str) -> String {
 pub(crate) const JSON: &str = "application/json";
 const TEXT: &str = "text/plain; charset=utf-8";
 
-/// Renders the `GET /stats` body: the sliding-window view (rolling
-/// throughput, windowed latency percentiles, shed rate over the last
-/// [`obs::WindowConfig`] span) next to the cumulative totals, so a load
-/// generator polling once a second sees live movement instead of an
-/// ever-flattening average.
-fn stats_json(registry: &MetricsRegistry, windowed: &WindowedRegistry) -> String {
-    let window = windowed.histogram("llm.request_latency_us").summary();
-    let cumulative = registry.histogram("llm.request_latency_us").summary();
-    let shed_window = windowed.counter("server.shed_total").window_total();
-    let served_window = window.count;
-    let shed_rate = if served_window + shed_window == 0 {
-        0.0
-    } else {
-        shed_window as f64 / (served_window + shed_window) as f64
+/// Renders the `GET /stats` body from a metrics snapshot: the
+/// sliding-window view (rolling throughput, windowed latency percentiles,
+/// shed rate over the last `window_span`) next to the cumulative totals,
+/// so a load generator polling once a second sees live movement instead
+/// of an ever-flattening average. The server renders the snapshot its
+/// `GET /metrics.json` serves, and the fleet observer renders each
+/// replica's scraped snapshot and their merge, so no two renderings can
+/// disagree. A rate divides by the snapshot's covered window; a metric
+/// the snapshot lacks reads as zero, and nothing is registered.
+pub fn stats_json(snapshot: &Snapshot, window_span: Duration) -> Json {
+    const LATENCY: &str = "llm.request_latency_us";
+    let no_samples = HistSnapshot::default();
+    let window = snapshot
+        .windowed_histograms
+        .get(LATENCY)
+        .unwrap_or(&no_samples);
+    let cumulative = snapshot.histograms.get(LATENCY).unwrap_or(&no_samples);
+    let counter = |name| Json::from(snapshot.counter(name) as f64);
+    let gauge = |name| Json::from(snapshot.gauges.get(name).copied().unwrap_or(0));
+    let throughput = ratio(window.count as f64, snapshot.window_covered_us as f64 / 1e6);
+    let shed_window = snapshot.windowed_counter("server.shed_total") as f64;
+    let batch_requests = snapshot.counter("server.batch.requests_total") as f64;
+    let batch_batches = snapshot.counter("server.batch.batches_total") as f64;
+    let summary = |h: &HistSnapshot| {
+        let s = h.summary();
+        vec![
+            ("count", Json::from(s.count as f64)),
+            ("min_us", Json::from(s.min as f64)),
+            ("max_us", Json::from(s.max as f64)),
+            ("p50_us", Json::from(s.p50.round())),
+            ("p95_us", Json::from(s.p95.round())),
+            ("p99_us", Json::from(s.p99.round())),
+        ]
     };
-    let latency = obs::window::summary_json(&window, Some(&cumulative));
-    let batch_requests = registry.counter("server.batch.requests_total").get();
-    let batch_batches = registry.counter("server.batch.batches_total").get();
-    let avg_batch_size = if batch_batches == 0 {
-        0.0
-    } else {
-        batch_requests as f64 / batch_batches as f64
-    };
-    format!(
-        concat!(
-            "{{\"window_seconds\":{:.1},",
-            "\"throughput_rps\":{:.3},",
-            "\"window_requests\":{},",
-            "\"window_shed\":{},",
-            "\"window_shed_rate\":{:.4},",
-            "\"requests_total\":{},",
-            "\"shed_total\":{},",
-            "\"active_connections\":{},",
-            "\"concurrent_peak\":{},",
-            "\"open_connections\":{},",
-            "\"serving_threads\":{},",
-            "\"batch_requests\":{},",
-            "\"batch_batches\":{},",
-            "\"batch_invocations\":{},",
-            "\"avg_batch_size\":{:.3},",
-            "\"latency_us\":{}}}"
+    let mut window_latency = summary(window);
+    window_latency.insert(1, ("rate_per_sec", fixed(throughput, 3)));
+    Json::object(vec![
+        ("window_seconds", Json::from(window_span.as_secs_f64())),
+        ("throughput_rps", fixed(throughput, 3)),
+        ("window_requests", Json::from(window.count as f64)),
+        ("window_shed", Json::from(shed_window)),
+        (
+            "window_shed_rate",
+            fixed(ratio(shed_window, window.count as f64 + shed_window), 4),
         ),
-        windowed.config().span().as_secs_f64(),
-        window.rate_per_sec(),
-        served_window,
-        shed_window,
-        shed_rate,
-        registry.counter("llm.requests_total").get(),
-        registry.counter("server.shed_total").get(),
-        registry.gauge("server.active_connections").get(),
-        registry.gauge("server.concurrent_peak").get(),
-        registry.gauge("server.poller.open_connections").get(),
-        registry.gauge("server.serving_threads").get(),
-        batch_requests,
-        batch_batches,
-        registry.counter("server.batch.invocations_total").get(),
-        avg_batch_size,
-        latency,
-    )
+        ("requests_total", counter("llm.requests_total")),
+        ("shed_total", counter("server.shed_total")),
+        ("active_connections", gauge("server.active_connections")),
+        ("concurrent_peak", gauge("server.concurrent_peak")),
+        ("open_connections", gauge("server.poller.open_connections")),
+        ("serving_threads", gauge("server.serving_threads")),
+        ("batch_requests", Json::from(batch_requests)),
+        ("batch_batches", Json::from(batch_batches)),
+        (
+            "batch_invocations",
+            counter("server.batch.invocations_total"),
+        ),
+        (
+            "avg_batch_size",
+            fixed(ratio(batch_requests, batch_batches), 3),
+        ),
+        (
+            "latency_us",
+            Json::object(vec![
+                ("window", Json::object(window_latency)),
+                ("cumulative", Json::object(summary(cumulative))),
+            ]),
+        ),
+    ])
+}
+
+/// `numerator / denominator`, or 0 over an empty denominator.
+fn ratio(numerator: f64, denominator: f64) -> f64 {
+    if denominator > 0.0 {
+        numerator / denominator
+    } else {
+        0.0
+    }
+}
+
+/// `x` rounded to `places` decimals.
+fn fixed(x: f64, places: i32) -> Json {
+    let scale = 10f64.powi(places);
+    Json::from((x * scale).round() / scale)
 }
 
 /// Routes the non-completion surface (`/v1/models`, `/metrics`,
@@ -506,6 +534,7 @@ pub(crate) fn route(
     registry: &MetricsRegistry,
     windowed: &WindowedRegistry,
 ) -> (u16, String, &'static str) {
+    let snapshot = || Snapshot::collect(registry, Some(windowed));
     match (method, path) {
         ("GET", "/v1/models") => {
             let response = Json::object(vec![(
@@ -515,12 +544,12 @@ pub(crate) fn route(
             (200, response.to_compact(), JSON)
         }
         ("GET", "/metrics") => (200, obs::report::render_exposition(registry), TEXT),
-        ("GET", "/metrics.json") => (
+        ("GET", "/metrics.json") => (200, snapshot().to_json(), JSON),
+        ("GET", "/stats") => (
             200,
-            obs::Snapshot::collect(registry, Some(windowed)).to_json(),
+            stats_json(&snapshot(), windowed.config().span()).to_compact(),
             JSON,
         ),
-        ("GET", "/stats") => (200, stats_json(registry, windowed), JSON),
         ("GET", "/requests") => match obs::recorder::installed() {
             Some(recorder) => (200, recorder.index_json(50), JSON),
             None => (
@@ -1156,6 +1185,156 @@ mod tests {
         assert!(window_p99 > 0.0);
         assert_eq!(window_p99, cumulative_p99, "identical samples, same p99");
         assert_eq!(server.windowed().config().buckets, 10);
+
+        // `/stats` renders the `/metrics.json` snapshot, so with no traffic
+        // between reads every integer field equals the snapshot's value.
+        // The connection gauges count the reads' own sockets and workers,
+        // which come and go between reads, so the reads repeat until one
+        // `/stats` agrees with the `/metrics.json` reads on both sides of
+        // it; a field rendered from the wrong metric never agrees.
+        let read = |path| get_json(server.address(), path);
+        let mut reads = None;
+        for _ in 0..50 {
+            let (before, stats, after) =
+                (read("/metrics.json"), read("/stats"), read("/metrics.json"));
+            let expected = integer_stats_of(&before);
+            let quiet = expected == integer_stats_of(&after)
+                && expected
+                    .iter()
+                    .all(|(path, v)| field(&stats, path) == Some(*v));
+            reads = Some((before, stats, after));
+            if quiet {
+                break;
+            }
+        }
+        let (before, stats, after) = reads.expect("at least one read");
+        for (path, value) in integer_stats_of(&before) {
+            assert_eq!(field(&stats, path), Some(value), "/stats {path}");
+        }
+        // The rate divides by the covered window, which grew between the
+        // reads and is still the server's age, not the 10 s span.
+        let covered = |m: &Json| m.get("window_covered_us").and_then(Json::as_f64).unwrap() / 1e6;
+        let requests = field(&stats, "window_requests").unwrap();
+        let rps = field(&stats, "throughput_rps").unwrap();
+        assert!(covered(&after) < 10.0);
+        assert!(
+            requests / covered(&after) - 5e-4 <= rps && rps <= requests / covered(&before) + 5e-4,
+            "throughput {rps} is not {requests} requests over the covered window"
+        );
+        assert_eq!(field(&stats, "latency_us.window.rate_per_sec"), Some(rps));
+
+        // Reading `/stats` registers nothing: on a fresh server the metric
+        // names `/metrics.json` lists are the same before and after it.
+        let fresh = CompletionServer::start_with_service_registry(
+            SimLlm::new(ModelProfile::gpt_4(), 9),
+            Arc::new(MetricsRegistry::new()),
+        )
+        .unwrap();
+        let names = || {
+            let json = get_json(fresh.address(), "/metrics.json");
+            let sections = [
+                "counters",
+                "gauges",
+                "histograms",
+                "windowed_counters",
+                "windowed_histograms",
+            ];
+            sections
+                .iter()
+                .flat_map(|section| match json.get(section) {
+                    Some(Json::Object(members)) => members
+                        .iter()
+                        .map(|(name, _)| format!("{section} {name}"))
+                        .collect(),
+                    _ => Vec::new(),
+                })
+                .collect::<Vec<String>>()
+        };
+        // The first read registers the serving path's own counters.
+        names();
+        let before = names();
+        assert_eq!(get(fresh.address(), "/stats").status, 200);
+        assert_eq!(names(), before);
+    }
+
+    fn get_json(addr: std::net::SocketAddr, path: &str) -> Json {
+        Json::parse(&get(addr, path).body_text()).unwrap()
+    }
+
+    /// The number at a dotted `path` of a JSON body.
+    fn field(json: &Json, path: &str) -> Option<f64> {
+        path.split('.')
+            .try_fold(json, |node, key| node.get(key))
+            .and_then(Json::as_f64)
+    }
+
+    /// Every integer `/stats` field, by its dotted path, read straight out
+    /// of a `/metrics.json` body (an absent metric reads as zero).
+    fn integer_stats_of(metrics: &Json) -> Vec<(&'static str, f64)> {
+        let value = |section: &str, name: &str| {
+            metrics
+                .get(section)
+                .and_then(|s| s.get(name))
+                .and_then(Json::as_f64)
+                .unwrap_or(0.0)
+        };
+        let latency = |section: &str, key: &str| {
+            metrics
+                .get(section)
+                .and_then(|s| s.get("llm.request_latency_us"))
+                .and_then(|h| h.get(key))
+                .and_then(Json::as_f64)
+                .unwrap_or(0.0)
+        };
+        vec![
+            ("window_requests", latency("windowed_histograms", "count")),
+            (
+                "window_shed",
+                value("windowed_counters", "server.shed_total"),
+            ),
+            ("requests_total", value("counters", "llm.requests_total")),
+            ("shed_total", value("counters", "server.shed_total")),
+            (
+                "active_connections",
+                value("gauges", "server.active_connections"),
+            ),
+            ("concurrent_peak", value("gauges", "server.concurrent_peak")),
+            (
+                "open_connections",
+                value("gauges", "server.poller.open_connections"),
+            ),
+            ("serving_threads", value("gauges", "server.serving_threads")),
+            (
+                "batch_requests",
+                value("counters", "server.batch.requests_total"),
+            ),
+            (
+                "batch_batches",
+                value("counters", "server.batch.batches_total"),
+            ),
+            (
+                "batch_invocations",
+                value("counters", "server.batch.invocations_total"),
+            ),
+            (
+                "latency_us.window.count",
+                latency("windowed_histograms", "count"),
+            ),
+            (
+                "latency_us.window.min_us",
+                latency("windowed_histograms", "min"),
+            ),
+            (
+                "latency_us.window.max_us",
+                latency("windowed_histograms", "max"),
+            ),
+            (
+                "latency_us.cumulative.count",
+                latency("histograms", "count"),
+            ),
+            ("latency_us.cumulative.min_us", latency("histograms", "min")),
+            ("latency_us.cumulative.max_us", latency("histograms", "max")),
+        ]
     }
 
     #[test]

@@ -19,9 +19,12 @@
 //! - bare-LF line endings are accepted;
 //! - a start line must carry `HTTP/1.x`, and a status line a 3-digit code.
 //!
-//! Bodies are `Content-Length` framed (no header means an empty body);
-//! `Transfer-Encoding` is not supported. A parsed [`Head`] borrows from
-//! the bytes it was parsed from, so reading a message costs one buffer.
+//! Bodies are `Content-Length` framed (no header means an empty body). A
+//! message with a `Transfer-Encoding` header is rejected, and a server
+//! answers it `501`: a reader that ignored the header would frame a
+//! chunked body as the next message on the connection. A parsed [`Head`]
+//! borrows from the bytes it was parsed from, so reading a message costs
+//! one buffer.
 
 use std::fmt::Write as _;
 use std::io::{ErrorKind, Read, Write};
@@ -73,6 +76,9 @@ pub enum FrameError {
     BodyTooLarge(usize),
     /// A head over [`MAX_HEADER_BYTES`].
     HeadTooLarge,
+    /// A `Transfer-Encoding` header: only `Content-Length` framing is
+    /// implemented.
+    TransferEncoding,
 }
 
 impl FrameError {
@@ -80,6 +86,7 @@ impl FrameError {
     pub fn status(&self) -> u16 {
         match self {
             FrameError::BodyTooLarge(_) => 413,
+            FrameError::TransferEncoding => 501,
             _ => 400,
         }
     }
@@ -104,6 +111,7 @@ impl std::fmt::Display for FrameError {
             FrameError::HeadTooLarge => {
                 write!(f, "header block exceeds the {MAX_HEADER_BYTES}-byte limit")
             }
+            FrameError::TransferEncoding => write!(f, "transfer-encoding is not supported"),
         }
     }
 }
@@ -188,6 +196,8 @@ fn parse_head(buf: &[u8], kind: Kind) -> Result<Option<Head<'_>>, FrameError> {
             let (k, c) = connection_tokens(value);
             keep |= k;
             close |= c;
+        } else if name.eq_ignore_ascii_case(b"transfer-encoding") {
+            return Err(FrameError::TransferEncoding);
         }
     }
     head.content_length = length.unwrap_or(0);
@@ -592,6 +602,7 @@ pub fn render_response(
         422 => "Unprocessable Content",
         429 => "Too Many Requests",
         500 => "Internal Server Error",
+        501 => "Not Implemented",
         502 => "Bad Gateway",
         _ => "Error",
     };

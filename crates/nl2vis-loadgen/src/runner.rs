@@ -695,7 +695,13 @@ fn report_loop(shared: &RunShared, interval: Duration, threads: usize) {
             continue;
         }
         last_ms = now_ms;
-        let window = e2e.summary();
+        let window = e2e.snapshot();
+        let covered = shared.windowed.covered().as_secs_f64();
+        let rps = if covered > 0.0 {
+            window.count as f64 / covered
+        } else {
+            0.0
+        };
         let shed_window = sheds.window_total();
         let total = window.count + shed_window + errors.window_total();
         let shed_rate = if total == 0 {
@@ -711,31 +717,32 @@ fn report_loop(shared: &RunShared, interval: Duration, threads: usize) {
         eprintln!(
             "[loadgen t={:>5.1}s {phase}threads={threads}] rps={:7.1} ok={} p50={:.1}ms p99={:.1}ms shed={:.1}% ",
             elapsed.as_secs_f64(),
-            window.rate_per_sec(),
+            rps,
             ok.window_total(),
-            window.p50 / 1_000.0,
-            window.p99 / 1_000.0,
+            window.quantile(0.50) / 1_000.0,
+            window.quantile(0.99) / 1_000.0,
             shed_rate * 100.0,
         );
     }
 }
 
-/// One dashboard row from a `/fleet/stats` replica object (or the merged
-/// `fleet` object, which shares the field names).
+/// One dashboard row from a `/fleet/stats` replica row or its merged
+/// `fleet` object: both are `/stats` bodies.
 fn dashboard_row(label: &str, node: &Json) -> String {
     let f = |key: &str| node.get(key).and_then(Json::as_f64).unwrap_or(0.0);
-    let window_requests = f("window_requests");
-    let shed_pct = if window_requests + f("window_shed") > 0.0 {
-        f("window_shed") / (window_requests + f("window_shed")) * 100.0
-    } else {
-        0.0
+    let window_us = |key: &str| {
+        node.get("latency_us")
+            .and_then(|l| l.get("window"))
+            .and_then(|w| w.get(key))
+            .and_then(Json::as_f64)
+            .unwrap_or(0.0)
     };
     format!(
         "  {label:<22} {:>8.1} {:>8.1} {:>8.1} {:>6.1}% {:>8}",
         f("throughput_rps"),
-        f("window_p50_us") / 1_000.0,
-        f("window_p99_us") / 1_000.0,
-        shed_pct,
+        window_us("p50_us") / 1_000.0,
+        window_us("p99_us") / 1_000.0,
+        f("window_shed_rate") * 100.0,
         f("requests_total") as u64,
     )
 }

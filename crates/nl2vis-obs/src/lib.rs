@@ -22,12 +22,15 @@
 //!   telemetry table.
 //! - [`window`]: sliding-window counterparts ([`WindowedCounter`],
 //!   [`WindowedHistogram`], [`WindowedRegistry`]) — a ring of
-//!   fixed-duration buckets yielding rolling throughput and p50/p95/p99
-//!   over the last N seconds, backing the server's `GET /stats`.
+//!   fixed-duration buckets holding the last N seconds. Every read is a
+//!   [`HistSnapshot`] of the window (`snapshot()`), and a rate divides a
+//!   window total by the registry's `covered()` duration.
 //! - [`snapshot`]: mergeable point-in-time [`Snapshot`]s of both
 //!   registries — raw bucket arrays that add exactly across processes
-//!   (associative/commutative merge), backing `GET /metrics.json` and
-//!   the router's fleet-merged views.
+//!   (associative/commutative merge). [`HistSnapshot::quantile`] is the
+//!   one percentile computation. A snapshot is the only input of every
+//!   JSON metrics rendering: the server's `GET /metrics.json` and
+//!   `GET /stats`, and the router's fleet-merged views.
 //! - [`slo`]: declarative objectives ([`SloSpec`]) with fast/slow-window
 //!   burn rates evaluated over snapshots, published as `slo.*` gauges.
 //!
@@ -74,9 +77,7 @@ pub use sink::{
 pub use slo::{Objective, SloSpec, SloStatus};
 pub use snapshot::{HistSnapshot, Snapshot};
 pub use span::{annotate_current, current_context, current_trace, Span, TraceContext};
-pub use window::{
-    WindowConfig, WindowSummary, WindowedCounter, WindowedHistogram, WindowedRegistry,
-};
+pub use window::{WindowConfig, WindowedCounter, WindowedHistogram, WindowedRegistry};
 
 /// Adds `delta` to the global counter `name` and emits a
 /// [`Event::CounterDelta`] to the installed sink.

@@ -436,12 +436,12 @@ impl FlightRecorder {
     /// Root-duration value at or beyond which a trace counts as "slow"
     /// (the slowest decile of everything finalized so far).
     fn slow_threshold(&self) -> u64 {
-        let s = self.durations.summary();
-        if s.count < 10 {
+        let durations = self.durations.snapshot();
+        if durations.count < 10 {
             // Too little data to call anything slow.
             return u64::MAX;
         }
-        self.durations.quantile(0.90).max(1.0) as u64
+        durations.quantile(0.90).max(1.0) as u64
     }
 
     fn store(&self, record: TraceRecord) {

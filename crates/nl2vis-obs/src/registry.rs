@@ -160,22 +160,7 @@ impl Histogram {
     /// Estimates an arbitrary quantile `q` in `[0, 1]` from the live
     /// bucket counts.
     pub fn quantile(&self, q: f64) -> f64 {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let count: u64 = counts.iter().sum();
-        if count == 0 {
-            return 0.0;
-        }
-        percentile(
-            &counts,
-            count,
-            q,
-            self.min.load(Ordering::Relaxed),
-            self.max.load(Ordering::Relaxed),
-        )
+        self.snapshot().quantile(q)
     }
 
     /// Number of recorded samples.
@@ -217,39 +202,20 @@ impl Histogram {
         }
     }
 
-    /// An immutable summary (count/sum/min/max and p50/p95/p99).
+    /// An immutable summary (count/sum/min/max and p50/p95/p99) of the
+    /// live buckets, carrying the exemplar a snapshot drops.
     pub fn summary(&self) -> HistogramSummary {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let count: u64 = counts.iter().sum();
-        let (min, max) = if count == 0 {
-            (0, 0)
-        } else {
-            (
-                self.min.load(Ordering::Relaxed),
-                self.max.load(Ordering::Relaxed),
-            )
-        };
-        let pct = |q: f64| percentile(&counts, count, q, min, max);
         HistogramSummary {
-            count,
-            sum: self.sum.load(Ordering::Relaxed),
-            min,
-            max,
-            p50: pct(0.50),
-            p95: pct(0.95),
-            p99: pct(0.99),
             exemplar: self.exemplar(),
+            ..self.snapshot().summary()
         }
     }
 }
 
 /// Estimates the `q`-quantile from bucket counts by linear interpolation
 /// inside the bucket holding the target rank, clamped to the observed
-/// min/max so tails don't overshoot real data.
+/// min/max so tails don't overshoot real data. Every percentile reads it
+/// through [`HistSnapshot::quantile`](crate::snapshot::HistSnapshot::quantile).
 pub(crate) fn percentile(counts: &[u64], total: u64, q: f64, min: u64, max: u64) -> f64 {
     if total == 0 {
         return 0.0;

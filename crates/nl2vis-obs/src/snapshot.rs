@@ -90,7 +90,8 @@ impl HistSnapshot {
         self.count += other.count;
     }
 
-    /// Quantile estimate, identical math to the live histogram's.
+    /// Quantile estimate: the one percentile computation, which live,
+    /// windowed and merged histograms all read through their snapshots.
     pub fn quantile(&self, q: f64) -> f64 {
         percentile(&self.buckets, self.count, q, self.min, self.max)
     }

@@ -6,15 +6,17 @@
 //! now*" — rolling throughput, the windowed p99, the shed rate over the
 //! last ten seconds. [`WindowedCounter`] and [`WindowedHistogram`] provide
 //! that as a ring of fixed-duration buckets: each recording lands in the
-//! bucket owning the current time slice, and a summary aggregates the
+//! bucket owning the current time slice, and a read aggregates the
 //! buckets still inside the window, so old traffic ages out bucket by
 //! bucket instead of lingering forever.
 //!
-//! The ring reuses the registry's log-scale bucket layout
-//! ([`crate::registry::BUCKETS`]) so windowed percentiles interpolate with
-//! the same [`crate::registry::percentile`] math as the cumulative ones —
-//! a windowed p99 and a cumulative p99 over the same steady workload
-//! converge to the same bucket.
+//! Every read goes through [`WindowedHistogram::snapshot`]: the window
+//! frozen into a [`HistSnapshot`] in the registry's log-scale bucket
+//! layout ([`crate::registry::BUCKETS`]), so a windowed percentile is the
+//! same [`HistSnapshot::quantile`] as a cumulative one, and a windowed
+//! p99 and a cumulative p99 over the same steady workload converge to
+//! the same bucket. A rate divides a window total by
+//! [`WindowedRegistry::covered`].
 //!
 //! Recording is relaxed atomics on the hot path; a bucket is reset under a
 //! short per-slot mutex only when the ring rotates into it (once per
@@ -27,7 +29,8 @@
 //! construction). Every operation has an `_at` variant taking the elapsed
 //! duration explicitly, so tests drive the clock deterministically.
 
-use crate::registry::{percentile, HistogramSummary, BUCKETS};
+use crate::registry::BUCKETS;
+use crate::snapshot::HistSnapshot;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -123,51 +126,6 @@ impl Slot {
     }
 }
 
-/// A point-in-time view of a window: the aggregate of every ring slot
-/// still inside it, plus the rate it implies.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WindowSummary {
-    /// Wall-clock the window actually covers — `min(elapsed, span)`, so
-    /// early-life rates aren't diluted by empty future buckets.
-    pub covered: Duration,
-    /// Samples (or counter increments) inside the window.
-    pub count: u64,
-    /// Sum of samples inside the window.
-    pub sum: u64,
-    /// Smallest sample (0 when empty).
-    pub min: u64,
-    /// Largest sample (0 when empty).
-    pub max: u64,
-    /// Median estimate over the window.
-    pub p50: f64,
-    /// 95th-percentile estimate over the window.
-    pub p95: f64,
-    /// 99th-percentile estimate over the window.
-    pub p99: f64,
-}
-
-impl WindowSummary {
-    /// Events per second over the covered duration (0 when nothing is
-    /// covered yet).
-    pub fn rate_per_sec(&self) -> f64 {
-        let secs = self.covered.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.count as f64 / secs
-        }
-    }
-
-    /// Mean sample value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-}
-
 /// A log-scale histogram over a sliding window: the windowed counterpart
 /// of [`crate::registry::Histogram`].
 #[derive(Debug)]
@@ -184,9 +142,10 @@ impl WindowedHistogram {
     }
 
     /// An empty windowed histogram measuring time from `epoch`. A registry
-    /// passes its own construction time so that a metric first touched
-    /// long after startup doesn't report a near-zero covered duration
-    /// (which would wildly inflate its first rate reading).
+    /// passes its own construction time, so a metric first touched long
+    /// after startup still ticks in step with the registry's
+    /// [`covered`](WindowedRegistry::covered) duration, the denominator
+    /// of its rate.
     pub fn with_epoch(config: WindowConfig, epoch: Instant) -> WindowedHistogram {
         WindowedHistogram {
             slots: (0..config.buckets.max(1))
@@ -230,93 +189,40 @@ impl WindowedHistogram {
         slot.buckets[crate::registry::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The rolling summary as of now.
-    pub fn summary(&self) -> WindowSummary {
-        self.summary_at(self.epoch.elapsed())
-    }
-
-    /// Aggregates the slots whose tick lies in `(now_tick - n, now_tick]`
-    /// into `(bucket counts, count, sum, min, max, covered)`.
-    fn aggregate_at(&self, elapsed: Duration) -> ([u64; BUCKETS], u64, u64, u64, u64, Duration) {
-        let now_tick = self.tick_of(elapsed);
-        let n = self.slots.len() as u64;
-        let oldest = (now_tick + 1).saturating_sub(n);
-        let mut counts = [0u64; BUCKETS];
-        let (mut count, mut sum) = (0u64, 0u64);
-        let (mut min, mut max) = (u64::MAX, 0u64);
-        for slot in &self.slots {
-            let generation = slot.generation.load(Ordering::Acquire);
-            if generation == 0 {
-                continue;
-            }
-            let tick = generation - 1;
-            if tick < oldest || tick > now_tick {
-                continue;
-            }
-            let slot_count = slot.count.load(Ordering::Relaxed);
-            if slot_count == 0 {
-                continue;
-            }
-            count += slot_count;
-            sum += slot.sum.load(Ordering::Relaxed);
-            min = min.min(slot.min.load(Ordering::Relaxed));
-            max = max.max(slot.max.load(Ordering::Relaxed));
-            for (acc, b) in counts.iter_mut().zip(&slot.buckets) {
-                *acc += b.load(Ordering::Relaxed);
-            }
-        }
-        let span_us = self.bucket_us.saturating_mul(n);
-        let covered = Duration::from_micros((elapsed.as_micros() as u64).min(span_us));
-        (counts, count, sum, min, max, covered)
-    }
-
-    /// The current window frozen into a mergeable
-    /// [`HistSnapshot`](crate::snapshot::HistSnapshot) — the windowed
-    /// section of a process's `/metrics.json`.
-    pub fn snapshot(&self) -> crate::snapshot::HistSnapshot {
+    /// The current window frozen into a mergeable [`HistSnapshot`] — the
+    /// windowed section of a process's `/metrics.json`.
+    pub fn snapshot(&self) -> HistSnapshot {
         self.snapshot_at(self.epoch.elapsed())
     }
 
-    /// [`WindowedHistogram::snapshot`] as of `elapsed` since the epoch.
-    pub fn snapshot_at(&self, elapsed: Duration) -> crate::snapshot::HistSnapshot {
-        let (counts, count, sum, min, max, _) = self.aggregate_at(elapsed);
-        let (min, max) = if count == 0 { (0, 0) } else { (min, max) };
-        crate::snapshot::HistSnapshot {
-            count,
-            sum,
-            min,
-            max,
-            buckets: counts.to_vec(),
+    /// [`WindowedHistogram::snapshot`] as of `elapsed` since the epoch:
+    /// aggregates the slots whose tick lies in `(now_tick - n, now_tick]`.
+    pub fn snapshot_at(&self, elapsed: Duration) -> HistSnapshot {
+        let now_tick = self.tick_of(elapsed);
+        let oldest = (now_tick + 1).saturating_sub(self.slots.len() as u64);
+        let mut window = HistSnapshot::default();
+        let (mut min, mut max) = (u64::MAX, 0u64);
+        for slot in &self.slots {
+            let generation = slot.generation.load(Ordering::Acquire);
+            if generation == 0 || !(oldest..=now_tick).contains(&(generation - 1)) {
+                continue;
+            }
+            let count = slot.count.load(Ordering::Relaxed);
+            if count == 0 {
+                continue;
+            }
+            window.count += count;
+            window.sum += slot.sum.load(Ordering::Relaxed);
+            min = min.min(slot.min.load(Ordering::Relaxed));
+            max = max.max(slot.max.load(Ordering::Relaxed));
+            for (acc, b) in window.buckets.iter_mut().zip(&slot.buckets) {
+                *acc += b.load(Ordering::Relaxed);
+            }
         }
-    }
-
-    /// The rolling summary as of `elapsed` since the epoch: aggregates the
-    /// slots whose tick lies in `(now_tick - n, now_tick]`.
-    pub fn summary_at(&self, elapsed: Duration) -> WindowSummary {
-        let (counts, count, sum, min, max, covered) = self.aggregate_at(elapsed);
-        if count == 0 {
-            return WindowSummary {
-                covered,
-                count: 0,
-                sum: 0,
-                min: 0,
-                max: 0,
-                p50: 0.0,
-                p95: 0.0,
-                p99: 0.0,
-            };
+        if window.count > 0 {
+            (window.min, window.max) = (min, max);
         }
-        let pct = |q: f64| percentile(&counts, count, q, min, max);
-        WindowSummary {
-            covered,
-            count,
-            sum,
-            min,
-            max,
-            p50: pct(0.50),
-            p95: pct(0.95),
-            p99: pct(0.99),
-        }
+        window
     }
 }
 
@@ -361,23 +267,12 @@ impl WindowedCounter {
 
     /// Total added inside the window as of now.
     pub fn window_total(&self) -> u64 {
-        self.inner.summary().sum
+        self.inner.snapshot().sum
     }
 
     /// Total added inside the window as of `elapsed`.
     pub fn window_total_at(&self, elapsed: Duration) -> u64 {
-        self.inner.summary_at(elapsed).sum
-    }
-
-    /// Additions per second over the covered window.
-    pub fn rate_per_sec(&self) -> f64 {
-        let s = self.inner.summary();
-        let secs = s.covered.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            s.sum as f64 / secs
-        }
+        self.inner.snapshot_at(elapsed).sum
     }
 }
 
@@ -431,15 +326,9 @@ impl WindowedRegistry {
         )
     }
 
-    /// Sorted `(name, summary)` pairs of every windowed histogram.
-    pub fn histograms(&self) -> Vec<(String, WindowSummary)> {
-        let map = self.histograms.lock().expect("windowed histogram map");
-        map.iter().map(|(k, v)| (k.clone(), v.summary())).collect()
-    }
-
     /// Sorted `(name, snapshot)` pairs of every windowed histogram's raw
     /// window buckets.
-    pub fn histogram_snapshots(&self) -> Vec<(String, crate::snapshot::HistSnapshot)> {
+    pub fn histogram_snapshots(&self) -> Vec<(String, HistSnapshot)> {
         let map = self.histograms.lock().expect("windowed histogram map");
         map.iter().map(|(k, v)| (k.clone(), v.snapshot())).collect()
     }
@@ -457,30 +346,6 @@ impl WindowedRegistry {
             .map(|(k, v)| (k.clone(), v.window_total()))
             .collect()
     }
-}
-
-/// Renders one windowed histogram summary next to its cumulative
-/// counterpart as a compact JSON object — the building block of the
-/// server's `/stats` body.
-pub fn summary_json(window: &WindowSummary, cumulative: Option<&HistogramSummary>) -> String {
-    let mut out = format!(
-        "{{\"window\":{{\"count\":{},\"rate_per_sec\":{:.3},\"min_us\":{},\"max_us\":{},\"p50_us\":{:.0},\"p95_us\":{:.0},\"p99_us\":{:.0}}}",
-        window.count,
-        window.rate_per_sec(),
-        window.min,
-        window.max,
-        window.p50,
-        window.p95,
-        window.p99,
-    );
-    if let Some(c) = cumulative {
-        out.push_str(&format!(
-            ",\"cumulative\":{{\"count\":{},\"min_us\":{},\"max_us\":{},\"p50_us\":{:.0},\"p95_us\":{:.0},\"p99_us\":{:.0}}}",
-            c.count, c.min, c.max, c.p50, c.p95, c.p99
-        ));
-    }
-    out.push('}');
-    out
 }
 
 #[cfg(test)]
@@ -504,21 +369,21 @@ mod tests {
         h.record_at(400, at(3.5)); // tick 3
 
         // At t=3.5 every bucket is inside the 4-bucket window.
-        let s = h.summary_at(at(3.5));
+        let s = h.snapshot_at(at(3.5));
         assert_eq!(s.count, 3);
         assert_eq!(s.sum, 700);
         assert_eq!((s.min, s.max), (100, 400));
 
         // At t=4.5 the window is ticks 1..=4: the t=0.5 sample has aged out.
-        let s = h.summary_at(at(4.5));
+        let s = h.snapshot_at(at(4.5));
         assert_eq!(s.count, 2);
         assert_eq!(s.sum, 600);
         assert_eq!(s.min, 200);
 
         // At t=8.0 everything has aged out.
-        let s = h.summary_at(at(8.0));
-        assert_eq!(s.count, 0);
-        assert_eq!(s.p99, 0.0);
+        let s = h.snapshot_at(at(8.0));
+        assert_eq!(s, HistSnapshot::default());
+        assert_eq!(s.quantile(0.99), 0.0);
     }
 
     #[test]
@@ -526,7 +391,7 @@ mod tests {
         let h = WindowedHistogram::new(CFG);
         h.record_at(1000, at(0.5)); // tick 0 → slot 0
         h.record_at(8, at(4.2)); // tick 4 → slot 0 again, must reset first
-        let s = h.summary_at(at(4.2));
+        let s = h.snapshot_at(at(4.2));
         assert_eq!(s.count, 1, "stale slot contents must not leak");
         assert_eq!(s.sum, 8);
         assert_eq!(s.max, 8);
@@ -539,7 +404,7 @@ mod tests {
                                  // A thread whose clock read predates the rotation must not reset
                                  // slot 0 back to tick 0; its sample lands in the live slice.
         h.record_at(9, at(0.5));
-        let s = h.summary_at(at(4.2));
+        let s = h.snapshot_at(at(4.2));
         assert_eq!(s.count, 2);
         assert_eq!(s.sum, 16);
     }
@@ -559,25 +424,24 @@ mod tests {
             windowed.record_at(v, elapsed);
             cumulative.record(v);
         }
-        let w = windowed.summary_at(Duration::from_micros(1999 * 900));
-        let c = cumulative.summary();
-        assert_eq!(w.count, c.count);
-        assert_eq!(w.p50, c.p50);
-        assert_eq!(w.p99, c.p99);
-        assert_eq!((w.min, w.max), (c.min, c.max));
+        let w = windowed.snapshot_at(Duration::from_micros(1999 * 900));
+        let c = cumulative.snapshot();
+        assert_eq!(w, c, "identical samples, identical buckets");
+        assert_eq!(w.quantile(0.50), cumulative.quantile(0.50));
+        assert_eq!(w.summary().p99, cumulative.summary().p99);
     }
 
     #[test]
     fn rate_uses_covered_duration_not_full_span() {
-        let c = WindowedCounter::new(CFG);
-        c.add_at(50, at(0.2));
-        c.add_at(50, at(0.4));
-        // Only 0.5 s of a 4 s window has elapsed: the rate divides by the
-        // covered half-second, not the whole span.
-        let s = c.inner.summary_at(at(0.5));
-        assert_eq!(s.sum, 100);
-        let rate = s.sum as f64 / s.covered.as_secs_f64();
-        assert!((rate - 200.0).abs() < 1.0, "rate {rate}");
+        let r = WindowedRegistry::new(CFG);
+        let c = r.counter("load.requests");
+        c.add(50);
+        c.add(50);
+        // The registry is milliseconds old, not a whole 4 s window: a rate
+        // divides the window total by the registry's age, not the span.
+        let covered = r.covered();
+        assert_eq!(c.window_total(), 100);
+        assert!(covered < CFG.span(), "covered {covered:?}");
     }
 
     #[test]
@@ -596,8 +460,12 @@ mod tests {
         r.counter("load.requests").add_at(3, at(0.1));
         assert_eq!(r.counter("load.requests").window_total_at(at(0.2)), 3);
         r.histogram("load.latency_us").record_at(40, at(0.1));
-        assert_eq!(r.histogram("load.latency_us").summary_at(at(0.2)).count, 1);
-        let names: Vec<String> = r.histograms().into_iter().map(|(n, _)| n).collect();
+        assert_eq!(r.histogram("load.latency_us").snapshot_at(at(0.2)).count, 1);
+        let names: Vec<String> = r
+            .histogram_snapshots()
+            .into_iter()
+            .map(|(n, _)| n)
+            .collect();
         assert_eq!(names, vec!["load.latency_us".to_string()]);
     }
 
@@ -620,40 +488,30 @@ mod tests {
         // Rotation races may drop a handful of samples, never corrupt the
         // structure; with 1 ms buckets nearly everything has aged out of
         // the 4 ms window by now, so only invariants are asserted.
-        let s = h.summary();
+        let s = h.snapshot();
         assert!(s.count <= 20_000);
-        assert!(s.p50 <= s.p99);
+        assert!(s.quantile(0.50) <= s.quantile(0.99));
     }
 
     #[test]
     fn registry_metrics_share_the_registry_epoch() {
-        let r = WindowedRegistry::new(CFG);
+        let r = WindowedRegistry::new(WindowConfig {
+            bucket: Duration::from_millis(10),
+            buckets: 1000,
+        });
         std::thread::sleep(Duration::from_millis(30));
-        // First touch happens well after registry creation: the covered
-        // duration must reflect the registry's age, not the instant of the
-        // first sample (which would report an absurd first-scrape rate).
+        // First touch happens well after registry creation: the sample
+        // lands at the registry's clock (tick 3 or later), not at tick 0
+        // of its own, so its window lines up with the covered duration
+        // every rate divides by.
         let h = r.histogram("late.latency_us");
         h.record(100);
-        let s = h.summary();
+        let covered = r.covered();
         assert!(
-            s.covered >= Duration::from_millis(30),
-            "covered {:?} must measure from registry creation",
-            s.covered
+            covered >= Duration::from_millis(30),
+            "covered {covered:?} must measure from registry creation"
         );
-    }
-
-    #[test]
-    fn summary_json_renders_window_and_cumulative() {
-        let h = WindowedHistogram::new(CFG);
-        h.record_at(100, at(0.5));
-        let w = h.summary_at(at(0.6));
-        let text = summary_json(&w, None);
-        assert!(text.contains("\"count\":1"), "{text}");
-        assert!(text.contains("\"p99_us\":100"), "{text}");
-        assert!(!text.contains("cumulative"), "{text}");
-        let c = crate::registry::Histogram::default();
-        c.record(100);
-        let text = summary_json(&w, Some(&c.summary()));
-        assert!(text.contains("\"cumulative\""), "{text}");
+        assert_eq!(h.snapshot_at(Duration::from_millis(5)).count, 0);
+        assert_eq!(h.snapshot_at(covered).count, 1);
     }
 }

@@ -1,16 +1,16 @@
 //! The fleet observability plane: one pane of glass over N replicas.
 //!
 //! A [`FleetObserver`] scrapes every replica's `GET /metrics.json` (the
-//! mergeable [`Snapshot`] wire format) and `GET /stats` on a poll
-//! interval, folds the snapshots into a single fleet view — exact, since
-//! snapshot merge is lossless and order-independent — and evaluates the
-//! configured [`SloSpec`]s against the merged view, publishing `slo.*`
-//! burn-rate gauges. A [`FleetServer`] fronts the observer over HTTP:
+//! mergeable [`Snapshot`] wire format) once per poll, folds the
+//! snapshots into a single fleet view — exact, since snapshot merge is
+//! lossless and order-independent — and evaluates the configured
+//! [`SloSpec`]s against the merged view, publishing `slo.*` burn-rate
+//! gauges. A [`FleetServer`] fronts the observer over HTTP:
 //!
 //! | endpoint            | body                                          |
 //! |---------------------|-----------------------------------------------|
 //! | `/fleet/metrics`    | the merged snapshot (itself `nl2vis.metrics.v1`, so fleets of fleets merge the same way) |
-//! | `/fleet/stats`      | fleet rollup + SLO statuses + per-replica rows|
+//! | `/fleet/stats`      | the merged snapshot and every replica's rendered as `/stats` bodies, plus SLO statuses |
 //! | `/fleet/trace/<id>` | the cross-replica stitched trace tree         |
 //! | `/healthz`          | observer liveness                             |
 //!
@@ -36,17 +36,18 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use nl2vis_data::Json;
+use nl2vis_llm::http::stats_json;
 use nl2vis_llm::wire::{self, AcceptLoop};
 use nl2vis_obs::slo::{evaluate_all, publish, SloSpec, SloStatus};
 use nl2vis_obs::snapshot::{HistSnapshot, Snapshot, FORMAT};
-use nl2vis_obs::{recorder, registry};
+use nl2vis_obs::{recorder, registry, WindowConfig};
 
 /// Observer policy: scrape cadence, fetch deadlines, and objectives.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// How often the poller re-scrapes every replica.
     pub poll_interval: Duration,
-    /// Connect/read deadline for one metrics or stats fetch.
+    /// Connect/read deadline for one metrics fetch.
     pub fetch_timeout: Duration,
     /// Connect/read deadline for one trace fan-out fetch.
     pub trace_timeout: Duration,
@@ -136,22 +137,14 @@ pub fn parse_snapshot(body: &str) -> Result<Snapshot, String> {
     })
 }
 
-/// What the last poll learned about one replica.
-#[derive(Debug, Clone, Default)]
-struct ReplicaScrape {
-    snapshot: Option<Snapshot>,
-    /// Parsed `/stats` body (best-effort; rows tolerate its absence).
-    stats: Option<Json>,
-    /// Last scrape failure, when the replica was unreachable.
-    error: Option<String>,
-}
-
 /// Scrapes, merges, and evaluates. Shared between the poller thread and
 /// the HTTP frontend via `Arc`.
 pub struct FleetObserver {
     addrs: Vec<SocketAddr>,
     config: FleetConfig,
-    scrapes: Mutex<Vec<ReplicaScrape>>,
+    /// What the last poll learned about each replica: its snapshot, or
+    /// why the scrape failed.
+    scrapes: Mutex<Vec<Result<Snapshot, String>>>,
     merged: Mutex<Snapshot>,
     statuses: Mutex<Vec<SloStatus>>,
     polls: AtomicU64,
@@ -163,7 +156,7 @@ impl FleetObserver {
     pub fn new(addrs: &[SocketAddr], config: FleetConfig) -> Arc<FleetObserver> {
         Arc::new(FleetObserver {
             addrs: addrs.to_vec(),
-            scrapes: Mutex::new(vec![ReplicaScrape::default(); addrs.len()]),
+            scrapes: Mutex::new(vec![Err("not scraped yet".to_string()); addrs.len()]),
             merged: Mutex::new(Snapshot::default()),
             statuses: Mutex::new(evaluate_all(&config.slos, &Snapshot::default())),
             polls: AtomicU64::new(0),
@@ -176,33 +169,25 @@ impl FleetObserver {
         &self.addrs
     }
 
-    /// Scrapes every replica once, refreshes the merged view, and
-    /// re-evaluates the SLOs (publishing `slo.*` gauges globally).
+    /// Scrapes every replica's `/metrics.json` once, refreshes the merged
+    /// view, and re-evaluates the SLOs (publishing `slo.*` gauges
+    /// globally).
     pub fn poll_once(&self) {
-        let mut fresh: Vec<ReplicaScrape> = Vec::with_capacity(self.addrs.len());
-        for &addr in &self.addrs {
-            let mut scrape = ReplicaScrape::default();
-            // Scrapes are `Connection: close` GETs, so observer sockets
-            // never linger in replica keep-alive tables.
-            match wire::get(addr, "/metrics.json", self.config.fetch_timeout)
-                .map_err(|e| e.to_string())
-                .and_then(|(status, body)| match status {
-                    200 => parse_snapshot(&body),
-                    other => Err(format!("/metrics.json: http {other}")),
-                }) {
-                Ok(snapshot) => scrape.snapshot = Some(snapshot),
-                Err(e) => scrape.error = Some(e),
-            }
-            if scrape.error.is_none() {
-                // Best-effort: /stats enriches per-replica rows but its
-                // loss does not fail the scrape.
-                if let Ok((200, body)) = wire::get(addr, "/stats", self.config.fetch_timeout) {
-                    scrape.stats = Json::parse(&body).ok();
-                }
-            }
-            fresh.push(scrape);
-        }
-        let merged = Snapshot::merged(fresh.iter().filter_map(|s| s.snapshot.as_ref()));
+        let fresh: Vec<Result<Snapshot, String>> = self
+            .addrs
+            .iter()
+            .map(|&addr| {
+                // Scrapes are `Connection: close` GETs, so observer sockets
+                // never linger in replica keep-alive tables.
+                wire::get(addr, "/metrics.json", self.config.fetch_timeout)
+                    .map_err(|e| e.to_string())
+                    .and_then(|(status, body)| match status {
+                        200 => parse_snapshot(&body),
+                        other => Err(format!("/metrics.json: http {other}")),
+                    })
+            })
+            .collect();
+        let merged = Snapshot::merged(fresh.iter().flatten());
         let statuses = evaluate_all(&self.config.slos, &merged);
         publish(&statuses, registry::global());
         *self.scrapes.lock().expect("fleet scrapes") = fresh;
@@ -228,51 +213,27 @@ impl FleetObserver {
         self.merged().to_json()
     }
 
-    /// `GET /fleet/stats`: fleet rollup, SLO statuses, per-replica rows.
+    /// `GET /fleet/stats`: the merged snapshot rendered as a `/stats` body
+    /// plus the fleet-only `sources`, `window_covered_us` and
+    /// `router_inflight`; the SLO statuses; and one row per replica, its
+    /// own snapshot rendered as a `/stats` body plus `id`, `ok` and, when
+    /// the scrape failed, `error`. Every replica windows over the server
+    /// default span, which `window_seconds` reports.
     pub fn fleet_stats_json(&self) -> String {
+        let span = WindowConfig::default().span();
         let merged = self.merged();
         let statuses = self.statuses();
         let scrapes = self.scrapes.lock().expect("fleet scrapes").clone();
-        let window = merged
-            .windowed_histograms
-            .get("llm.request_latency_us")
-            .cloned()
-            .unwrap_or_default();
-        let covered_secs = merged.window_covered_us as f64 / 1e6;
-        let throughput = if covered_secs > 0.0 {
-            window.count as f64 / covered_secs
-        } else {
-            0.0
-        };
-        let replicas_ok = scrapes.iter().filter(|s| s.snapshot.is_some()).count();
-        let fleet = Json::object(vec![
-            ("sources", Json::from(merged.sources as f64)),
-            (
-                "requests_total",
-                Json::from(merged.counter("llm.requests_total") as f64),
-            ),
-            (
-                "shed_total",
-                Json::from(merged.counter("server.shed_total") as f64),
-            ),
-            ("window_requests", Json::from(window.count as f64)),
-            (
-                "window_shed",
-                Json::from(merged.windowed_counter("server.shed_total") as f64),
-            ),
-            ("throughput_rps", Json::from(throughput)),
-            ("window_p50_us", Json::from(window.quantile(0.50))),
-            ("window_p95_us", Json::from(window.quantile(0.95))),
-            ("window_p99_us", Json::from(window.quantile(0.99))),
-            (
-                "window_covered_us",
-                Json::from(merged.window_covered_us as f64),
-            ),
-            (
-                "router_inflight",
-                Json::from(registry::global().gauge("router.inflight").get()),
-            ),
-        ]);
+        let mut fleet = stats_json(&merged, span);
+        fleet.set("sources", Json::from(merged.sources as f64));
+        fleet.set(
+            "window_covered_us",
+            Json::from(merged.window_covered_us as f64),
+        );
+        fleet.set(
+            "router_inflight",
+            Json::from(registry::global().gauge("router.inflight").get()),
+        );
         let slo = Json::Array(
             statuses
                 .iter()
@@ -284,46 +245,25 @@ impl FleetObserver {
                 .iter()
                 .zip(&scrapes)
                 .map(|(addr, scrape)| {
-                    let mut row = vec![
-                        ("id", Json::from(addr.to_string())),
-                        ("ok", Json::from(scrape.snapshot.is_some())),
-                    ];
-                    if let Some(e) = &scrape.error {
-                        row.push(("error", Json::from(e.as_str())));
+                    let mut row = match scrape {
+                        Ok(snapshot) => stats_json(snapshot, span),
+                        Err(_) => Json::object(Vec::new()),
+                    };
+                    row.set("id", Json::from(addr.to_string()));
+                    row.set("ok", Json::from(scrape.is_ok()));
+                    if let Err(e) = scrape {
+                        row.set("error", Json::from(e.as_str()));
                     }
-                    if let Some(snap) = &scrape.snapshot {
-                        let w = snap
-                            .windowed_histograms
-                            .get("llm.request_latency_us")
-                            .cloned()
-                            .unwrap_or_default();
-                        row.push((
-                            "requests_total",
-                            Json::from(snap.counter("llm.requests_total") as f64),
-                        ));
-                        row.push(("window_requests", Json::from(w.count as f64)));
-                        row.push(("window_p50_us", Json::from(w.quantile(0.50))));
-                        row.push(("window_p99_us", Json::from(w.quantile(0.99))));
-                        row.push((
-                            "window_shed",
-                            Json::from(snap.windowed_counter("server.shed_total") as f64),
-                        ));
-                    }
-                    if let Some(stats) = &scrape.stats {
-                        if let Some(rps) = stats.get("throughput_rps").and_then(Json::as_f64) {
-                            row.push(("throughput_rps", Json::from(rps)));
-                        }
-                        if let Some(rate) = stats.get("window_shed_rate").and_then(Json::as_f64) {
-                            row.push(("window_shed_rate", Json::from(rate)));
-                        }
-                    }
-                    Json::object(row)
+                    row
                 })
                 .collect(),
         );
         Json::object(vec![
             ("replica_count", Json::from(self.addrs.len())),
-            ("replicas_ok", Json::from(replicas_ok)),
+            (
+                "replicas_ok",
+                Json::from(scrapes.iter().filter(|s| s.is_ok()).count()),
+            ),
             (
                 "polls",
                 Json::from(self.polls.load(Ordering::Relaxed) as f64),

@@ -150,9 +150,9 @@ impl Replica {
     /// once enough samples exist, clamped to the configured band; the
     /// configured default until then.
     pub(crate) fn hedge_delay(&self, config: &RouterConfig) -> Duration {
-        let summary = self.latency.summary();
-        if summary.count >= config.hedge_min_samples {
-            Duration::from_micros(summary.p95 as u64)
+        let window = self.latency.snapshot();
+        if window.count >= config.hedge_min_samples {
+            Duration::from_micros(window.quantile(0.95) as u64)
                 .clamp(config.hedge_delay_floor, config.hedge_delay_ceiling)
         } else {
             config.default_hedge_delay

@@ -5,7 +5,9 @@
 //! the replicas' own wire snapshots bucket-for-bucket, (c) SLO gauges
 //! publish from the merged view, and (d) a hedged request's
 //! `/fleet/trace/<id>` is one stitched tree with a `server.handle` under
-//! each `router.attempt`.
+//! each `router.attempt`; and that (e) each `/fleet/stats` row is the
+//! replica's own `/stats` body, read with one scrape per replica per
+//! poll.
 //!
 //! Runs in its own test binary because the flight recorder is process
 //! global.
@@ -15,11 +17,11 @@ use std::time::Duration;
 
 use nl2vis_data::Json;
 use nl2vis_llm::fault::FaultInjector;
-use nl2vis_llm::http::{CompletionServer, ServerConfig};
+use nl2vis_llm::http::{stats_json, CompletionServer, ServerConfig};
 use nl2vis_llm::profile::ModelProfile;
 use nl2vis_llm::sim::SimLlm;
 use nl2vis_obs::recorder::{self, FlightRecorder};
-use nl2vis_obs::{MetricsRegistry, Span};
+use nl2vis_obs::{MetricsRegistry, Span, WindowConfig};
 use nl2vis_router::fleet::{parse_snapshot, FleetConfig, FleetObserver, FleetServer};
 use nl2vis_router::{Router, RouterConfig};
 use nl2vis_service::GenOptions;
@@ -31,6 +33,41 @@ fn get(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
 
 fn sql_prompt(i: usize) -> String {
     format!("-- Test:\n-- Database:\nDatabase: d\nt = [ a , b ]\nQ: question {i}\nVQL:")
+}
+
+/// The integer `/stats` fields that hold still while no completion is in
+/// flight. `active_connections`, `open_connections` and `concurrent_peak`
+/// count the connections serving the reads themselves, so they are left
+/// out.
+const SETTLED_FIELDS: [&str; 14] = [
+    "window_requests",
+    "window_shed",
+    "requests_total",
+    "shed_total",
+    "serving_threads",
+    "batch_requests",
+    "batch_batches",
+    "batch_invocations",
+    "latency_us.window.count",
+    "latency_us.window.min_us",
+    "latency_us.window.max_us",
+    "latency_us.cumulative.count",
+    "latency_us.cumulative.min_us",
+    "latency_us.cumulative.max_us",
+];
+
+/// The [`SETTLED_FIELDS`] of a `/stats` body, by dotted path.
+fn settled(stats: &Json) -> Vec<(&'static str, Option<f64>)> {
+    SETTLED_FIELDS
+        .iter()
+        .map(|path| {
+            let value = path
+                .split('.')
+                .try_fold(stats, |node, key| node.get(key))
+                .and_then(Json::as_f64);
+            (*path, value)
+        })
+        .collect()
 }
 
 #[test]
@@ -146,6 +183,23 @@ fn fleet_plane_merges_metrics_publishes_slos_and_stitches_hedged_traces() {
         .iter()
         .all(|r| r.get("ok").and_then(Json::as_bool) == Some(true)));
 
+    // --- Each row is its replica's own `/stats` body, and the fleet
+    // object is `/stats` rendered over the direct merge.
+    for (row, addr) in rows.iter().zip(addrs) {
+        let (status, body) = get(addr, "/stats");
+        assert_eq!(status, 200, "{body}");
+        let own = Json::parse(&body).expect("replica stats parses");
+        assert!(settled(&own).iter().all(|(_, v)| v.is_some()), "{body}");
+        assert_eq!(settled(row), settled(&own), "row of {addr}");
+    }
+    let fleet_object = stats.get("fleet").expect("fleet object");
+    let direct_stats = stats_json(&direct, WindowConfig::default().span());
+    assert_eq!(settled(fleet_object), settled(&direct_stats));
+    assert_eq!(
+        fleet_object.get("sources").and_then(Json::as_f64),
+        Some(2.0)
+    );
+
     // --- The hedged trace, stitched by the fleet plane.
     let (status, body) = get(fleet.address(), &format!("/fleet/trace/{trace_id}"));
     assert_eq!(status, 200, "{body}");
@@ -189,4 +243,50 @@ fn fleet_plane_merges_metrics_publishes_slos_and_stitches_hedged_traces() {
     let (status, body) = get(fleet.address(), "/healthz");
     assert_eq!(status, 200);
     assert!(body.contains("fleet-observer"));
+}
+
+#[test]
+fn one_poll_scrapes_each_replica_once() {
+    let replicas: Vec<CompletionServer> = (0..2)
+        .map(|_| {
+            CompletionServer::start_with_service_registry(
+                SimLlm::new(ModelProfile::gpt_4(), 9),
+                Arc::new(MetricsRegistry::new()),
+            )
+            .unwrap()
+        })
+        .collect();
+    let addrs: Vec<_> = replicas.iter().map(CompletionServer::address).collect();
+    // No objectives, so this poll publishes no `slo.*` gauge that the
+    // other test in this binary reads.
+    let config = FleetConfig {
+        slos: Vec::new(),
+        ..FleetConfig::default()
+    };
+    let observer = FleetObserver::new(&addrs, config);
+    let served = |server: &CompletionServer| {
+        server
+            .registry()
+            .counter("server.http_requests_total")
+            .get()
+    };
+    let before: Vec<u64> = replicas.iter().map(served).collect();
+    observer.poll_once();
+    for (server, before) in replicas.iter().zip(before) {
+        assert_eq!(served(server), before + 1, "one GET per replica per poll");
+    }
+
+    let stats = Json::parse(&observer.fleet_stats_json()).expect("fleet stats parses");
+    let rows = stats.get("replicas").and_then(Json::as_array).unwrap();
+    assert_eq!(rows.len(), 2);
+    for row in rows {
+        let text = row.to_compact();
+        assert_eq!(row.get("ok").and_then(Json::as_bool), Some(true), "{text}");
+        for key in ["throughput_rps", "window_shed_rate"] {
+            assert!(
+                row.get(key).and_then(Json::as_f64).is_some(),
+                "{key}: {text}"
+            );
+        }
+    }
 }

@@ -120,8 +120,9 @@ run "tiered routing smoke" tiered_smoke
 # flight recorders, separate registries, colliding span-id counters —
 # behind the fleet observer. Asserts /fleet/metrics is a mergeable
 # snapshot whose request count is the exact per-replica sum, /fleet/stats
-# carries SLO burn rates, and the hedged request's /fleet/trace/<id>
-# stitches spans from at least two server processes.
+# carries that same sum and SLO burn rates, every /fleet/stats replica row
+# is a /stats body, and the hedged request's /fleet/trace/<id> stitches
+# spans from at least two server processes.
 fleet_smoke() {
     cargo build -q --release -p nl2vis-router --bin fleet || return 1
     local bin=target/release/fleet
@@ -173,6 +174,14 @@ stats = get(fleet, "/fleet/stats")
 check(stats.get("replicas_ok") == 2, "both replicas scraped clean")
 check({s["name"] for s in stats.get("slo", [])} == {"latency", "availability"},
       "SLO burn rates present in /fleet/stats")
+fleet_total = stats.get("fleet", {}).get("requests_total")
+check(fleet_total == per,
+      "/fleet/stats requests_total %r == per-replica sum %d" % (fleet_total, per))
+rows = stats.get("replicas", [])
+check(len(rows) == 2 and all("throughput_rps" in r and "window_shed_rate" in r
+                             and "p99_us" in r.get("latency_us", {}).get("window", {})
+                             for r in rows),
+      "every replica row is a /stats body (throughput, shed rate, windowed p99)")
 trace = get(fleet, f"/fleet/trace/{trace_id}")
 check(trace.get("stitched") is True, "fleet trace is a stitched tree")
 procs = set()

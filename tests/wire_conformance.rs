@@ -15,7 +15,7 @@ use nl2vis::llm::{ModelProfile, SimLlm};
 use nl2vis::obs::{self, FlightRecorder, MetricsRegistry};
 use nl2vis_loadgen::client::{LoadConn, Outcome};
 use nl2vis_router::fleet::{FleetConfig, FleetObserver, FleetServer};
-use std::io::Write;
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -51,8 +51,11 @@ fn request(
     }
 }
 
-/// Sends raw request bytes and reads the one response.
-fn send(addr: SocketAddr, case: &RequestCase) -> (u16, String, bool) {
+/// Sends raw request bytes and reads the one response. When the server
+/// is expected to close, the connection is read to its end: a closing
+/// server answers exactly once, so no request byte was framed as a
+/// second request.
+fn send(addr: SocketAddr, case: &RequestCase, closes: bool) -> (u16, String, bool) {
     let mut stream = TcpStream::connect(addr).unwrap();
     stream.set_read_timeout(Some(IO_TIMEOUT)).unwrap();
     // A server may answer before it has read everything, so a failed
@@ -61,8 +64,27 @@ fn send(addr: SocketAddr, case: &RequestCase) -> (u16, String, bool) {
     if case.half_close {
         let _ = stream.shutdown(Shutdown::Write);
     }
-    let response = wire::read_response(&mut stream)
+    if !closes {
+        let response = wire::read_response(&mut stream)
+            .unwrap_or_else(|e| panic!("{}: no response: {e}", case.name));
+        return (response.status, response.body_text(), response.keep_alive);
+    }
+    let mut raw = Vec::new();
+    if let Err(e) = stream.read_to_end(&mut raw) {
+        // A reset after the answer still ends the connection; a deadline
+        // means the server kept it open.
+        let open = matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut);
+        assert!(!open, "{}: the connection was left open", case.name);
+    }
+    let response = wire::read_response(&mut raw.as_slice())
         .unwrap_or_else(|e| panic!("{}: no response: {e}", case.name));
+    assert_eq!(
+        response.head().len + response.body().len(),
+        raw.len(),
+        "{}: answered more than once: {}",
+        case.name,
+        String::from_utf8_lossy(&raw)
+    );
     (response.status, response.body_text(), response.keep_alive)
 }
 
@@ -157,6 +179,15 @@ fn request_cases() -> Vec<RequestCase> {
             (200, ok, false),
             (200, ok, false),
         ),
+        request(
+            "keep-alive chunked POST",
+            concat!(
+                "POST /v1/completions HTTP/1.1\r\nHost: x\r\nConnection: keep-alive\r\n",
+                "Transfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n"
+            ),
+            (501, "transfer-encoding", false),
+            (501, "transfer-encoding", false),
+        ),
     ]
 }
 
@@ -177,7 +208,7 @@ fn every_server_frames_requests_alike() {
             ("event core", core.address(), case.core),
             ("fleet server", fleet.address(), case.fleet),
         ] {
-            let (got, body, kept) = send(addr, &case);
+            let (got, body, kept) = send(addr, &case, !keep_alive);
             assert_eq!(got, status, "{} on the {server}: {body}", case.name);
             assert!(
                 body.contains(fragment),
@@ -192,7 +223,7 @@ fn every_server_frames_requests_alike() {
     let record = recorder.get(TRACE_ID).expect("the traced GET was recorded");
     assert_eq!(record.spans_named("server.handle")[0].parent, Some(777));
     // Every rejection was counted as one.
-    assert_eq!(registry.counter("server.bad_requests_total").get(), 7);
+    assert_eq!(registry.counter("server.bad_requests_total").get(), 8);
     obs::recorder::disable();
 }
 
@@ -320,6 +351,19 @@ fn response_cases() -> Vec<ResponseCase> {
             ok_with("", "\n"),
             [OK, "ok", completion_get],
         ),
+        response(
+            "chunked transfer-encoding",
+            format!(
+                "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n{:x}\r\n{COMPLETION}\r\n0\r\n\r\n",
+                COMPLETION.len()
+            ),
+            [
+                "protocol transfer-encoding is not supported",
+                "error",
+                "error transfer-encoding is not supported",
+            ],
+        ),
+        shed("429 with transfer-encoding", "Transfer-Encoding: chunked\r\n"),
         shed("429 with malformed content-length", "Content-Length: banana\r\n"),
         shed(
             "429 with conflicting content-length",
