@@ -73,45 +73,6 @@ const ALL: &[&str] = &[
     "topology",
 ];
 
-/// Folds another load-shaped document into the pending `BENCH_load.json`
-/// payload. The first document wins the top-level config fields; runs are
-/// appended, first writer wins on key collisions — so `load topology` in
-/// one invocation yields one trajectory file with every distinct
-/// (threads, rate, replicas, hedge) row.
-fn merge_bench_load(into: &mut Option<nl2vis_data::Json>, doc: nl2vis_data::Json) {
-    use nl2vis_data::Json;
-    let Some(existing) = into else {
-        *into = Some(doc);
-        return;
-    };
-    let key = |r: &Json| -> String {
-        format!(
-            "{}|{}|{}|{}",
-            r.get("threads").and_then(Json::as_f64).unwrap_or(0.0),
-            r.get("rate").and_then(Json::as_str).unwrap_or("?"),
-            r.get("replicas").and_then(Json::as_f64).unwrap_or(1.0),
-            r.get("hedge_ms").and_then(Json::as_f64).unwrap_or(0.0),
-        )
-    };
-    let mut runs: Vec<Json> = existing
-        .get("runs")
-        .and_then(Json::as_array)
-        .map(<[Json]>::to_vec)
-        .unwrap_or_default();
-    let have: std::collections::HashSet<String> = runs.iter().map(key).collect();
-    for run in doc
-        .get("runs")
-        .and_then(Json::as_array)
-        .map(<[Json]>::to_vec)
-        .unwrap_or_default()
-    {
-        if !have.contains(&key(&run)) {
-            runs.push(run);
-        }
-    }
-    existing.set("runs", Json::Array(runs));
-}
-
 /// Serializes the serving-path comparison (and, when the run included the
 /// `--overload=` phase, its admission-control summary) for
 /// `BENCH_serving.json`.
@@ -355,14 +316,14 @@ fn main() {
             "load" => {
                 let (doc, text) = experiments::load(fast);
                 if !matches!(doc, nl2vis_data::Json::Null) {
-                    merge_bench_load(&mut bench_load_doc, doc);
+                    nl2vis_loadgen::diff::merge_runs(&mut bench_load_doc, doc);
                 }
                 text
             }
             "topology" => {
                 let (doc, text) = experiments::topology(fast);
                 if !matches!(doc, nl2vis_data::Json::Null) {
-                    merge_bench_load(&mut bench_load_doc, doc);
+                    nl2vis_loadgen::diff::merge_runs(&mut bench_load_doc, doc);
                 }
                 text
             }

@@ -29,6 +29,10 @@ pub struct FailureTaxonomy {
     pub failures: usize,
     /// Failures whose output did not even parse as VQL.
     pub parse_failures: usize,
+    /// Failures whose answer the serving stack rejected (status 422): the
+    /// model answered, the validation gate refused it, so nothing reached
+    /// scoring. Failed examples like any other, but not parse failures.
+    pub rejections: usize,
     /// Examples whose *transport* failed. These are infrastructure
     /// failures, never attributed to any model bucket: the model produced
     /// no output to classify, so folding them into the taxonomy (as the
@@ -42,6 +46,7 @@ impl FailureTaxonomy {
         let mut counts: BTreeMap<&'static str, (bool, usize)> = BTreeMap::new();
         let mut failures = 0usize;
         let mut parse_failures = 0usize;
+        let mut rejections = 0usize;
         let mut transport_failures = 0usize;
         for r in &report.results {
             if !r.scored() {
@@ -52,6 +57,10 @@ impl FailureTaxonomy {
                 continue;
             }
             failures += 1;
+            if r.outcome.rejected {
+                rejections += 1;
+                continue;
+            }
             if r.outcome.parse_failed {
                 parse_failures += 1;
                 continue;
@@ -85,6 +94,7 @@ impl FailureTaxonomy {
             buckets,
             failures,
             parse_failures,
+            rejections,
             transport_failures,
         }
     }
@@ -116,10 +126,15 @@ impl FailureTaxonomy {
             .unwrap_or(0.0)
     }
 
-    /// Renders the taxonomy as an aligned text table.
+    /// Renders the taxonomy as an aligned text table. Rejections are
+    /// listed only when there are some.
     pub fn to_text(&self) -> String {
+        let rejected = match self.rejections {
+            0 => String::new(),
+            n => format!("; rejected: {n}"),
+        };
         let mut out = format!(
-            "failures: {} (unparseable: {}; transport, excluded: {})\nvisual part: {:.1}%  data part: {:.1}%\n",
+            "failures: {} (unparseable: {}{rejected}; transport, excluded: {})\nvisual part: {:.1}%  data part: {:.1}%\n",
             self.failures,
             self.parse_failures,
             self.transport_failures,

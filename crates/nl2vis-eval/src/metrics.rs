@@ -21,6 +21,10 @@ pub struct EvalOutcome {
     pub components_wrong: Vec<Component>,
     /// The raw model output failed to parse as VQL.
     pub parse_failed: bool,
+    /// The serving stack rejected the model's answer (status 422), so no
+    /// output reached scoring. Scored like an unparseable answer, but the
+    /// failure taxonomy counts it as a rejection, not a parse failure.
+    pub rejected: bool,
 }
 
 impl EvalOutcome {
@@ -31,8 +35,9 @@ impl EvalOutcome {
     }
 
     /// The outcome of an example the model gave no usable prediction for —
-    /// a baseline that produced no parse, or an answer the serving stack
-    /// rejected: a failure on every metric, counted as a parse failure.
+    /// a baseline that produced no parse, or (with `rejected` set) an
+    /// answer the serving stack rejected: a failure on every metric,
+    /// scored like an unparseable answer.
     pub fn no_prediction() -> EvalOutcome {
         EvalOutcome {
             predicted: None,
@@ -40,6 +45,7 @@ impl EvalOutcome {
             exec: false,
             components_wrong: Vec::new(),
             parse_failed: true,
+            rejected: false,
         }
     }
 
@@ -55,6 +61,7 @@ impl EvalOutcome {
             exec: false,
             components_wrong: Vec::new(),
             parse_failed: false,
+            rejected: false,
         }
     }
 }
@@ -80,6 +87,7 @@ pub fn score_completion(completion: &str, gold: &VqlQuery, db: &Database) -> Eva
             exec: false,
             components_wrong: Vec::new(),
             parse_failed: true,
+            rejected: false,
         },
     }
 }
@@ -101,6 +109,7 @@ pub fn score_query(pred: &VqlQuery, gold: &VqlQuery, db: &Database) -> EvalOutco
         exec,
         components_wrong: diff(gold, pred),
         parse_failed: false,
+        rejected: false,
     }
 }
 

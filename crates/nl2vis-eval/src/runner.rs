@@ -386,7 +386,11 @@ pub fn evaluate_llm_with_progress(
                 ),
                 Err(e) if e.kind == TransportErrorKind::Status(VALIDATION_REJECTED_STATUS) => {
                     obs::error("eval", "rejected", &format!("example {}: {e}", test.id));
-                    (EvalOutcome::no_prediction(), None, None)
+                    let outcome = EvalOutcome {
+                        rejected: true,
+                        ..EvalOutcome::no_prediction()
+                    };
+                    (outcome, None, None)
                 }
                 Err(e) => {
                     obs::transport_error("eval", &format!("example {}: {e}", test.id));
@@ -865,6 +869,7 @@ mod tests {
                         exec: false,
                         components_wrong: Vec::new(),
                         parse_failed: false,
+                        rejected: false,
                     },
                     is_join: false,
                     hardness: Hardness::Easy,

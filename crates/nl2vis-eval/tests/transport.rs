@@ -4,14 +4,20 @@
 //! a fault-free one; (2) residual transport failures land in the
 //! `error.transport` bucket and never move any model-failure count;
 //! (3) a validation rejection is a model failure, scored the same
-//! in-process and over HTTP.
+//! in-process and over HTTP, with its own failure-taxonomy count.
 
+use nl2vis_baselines::Nl2VisModel;
 use nl2vis_corpus::{Corpus, CorpusConfig};
+use nl2vis_data::Database;
 use nl2vis_eval::failure::FailureTaxonomy;
-use nl2vis_eval::runner::{evaluate_llm, EvalReport, LlmEvalConfig};
+use nl2vis_eval::runner::{evaluate_llm, evaluate_model, EvalReport, LlmEvalConfig};
 use nl2vis_llm::http::{CompletionServer, HttpLlmClient, ServerConfig, Timeouts};
-use nl2vis_llm::{Fault, FaultInjector, ModelProfile, RetryPolicy, SimLlm};
+use nl2vis_llm::{
+    Fault, FaultInjector, ModelProfile, RetryPolicy, SimLlm, TransportError, TransportErrorKind,
+    VALIDATION_REJECTED_STATUS,
+};
 use nl2vis_obs::MetricsRegistry;
+use nl2vis_query::ast::VqlQuery;
 use nl2vis_service::{
     service_fn, CompletionService, Layer, MetricsLayer, RetryLayer, RouteLayer, RoutePolicy,
     TraceLayer, ValidateLayer, VqlSyntaxValidator,
@@ -301,4 +307,106 @@ fn validation_rejection_is_scored_as_a_model_failure() {
     );
     assert_eq!(registry.counter("llm.status_422").get(), n as u64);
     assert_eq!(registry.counter("server.backend_errors_total").get(), 0);
+}
+
+/// A baseline that never produces a parse.
+struct Mute;
+
+impl Nl2VisModel for Mute {
+    fn name(&self) -> &str {
+        "mute"
+    }
+
+    fn predict(&self, _question: &str, _db: &Database) -> Option<VqlQuery> {
+        None
+    }
+}
+
+/// A rejection has its own taxonomy count and is never a parse failure,
+/// yet stays a scored failure in every aggregate and agrees with gold on
+/// no component. A baseline's missing parse stays a parse failure.
+#[test]
+fn rejections_get_their_own_taxonomy_count() {
+    let corpus = fixture();
+    let split = corpus.split_cross_domain(1);
+    let n = 10;
+    let llm = SimLlm::new(ModelProfile::gpt_4(), 3);
+    let service = service_fn("gpt-4", move |prompt: &str, opts: &_| {
+        if prompt.len() % 2 == 0 {
+            let status = TransportErrorKind::Status(VALIDATION_REJECTED_STATUS);
+            Err(TransportError::new(status, 1, "validation rejected"))
+        } else {
+            llm.call(prompt, opts)
+        }
+    });
+    let report = evaluate_llm(
+        &service,
+        &corpus,
+        &split.train,
+        &split.test,
+        &LlmEvalConfig::default(),
+        Some(n),
+    );
+    let rejected: Vec<usize> = report
+        .results
+        .iter()
+        .filter(|r| r.outcome.rejected)
+        .map(|r| r.id)
+        .collect();
+    assert!(
+        !rejected.is_empty() && rejected.len() < n,
+        "some but not all prompts rejected: {rejected:?}"
+    );
+
+    let tax = FailureTaxonomy::from_report(&report);
+    assert_eq!(tax.rejections, rejected.len());
+    let unparseable = report
+        .results
+        .iter()
+        .filter(|r| r.outcome.parse_failed && !r.outcome.rejected)
+        .count();
+    assert_eq!(
+        tax.parse_failures, unparseable,
+        "no rejection is a parse failure"
+    );
+    assert!(tax.failures >= rejected.len());
+    let text = tax.to_text();
+    assert!(
+        text.contains(&format!("rejected: {}", rejected.len())),
+        "{text}"
+    );
+
+    // Scored, and failed, in every aggregate.
+    assert_eq!(report.transport_failures(), 0);
+    assert_eq!(report.overall().n(), n);
+    let failed = report.failed_ids();
+    assert!(rejected.iter().all(|id| failed.contains(id)), "{failed:?}");
+    // Dropping the rejected rows leaves every component's agreement count
+    // unchanged: a rejection agrees with gold on no component.
+    let answered = EvalReport {
+        results: report
+            .results
+            .iter()
+            .filter(|r| !r.outcome.rejected)
+            .cloned()
+            .collect(),
+        ..EvalReport::default()
+    };
+    let agreeing = |r: &EvalReport| -> Vec<usize> {
+        let scored = r.results.len() as f64;
+        r.component_accuracy()
+            .iter()
+            .map(|(_, share)| (share * scored).round() as usize)
+            .collect()
+    };
+    assert_eq!(agreeing(&report), agreeing(&answered));
+
+    // A baseline with no parse is a parse failure, not a rejection.
+    let baseline = evaluate_model(&Mute, &corpus, &split.test, Some(n));
+    let tax = FailureTaxonomy::from_report(&baseline);
+    assert_eq!(
+        (tax.failures, tax.parse_failures, tax.rejections),
+        (n, n, 0)
+    );
+    assert!(!tax.to_text().contains("rejected"), "{}", tax.to_text());
 }

@@ -13,10 +13,11 @@
 use crate::client::{CompletionOutcome, TransportError, TransportErrorKind};
 use crate::event;
 use crate::sim::GenOptions;
+use crate::telemetry;
 use crate::wire::{self, AcceptLoop, WireError};
 use nl2vis_data::Json;
 use nl2vis_obs as obs;
-use nl2vis_obs::{HistSnapshot, MetricsRegistry, Snapshot, WindowedRegistry};
+use nl2vis_obs::{MetricsRegistry, Snapshot, WindowedRegistry};
 use nl2vis_service::{CompletionService, FaultInjector};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::AtomicUsize;
@@ -250,7 +251,7 @@ impl Default for ServerTuning {
 /// `GET /metrics` (plain-text exposition of the registry),
 /// `GET /metrics.json` (the mergeable `nl2vis.metrics.v1` snapshot of the
 /// registry and its sliding window), `GET /stats` (that same snapshot
-/// rendered by [`stats_json`]: rolling throughput, windowed p50/p95/p99
+/// rendered by [`telemetry::stats_json`]: rolling throughput, windowed p50/p95/p99
 /// and shed rate over the last 10 seconds next to the cumulative totals),
 /// and `GET /healthz`.
 pub struct CompletionServer {
@@ -436,92 +437,6 @@ pub(crate) fn completion_json(model: &str, completion: &str) -> String {
 pub(crate) const JSON: &str = "application/json";
 const TEXT: &str = "text/plain; charset=utf-8";
 
-/// Renders the `GET /stats` body from a metrics snapshot: the
-/// sliding-window view (rolling throughput, windowed latency percentiles,
-/// shed rate over the last `window_span`) next to the cumulative totals,
-/// so a load generator polling once a second sees live movement instead
-/// of an ever-flattening average. The server renders the snapshot its
-/// `GET /metrics.json` serves, and the fleet observer renders each
-/// replica's scraped snapshot and their merge, so no two renderings can
-/// disagree. A rate divides by the snapshot's covered window; a metric
-/// the snapshot lacks reads as zero, and nothing is registered.
-pub fn stats_json(snapshot: &Snapshot, window_span: Duration) -> Json {
-    const LATENCY: &str = "llm.request_latency_us";
-    let no_samples = HistSnapshot::default();
-    let window = snapshot
-        .windowed_histograms
-        .get(LATENCY)
-        .unwrap_or(&no_samples);
-    let cumulative = snapshot.histograms.get(LATENCY).unwrap_or(&no_samples);
-    let counter = |name| Json::from(snapshot.counter(name) as f64);
-    let gauge = |name| Json::from(snapshot.gauges.get(name).copied().unwrap_or(0));
-    let throughput = ratio(window.count as f64, snapshot.window_covered_us as f64 / 1e6);
-    let shed_window = snapshot.windowed_counter("server.shed_total") as f64;
-    let batch_requests = snapshot.counter("server.batch.requests_total") as f64;
-    let batch_batches = snapshot.counter("server.batch.batches_total") as f64;
-    let summary = |h: &HistSnapshot| {
-        let s = h.summary();
-        vec![
-            ("count", Json::from(s.count as f64)),
-            ("min_us", Json::from(s.min as f64)),
-            ("max_us", Json::from(s.max as f64)),
-            ("p50_us", Json::from(s.p50.round())),
-            ("p95_us", Json::from(s.p95.round())),
-            ("p99_us", Json::from(s.p99.round())),
-        ]
-    };
-    let mut window_latency = summary(window);
-    window_latency.insert(1, ("rate_per_sec", fixed(throughput, 3)));
-    Json::object(vec![
-        ("window_seconds", Json::from(window_span.as_secs_f64())),
-        ("throughput_rps", fixed(throughput, 3)),
-        ("window_requests", Json::from(window.count as f64)),
-        ("window_shed", Json::from(shed_window)),
-        (
-            "window_shed_rate",
-            fixed(ratio(shed_window, window.count as f64 + shed_window), 4),
-        ),
-        ("requests_total", counter("llm.requests_total")),
-        ("shed_total", counter("server.shed_total")),
-        ("active_connections", gauge("server.active_connections")),
-        ("concurrent_peak", gauge("server.concurrent_peak")),
-        ("open_connections", gauge("server.poller.open_connections")),
-        ("serving_threads", gauge("server.serving_threads")),
-        ("batch_requests", Json::from(batch_requests)),
-        ("batch_batches", Json::from(batch_batches)),
-        (
-            "batch_invocations",
-            counter("server.batch.invocations_total"),
-        ),
-        (
-            "avg_batch_size",
-            fixed(ratio(batch_requests, batch_batches), 3),
-        ),
-        (
-            "latency_us",
-            Json::object(vec![
-                ("window", Json::object(window_latency)),
-                ("cumulative", Json::object(summary(cumulative))),
-            ]),
-        ),
-    ])
-}
-
-/// `numerator / denominator`, or 0 over an empty denominator.
-fn ratio(numerator: f64, denominator: f64) -> f64 {
-    if denominator > 0.0 {
-        numerator / denominator
-    } else {
-        0.0
-    }
-}
-
-/// `x` rounded to `places` decimals.
-fn fixed(x: f64, places: i32) -> Json {
-    let scale = 10f64.powi(places);
-    Json::from((x * scale).round() / scale)
-}
-
 /// Routes the non-completion surface (`/v1/models`, `/metrics`,
 /// `/metrics.json`, `/stats`, `/requests`, `/trace/<id>`, `/healthz`). `POST /v1/completions` never
 /// reaches here: the pollers pre-parse it and the worker pool serves it
@@ -544,14 +459,22 @@ pub(crate) fn route(
             (200, response.to_compact(), JSON)
         }
         ("GET", "/metrics") => (200, obs::report::render_exposition(registry), TEXT),
-        ("GET", "/metrics.json") => (200, snapshot().to_json(), JSON),
+        ("GET", "/metrics.json") => (
+            200,
+            telemetry::snapshot_json(&snapshot()).to_compact(),
+            JSON,
+        ),
         ("GET", "/stats") => (
             200,
-            stats_json(&snapshot(), windowed.config().span()).to_compact(),
+            telemetry::stats_json(&snapshot(), windowed.config().span()).to_compact(),
             JSON,
         ),
         ("GET", "/requests") => match obs::recorder::installed() {
-            Some(recorder) => (200, recorder.index_json(50), JSON),
+            Some(recorder) => (
+                200,
+                telemetry::trace_index_json(&recorder.recent(50)).to_compact(),
+                JSON,
+            ),
             None => (
                 404,
                 r#"{"error":"flight recorder not installed"}"#.to_string(),
@@ -572,7 +495,7 @@ pub(crate) fn route(
                     JSON,
                 ),
                 (Some(recorder), Ok(id)) => match recorder.get(id) {
-                    Some(record) => (200, record.to_json(), JSON),
+                    Some(record) => (200, telemetry::trace_json(&record).to_compact(), JSON),
                     None => (
                         404,
                         format!(r#"{{"error":"trace {id} not retained"}}"#),

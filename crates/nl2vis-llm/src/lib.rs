@@ -26,6 +26,11 @@
 //!   with `429` load shedding and graceful drain. Retry, caching, tracing
 //!   and failure attribution are `nl2vis-service` layers composed around
 //!   the client ([`RetryPolicy`] is re-exported here);
+//! - [`telemetry`]: the JSON codec of every telemetry body — the
+//!   `nl2vis.metrics.v1` snapshot (`/metrics.json`, `/fleet/metrics`),
+//!   trace records (`/trace/<id>`, `/requests`), `/stats` and SLO
+//!   statuses. The server encodes with it, and the fleet plane decodes
+//!   replica bodies with it back into `nl2vis-obs`'s own types;
 //! - [`wire`]: the HTTP/1.1 wire format — the one head parser, the
 //!   event core's incremental request parse, the blocking readers both
 //!   clients and the fleet server use, `render_request` /
@@ -52,6 +57,7 @@ pub mod profile;
 pub mod prompt_parse;
 pub mod recover;
 pub mod sim;
+pub mod telemetry;
 pub mod understand;
 pub mod wire;
 

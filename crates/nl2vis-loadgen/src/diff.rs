@@ -1,7 +1,10 @@
-//! Regression detection between two `BENCH_load.json` files.
+//! Regression detection between two `BENCH_load.json` files, and the
+//! merge that builds one such file from several load documents.
 //!
-//! Runs are matched by `(threads, rate, replicas)` (`replicas` defaults to
-//! 1 for pre-topology rows); a metric regresses when it moves past the
+//! A run's identity is `(threads, rate, replicas, hedge_ms, tier stack)`
+//! (`replicas` defaults to 1 for pre-topology rows, and the others to
+//! "none" for rows written before them). The diff matches runs by it, and
+//! [`merge_runs`] keys rows by it. A metric regresses when it moves past the
 //! relative threshold in the bad direction (throughput down, corrected
 //! p50/p99 up, shed rate up). Latency comparisons also require a small
 //! absolute movement so micro-runs don't flag on scheduler noise.
@@ -109,6 +112,27 @@ fn run_key(run: &Json) -> RunKey {
             })
             .unwrap_or_default(),
     }
+}
+
+/// Folds another load-shaped document into the pending `BENCH_load.json`
+/// payload. The first document wins the top-level config fields; runs are
+/// appended, and a run whose identity (`run_key`, the one the diff
+/// matches on) is already present is dropped: first writer wins. So
+/// `load topology` in one invocation yields one trajectory file with every
+/// distinct run.
+pub fn merge_runs(into: &mut Option<Json>, doc: Json) {
+    let Some(existing) = into else {
+        *into = Some(doc);
+        return;
+    };
+    let mut runs: Vec<Json> = runs_of(existing).into_iter().cloned().collect();
+    let have: Vec<RunKey> = runs.iter().map(run_key).collect();
+    for run in runs_of(&doc) {
+        if !have.contains(&run_key(run)) {
+            runs.push(run.clone());
+        }
+    }
+    existing.set("runs", Json::Array(runs));
 }
 
 fn number(run: &Json, path: &[&str]) -> Option<f64> {
@@ -461,6 +485,33 @@ mod tests {
         assert_eq!(report.unmatched, 2);
         // Identical stack and policy: comparable.
         let report = diff(&tiered_doc("cheap-first"), &tiered_doc("cheap-first"), 0.2);
+        assert_eq!(report.unmatched, 0);
+        assert!(report.strict_clean());
+    }
+
+    #[test]
+    fn merge_keeps_runs_that_differ_only_in_tiers() {
+        // Same threads, rate, replicas and hedge: only the tier stack
+        // tells these rows apart, as it does for the diff.
+        let mut merged = None;
+        merge_runs(&mut merged, tiered_doc("cheap-first"));
+        merge_runs(&mut merged, tiered_doc("quality-first"));
+        merge_runs(&mut merged, doc(8, 500.0, 12.0, 0.0));
+        // An identical row collapses: the first writer wins.
+        merge_runs(&mut merged, doc(8, 300.0, 30.0, 0.0));
+        let merged = merged.expect("merged document");
+        let runs = runs_of(&merged);
+        let keys: Vec<String> = runs.iter().map(|r| run_key(r).to_string()).collect();
+        assert_eq!(keys.len(), 3, "{keys:?}");
+        assert!(keys[0].ends_with("tiers=cheap-first/gpt-3.5-turbo-16k,gpt-4"));
+        assert!(keys[1].ends_with("tiers=quality-first/gpt-3.5-turbo-16k,gpt-4"));
+        assert_eq!(keys[2], "threads=8 rate=open:500");
+        assert_eq!(
+            runs[2].get("throughput_rps").and_then(Json::as_f64),
+            Some(500.0)
+        );
+        // Every merged row still matches itself one to one.
+        let report = diff(&merged, &merged, 0.2);
         assert_eq!(report.unmatched, 0);
         assert!(report.strict_clean());
     }

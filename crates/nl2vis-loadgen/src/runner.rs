@@ -355,28 +355,30 @@ impl RouteCounters {
     /// The run's tier telemetry as a JSON object: this snapshot minus
     /// `before`.
     fn delta_json(&self, before: &RouteCounters, policy: &str) -> Json {
-        let rows: Vec<String> = self
-            .per_tier
-            .iter()
-            .zip(&before.per_tier)
-            .map(|((name, reqs, escs), (_, reqs0, escs0))| {
-                format!(
-                    "{{\"name\":\"{name}\",\"requests\":{},\"escalations\":{}}}",
-                    reqs - reqs0,
-                    escs - escs0,
-                )
-            })
-            .collect();
-        let text = format!(
-            "{{\"policy\":\"{policy}\",\"requests_total\":{},\"escalations_total\":{},\
-             \"validation_failures_total\":{},\"cost_units\":{},\"tiers\":[{}]}}",
-            self.requests - before.requests,
-            self.escalations - before.escalations,
-            self.validation_failures - before.validation_failures,
-            self.cost_units - before.cost_units,
-            rows.join(","),
+        let count = |now: u64, was: u64| Json::from((now - was) as f64);
+        let tiers = self.per_tier.iter().zip(&before.per_tier).map(
+            |((name, reqs, escs), (_, reqs0, escs0))| {
+                Json::object(vec![
+                    ("name", Json::from(name.as_str())),
+                    ("requests", count(*reqs, *reqs0)),
+                    ("escalations", count(*escs, *escs0)),
+                ])
+            },
         );
-        Json::parse(&text).expect("tier telemetry is well-formed JSON")
+        Json::object(vec![
+            ("policy", Json::from(policy)),
+            ("requests_total", count(self.requests, before.requests)),
+            (
+                "escalations_total",
+                count(self.escalations, before.escalations),
+            ),
+            (
+                "validation_failures_total",
+                count(self.validation_failures, before.validation_failures),
+            ),
+            ("cost_units", count(self.cost_units, before.cost_units)),
+            ("tiers", Json::Array(tiers.collect())),
+        ])
     }
 }
 
@@ -468,7 +470,7 @@ pub fn run_once(
     // A final poll so the recorded fleet snapshot covers the whole run.
     let fleet = observer.map(|observer| {
         observer.poll_once();
-        Json::parse(&observer.fleet_stats_json()).expect("fleet stats is well-formed JSON")
+        observer.fleet_stats_json()
     });
     let measured = shared
         .epoch
@@ -767,10 +769,7 @@ fn dashboard_loop(
             return;
         }
         observer.poll_once();
-        let stats = match Json::parse(&observer.fleet_stats_json()) {
-            Ok(stats) => stats,
-            Err(_) => continue,
-        };
+        let stats = observer.fleet_stats_json();
         let elapsed = shared.epoch.elapsed();
         let phase = if elapsed < shared.measure_from {
             " warmup"

@@ -30,7 +30,10 @@
 //!   (associative/commutative merge). [`HistSnapshot::quantile`] is the
 //!   one percentile computation. A snapshot is the only input of every
 //!   JSON metrics rendering: the server's `GET /metrics.json` and
-//!   `GET /stats`, and the router's fleet-merged views.
+//!   `GET /stats`, and the router's fleet-merged views. This crate
+//!   writes no JSON for snapshots, trace records or SLO statuses: each
+//!   body's encoder and decoder live in `nl2vis-llm`'s `telemetry`
+//!   module; the only JSON written here is the sink's event lines.
 //! - [`slo`]: declarative objectives ([`SloSpec`]) with fast/slow-window
 //!   burn rates evaluated over snapshots, published as `slo.*` gauges.
 //!

@@ -22,7 +22,6 @@
 //! cost is one relaxed atomic load per hook.
 
 use crate::registry::Histogram;
-use crate::sink::escape_json;
 use crate::span;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -106,56 +105,6 @@ impl TraceRecord {
         self.spans
             .iter()
             .any(|s| s.annotations.iter().any(|(k, v)| k == key && v == value))
-    }
-
-    /// The full stitched record as one JSON object (backs `GET /trace/<id>`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.spans.len() * 96);
-        out.push_str(&format!(
-            "{{\"trace_id\":{},\"root\":\"{}\",\"duration_us\":{},\"outcome\":\"{}\",\"span_count\":{}",
-            self.trace_id,
-            escape_json(&self.root),
-            self.duration_us,
-            self.outcome(),
-            self.span_count,
-        ));
-        if let Some(err) = &self.error {
-            out.push_str(&format!(
-                ",\"error\":{{\"component\":\"{}\",\"kind\":\"{}\",\"message\":\"{}\"}}",
-                escape_json(&err.component),
-                escape_json(&err.kind),
-                escape_json(&err.message)
-            ));
-        }
-        out.push_str(",\"spans\":[");
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"span\":{},\"parent\":{},\"name\":\"{}\",\"duration_us\":{}",
-                s.span_id,
-                match s.parent {
-                    Some(p) => p.to_string(),
-                    None => "null".to_string(),
-                },
-                escape_json(&s.name),
-                s.duration_us
-            ));
-            if !s.annotations.is_empty() {
-                out.push_str(",\"annotations\":{");
-                for (j, (k, v)) in s.annotations.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!("\"{}\":\"{}\"", escape_json(k), escape_json(v)));
-                }
-                out.push('}');
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
     }
 
     /// A human-readable indented span tree (used by the `traces`
@@ -499,27 +448,6 @@ impl FlightRecorder {
         all.truncate(limit);
         all
     }
-
-    /// The recent-trace index as JSON (backs `GET /requests`).
-    pub fn index_json(&self, limit: usize) -> String {
-        let recent = self.recent(limit);
-        let mut out = String::from("{\"traces\":[");
-        for (i, r) in recent.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"trace_id\":{},\"root\":\"{}\",\"duration_us\":{},\"outcome\":\"{}\",\"span_count\":{}}}",
-                r.trace_id,
-                escape_json(&r.root),
-                r.duration_us,
-                r.outcome(),
-                r.span_count
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 static RECORDER_ACTIVE: AtomicBool = AtomicBool::new(false);
@@ -751,29 +679,6 @@ mod tests {
         let active = r.active.lock().unwrap().len();
         assert!(active <= 64, "active set {active} must stay bounded");
         assert!(r.stats().abandoned >= 100);
-    }
-
-    #[test]
-    fn json_and_tree_rendering() {
-        let r = FlightRecorder::new(4);
-        r.span_opened(7, 70, None, "pipeline.run");
-        r.span_opened(7, 71, Some(70), "llm.attempt");
-        r.annotate(7, 71, "conn", "fresh");
-        r.span_closed(7, 71, 5);
-        r.note_error(7, "llm", "transport", "timeout \"deadline\"");
-        r.span_closed(7, 70, 12);
-        let rec = r.get(7).expect("stored");
-        let json = rec.to_json();
-        assert!(json.contains("\"trace_id\":7"));
-        assert!(json.contains("\"outcome\":\"error\""));
-        assert!(json.contains("\"conn\":\"fresh\""));
-        assert!(json.contains("timeout \\\"deadline\\\""), "{json}");
-        let index = r.index_json(10);
-        assert!(index.starts_with("{\"traces\":["));
-        assert!(index.contains("\"trace_id\":7"));
-        let tree = rec.render_tree();
-        assert!(tree.contains("pipeline.run (12 us)"));
-        assert!(tree.contains("  llm.attempt (5 us) conn=fresh"), "{tree}");
     }
 
     #[test]

@@ -66,7 +66,8 @@ pub enum Event {
     },
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
+/// Escapes a string for inclusion in a JSON string literal (the JSONL
+/// event lines; `nl2vis_data::Json` applies the same rules).
 pub(crate) fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {

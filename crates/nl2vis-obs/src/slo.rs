@@ -22,7 +22,6 @@
 //! snapshot plumbing like any other metric.
 
 use crate::registry::MetricsRegistry;
-use crate::sink::escape_json;
 use crate::snapshot::Snapshot;
 
 /// What an SLO measures.
@@ -175,30 +174,6 @@ pub struct SloStatus {
     pub budget_remaining: f64,
 }
 
-impl SloStatus {
-    /// This status as one JSON object (embedded in `/fleet/stats`).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"name\":\"{}\",\"target\":{:.4},",
-                "\"fast_good\":{:.6},\"slow_good\":{:.6},",
-                "\"fast_events\":{},\"slow_events\":{},",
-                "\"fast_burn\":{:.4},\"slow_burn\":{:.4},",
-                "\"budget_remaining\":{:.4}}}"
-            ),
-            escape_json(&self.name),
-            self.target,
-            self.fast_good,
-            self.slow_good,
-            self.fast_events,
-            self.slow_events,
-            self.fast_burn,
-            self.slow_burn,
-            self.budget_remaining,
-        )
-    }
-}
-
 /// Evaluates every spec against one snapshot.
 pub fn evaluate_all(specs: &[SloSpec], snap: &Snapshot) -> Vec<SloStatus> {
     specs.iter().map(|s| s.evaluate(snap)).collect()
@@ -298,16 +273,6 @@ mod tests {
             -1000
         );
         assert_eq!(registry.gauge("slo.latency.fast_good_milli").get(), 1000);
-    }
-
-    #[test]
-    fn status_json_carries_both_windows() {
-        let spec = SloSpec::latency("latency", "llm.request_latency_us", 100_000, 0.95);
-        let text = spec.evaluate(&latency_snapshot(100, 10)).to_json();
-        assert!(text.contains("\"name\":\"latency\""), "{text}");
-        assert!(text.contains("\"slow_burn\":2.0000"), "{text}");
-        assert!(text.contains("\"fast_burn\":0.0000"), "{text}");
-        assert!(text.contains("\"budget_remaining\":-1.0000"), "{text}");
     }
 
     #[test]

@@ -17,17 +17,13 @@
 //! replica snapshots in any order — or in a tree — and always obtain the
 //! same fleet view. The laws are pinned by property-style tests below.
 //!
-//! Serialization is `to_json` (this crate is std-only and builds the
-//! string by hand, like the recorder); *parsing* lives with consumers
-//! that have a JSON parser (`nl2vis-router`'s fleet module).
+//! This crate writes no JSON for a snapshot: the `nl2vis.metrics.v1`
+//! encoder, decoder and format tag live together in `nl2vis-llm`'s
+//! `telemetry` module, which the server and the fleet plane share.
 
 use crate::registry::{percentile, HistogramSummary, MetricsRegistry, BUCKETS};
-use crate::sink::escape_json;
 use crate::window::WindowedRegistry;
 use std::collections::BTreeMap;
-
-/// Identifies the snapshot wire format; bump on layout changes.
-pub const FORMAT: &str = "nl2vis.metrics.v1";
 
 /// One histogram's raw state: everything needed to recompute summaries,
 /// and nothing that can't be merged exactly.
@@ -133,25 +129,6 @@ impl HistSnapshot {
         }
         (good / self.count as f64).clamp(0.0, 1.0)
     }
-
-    fn to_json(&self) -> String {
-        // Trailing zero buckets are trimmed: decoders pad back to
-        // BUCKETS, and elementwise addition is unaffected.
-        let used = self
-            .buckets
-            .iter()
-            .rposition(|&c| c != 0)
-            .map_or(0, |i| i + 1);
-        let buckets: Vec<String> = self.buckets[..used].iter().map(u64::to_string).collect();
-        format!(
-            "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[{}]}}",
-            self.count,
-            self.sum,
-            self.min,
-            self.max,
-            buckets.join(",")
-        )
-    }
 }
 
 impl From<&crate::registry::Histogram> for HistSnapshot {
@@ -247,27 +224,6 @@ impl Snapshot {
     /// Windowed counter total (0 when absent).
     pub fn windowed_counter(&self, name: &str) -> u64 {
         self.windowed_counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// The structured JSON body of `GET /metrics.json`.
-    pub fn to_json(&self) -> String {
-        fn map<V>(m: &BTreeMap<String, V>, render: impl Fn(&V) -> String) -> String {
-            let entries: Vec<String> = m
-                .iter()
-                .map(|(k, v)| format!("\"{}\":{}", escape_json(k), render(v)))
-                .collect();
-            format!("{{{}}}", entries.join(","))
-        }
-        format!(
-            "{{\"format\":\"{FORMAT}\",\"sources\":{},\"window_covered_us\":{},\"counters\":{},\"gauges\":{},\"histograms\":{},\"windowed_counters\":{},\"windowed_histograms\":{}}}",
-            self.sources,
-            self.window_covered_us,
-            map(&self.counters, u64::to_string),
-            map(&self.gauges, i64::to_string),
-            map(&self.histograms, HistSnapshot::to_json),
-            map(&self.windowed_counters, u64::to_string),
-            map(&self.windowed_histograms, HistSnapshot::to_json),
-        )
     }
 }
 
@@ -431,21 +387,6 @@ mod tests {
         assert_eq!(snap.windowed_counter("s.requests"), 4);
         assert_eq!(snap.windowed_histograms["s.latency_us"].sum, 250);
         assert!(snap.window_covered_us <= 10_000_000);
-    }
-
-    #[test]
-    fn json_carries_format_and_trimmed_buckets() {
-        let metrics = MetricsRegistry::new();
-        metrics.histogram("s.latency_us").record(6); // bucket 3
-        metrics.counter("s.requests_total").inc();
-        let text = Snapshot::collect(&metrics, None).to_json();
-        assert!(text.contains("\"format\":\"nl2vis.metrics.v1\""), "{text}");
-        assert!(text.contains("\"s.requests_total\":1"), "{text}");
-        assert!(
-            text.contains("\"buckets\":[0,0,0,1]"),
-            "trailing zeros must be trimmed: {text}"
-        );
-        assert!(text.contains("\"sources\":1"), "{text}");
     }
 
     #[test]

@@ -11,8 +11,12 @@
 //! |---------------------|-----------------------------------------------|
 //! | `/fleet/metrics`    | the merged snapshot (itself `nl2vis.metrics.v1`, so fleets of fleets merge the same way) |
 //! | `/fleet/stats`      | the merged snapshot and every replica's rendered as `/stats` bodies, plus SLO statuses |
-//! | `/fleet/trace/<id>` | the cross-replica stitched trace tree         |
+//! | `/fleet/trace/<id>` | the cross-replica stitched trace tree; each source carries its record's `outcome` and `error` |
 //! | `/healthz`          | observer liveness                             |
+//!
+//! Replica bodies are decoded by `nl2vis_llm::telemetry`, the codec the
+//! replicas encode them with, straight into obs's own [`Snapshot`] and
+//! [`TraceRecord`]; this module keeps no copy of either wire format.
 //!
 //! **Trace stitching.** A hedged request's spans live in up to three
 //! processes: the router records `router.request`/`router.attempt`, and
@@ -36,10 +40,13 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use nl2vis_data::Json;
-use nl2vis_llm::http::stats_json;
+use nl2vis_llm::telemetry::{
+    decode_snapshot, decode_trace, error_json, slo_json, snapshot_json, stats_json,
+};
 use nl2vis_llm::wire::{self, AcceptLoop};
+use nl2vis_obs::recorder::{SpanRecord, TraceRecord};
 use nl2vis_obs::slo::{evaluate_all, publish, SloSpec, SloStatus};
-use nl2vis_obs::snapshot::{HistSnapshot, Snapshot, FORMAT};
+use nl2vis_obs::snapshot::Snapshot;
 use nl2vis_obs::{recorder, registry, WindowConfig};
 
 /// Observer policy: scrape cadence, fetch deadlines, and objectives.
@@ -69,73 +76,6 @@ impl Default for FleetConfig {
 /// Deadline for each socket operation of one request the [`FleetServer`]
 /// serves on its accept thread.
 const SERVE_TIMEOUT: Duration = Duration::from_secs(2);
-
-fn u64_of(json: Option<&Json>) -> u64 {
-    json.and_then(Json::as_f64).unwrap_or(0.0) as u64
-}
-
-fn u64_map(json: Option<&Json>) -> BTreeMap<String, u64> {
-    match json {
-        Some(Json::Object(members)) => members
-            .iter()
-            .filter_map(|(k, v)| v.as_f64().map(|f| (k.clone(), f as u64)))
-            .collect(),
-        _ => BTreeMap::new(),
-    }
-}
-
-fn hist_of(json: &Json) -> HistSnapshot {
-    let buckets = json
-        .get("buckets")
-        .and_then(Json::as_array)
-        .map(|a| a.iter().map(|v| v.as_f64().unwrap_or(0.0) as u64).collect())
-        .unwrap_or_default();
-    HistSnapshot::from_parts(
-        u64_of(json.get("count")),
-        u64_of(json.get("sum")),
-        u64_of(json.get("min")),
-        u64_of(json.get("max")),
-        buckets,
-    )
-}
-
-fn hist_map(json: Option<&Json>) -> BTreeMap<String, HistSnapshot> {
-    match json {
-        Some(Json::Object(members)) => members
-            .iter()
-            .map(|(k, v)| (k.clone(), hist_of(v)))
-            .collect(),
-        _ => BTreeMap::new(),
-    }
-}
-
-/// Decodes one replica's `/metrics.json` body back into a [`Snapshot`].
-/// The decode inverts [`Snapshot::to_json`] exactly (counts below 2^53,
-/// which metric values are in practice), so scrape → merge → re-serve
-/// loses nothing.
-pub fn parse_snapshot(body: &str) -> Result<Snapshot, String> {
-    let json = Json::parse(body).map_err(|e| format!("snapshot parse: {e}"))?;
-    let format = json.get("format").and_then(Json::as_str).unwrap_or("");
-    if format != FORMAT {
-        return Err(format!("unknown snapshot format `{format}`"));
-    }
-    let gauges = match json.get("gauges") {
-        Some(Json::Object(members)) => members
-            .iter()
-            .filter_map(|(k, v)| v.as_f64().map(|f| (k.clone(), f as i64)))
-            .collect(),
-        _ => BTreeMap::new(),
-    };
-    Ok(Snapshot {
-        sources: u64_of(json.get("sources")).max(1),
-        window_covered_us: u64_of(json.get("window_covered_us")),
-        counters: u64_map(json.get("counters")),
-        gauges,
-        histograms: hist_map(json.get("histograms")),
-        windowed_counters: u64_map(json.get("windowed_counters")),
-        windowed_histograms: hist_map(json.get("windowed_histograms")),
-    })
-}
 
 /// Scrapes, merges, and evaluates. Shared between the poller thread and
 /// the HTTP frontend via `Arc`.
@@ -182,7 +122,7 @@ impl FleetObserver {
                 wire::get(addr, "/metrics.json", self.config.fetch_timeout)
                     .map_err(|e| e.to_string())
                     .and_then(|(status, body)| match status {
-                        200 => parse_snapshot(&body),
+                        200 => decode_snapshot(&body),
                         other => Err(format!("/metrics.json: http {other}")),
                     })
             })
@@ -210,7 +150,7 @@ impl FleetObserver {
     /// `nl2vis.metrics.v1` format replicas serve — so a fleet of fleets
     /// merges with the identical machinery.
     pub fn fleet_metrics_json(&self) -> String {
-        self.merged().to_json()
+        snapshot_json(&self.merged()).to_compact()
     }
 
     /// `GET /fleet/stats`: the merged snapshot rendered as a `/stats` body
@@ -219,7 +159,7 @@ impl FleetObserver {
     /// own snapshot rendered as a `/stats` body plus `id`, `ok` and, when
     /// the scrape failed, `error`. Every replica windows over the server
     /// default span, which `window_seconds` reports.
-    pub fn fleet_stats_json(&self) -> String {
+    pub fn fleet_stats_json(&self) -> Json {
         let span = WindowConfig::default().span();
         let merged = self.merged();
         let statuses = self.statuses();
@@ -234,12 +174,7 @@ impl FleetObserver {
             "router_inflight",
             Json::from(registry::global().gauge("router.inflight").get()),
         );
-        let slo = Json::Array(
-            statuses
-                .iter()
-                .map(|s| Json::parse(&s.to_json()).expect("slo status json"))
-                .collect(),
-        );
+        let slo = Json::Array(statuses.iter().map(slo_json).collect());
         let replicas = Json::Array(
             self.addrs
                 .iter()
@@ -272,22 +207,18 @@ impl FleetObserver {
             ("slo", slo),
             ("replicas", replicas),
         ])
-        .to_compact()
     }
 
     /// `GET /fleet/trace/<id>`: fans the id out to the local recorder and
     /// every replica, then stitches. Returns `(status, body)`.
     pub fn fleet_trace_json(&self, trace_id: u64) -> (u16, String) {
-        let mut sources: Vec<(String, Result<String, String>)> = Vec::new();
         // The router's own spans first: in a multi-process fleet only this
         // process retains `router.request` / `router.attempt`.
-        let local = recorder::installed()
-            .and_then(|r| r.get(trace_id))
-            .map(|record| record.to_json());
-        sources.push((
+        let local = recorder::installed().and_then(|r| r.get(trace_id));
+        let mut sources = vec![(
             "router".to_string(),
             local.ok_or_else(|| format!("trace {trace_id} not retained")),
-        ));
+        )];
         for &addr in &self.addrs {
             let fetched = wire::get(
                 addr,
@@ -296,7 +227,7 @@ impl FleetObserver {
             )
             .map_err(|e| e.to_string())
             .and_then(|(status, body)| match status {
-                200 => Ok(body),
+                200 => decode_trace(&body),
                 404 => Err(Json::parse(&body)
                     .ok()
                     .and_then(|j| j.get("error").and_then(Json::as_str).map(String::from))
@@ -309,85 +240,34 @@ impl FleetObserver {
     }
 }
 
-/// One span lifted out of a fetched trace record.
-#[derive(Debug, Clone)]
-struct StitchSpan {
-    span: u64,
-    parent: Option<u64>,
-    name: String,
-    duration_us: u64,
-    annotations: Vec<(String, String)>,
-}
+/// One distinct record, with every source that reported it.
+type Sourced = (Vec<String>, TraceRecord);
 
-/// One successfully fetched record: who reported it and its spans.
-struct StitchRecord {
-    sources: Vec<String>,
-    root: String,
-    duration_us: u64,
-    spans: Vec<StitchSpan>,
-}
-
-fn parse_trace_record(source: &str, body: &str) -> Result<StitchRecord, String> {
-    let json = Json::parse(body).map_err(|e| format!("trace parse: {e}"))?;
-    let spans = json
-        .get("spans")
-        .and_then(Json::as_array)
-        .ok_or("trace body has no spans array")?
-        .iter()
-        .map(|s| {
-            let annotations = match s.get("annotations") {
-                Some(Json::Object(members)) => members
-                    .iter()
-                    .filter_map(|(k, v)| v.as_str().map(|v| (k.clone(), v.to_string())))
-                    .collect(),
-                _ => Vec::new(),
-            };
-            StitchSpan {
-                span: u64_of(s.get("span")),
-                parent: s.get("parent").and_then(Json::as_f64).map(|p| p as u64),
-                name: s
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .unwrap_or("")
-                    .to_string(),
-                duration_us: u64_of(s.get("duration_us")),
-                annotations,
-            }
-        })
-        .collect();
-    Ok(StitchRecord {
-        sources: vec![source.to_string()],
-        root: json
-            .get("root")
-            .and_then(Json::as_str)
-            .unwrap_or("")
-            .to_string(),
-        duration_us: u64_of(json.get("duration_us")),
-        spans,
-    })
-}
-
-/// Stitches fetched per-process records for `trace_id` into one tree.
-/// Public so tests (and the loadgen dashboard) can stitch pre-fetched
-/// bodies without an observer. Returns `(http_status, json_body)`.
+/// Stitches per-process records for `trace_id` into one tree: the local
+/// recorder's own record, and each replica's `/trace/<id>` body decoded
+/// by the telemetry codec. Public so tests can stitch pre-built records
+/// without an observer. Returns `(http_status, json_body)`.
 pub fn stitch_trace_records(
     trace_id: u64,
-    sources: Vec<(String, Result<String, String>)>,
+    sources: Vec<(String, Result<TraceRecord, String>)>,
 ) -> (u16, String) {
-    let mut records: Vec<StitchRecord> = Vec::new();
+    let mut records: Vec<Sourced> = Vec::new();
     let mut partial: Vec<(String, String)> = Vec::new();
     for (source, fetched) in sources {
-        match fetched.and_then(|body| parse_trace_record(&source, &body)) {
+        match fetched {
             Ok(record) => {
                 // Replicas sharing one in-process recorder return the
                 // same record; collapse them so spans aren't duplicated.
-                let key: Vec<u64> = record.spans.iter().map(|s| s.span).collect();
-                match records
-                    .iter_mut()
-                    .find(|r| r.spans.iter().map(|s| s.span).eq(key.iter().copied()))
-                {
-                    Some(existing) => existing.sources.push(source),
-                    None => records.push(record),
+                // Records that differ in outcome never collapse, so a
+                // failed process is never hidden behind a clean one.
+                let key = |r: &TraceRecord| {
+                    let ids: Vec<u64> = r.spans.iter().map(|s| s.span_id).collect();
+                    (ids, r.outcome())
+                };
+                let own = key(&record);
+                match records.iter_mut().find(|(_, r)| key(r) == own) {
+                    Some((existing, _)) => existing.push(source),
+                    None => records.push((vec![source], record)),
                 }
             }
             Err(reason) => partial.push((source, reason)),
@@ -410,17 +290,18 @@ pub fn stitch_trace_records(
     let mut children: BTreeMap<(usize, u64), Vec<(usize, u64)>> = BTreeMap::new();
     let mut roots: Vec<(usize, u64)> = Vec::new();
     let mut grafted: Vec<(usize, u64)> = Vec::new();
-    for (ri, record) in records.iter().enumerate() {
-        let local: std::collections::BTreeSet<u64> = record.spans.iter().map(|s| s.span).collect();
+    for (ri, (_, record)) in records.iter().enumerate() {
+        let local: std::collections::BTreeSet<u64> =
+            record.spans.iter().map(|s| s.span_id).collect();
         for span in &record.spans {
-            let key = (ri, span.span);
+            let key = (ri, span.span_id);
             match span.parent {
                 None => roots.push(key),
                 // Span ids are a monotone per-process counter and a parent
                 // is always created before its child, so a true in-process
                 // parent has a *smaller* id. A local id match with p >=
                 // span.id is a cross-process collision, not a local edge.
-                Some(p) if local.contains(&p) && p < span.span => {
+                Some(p) if local.contains(&p) && p < span.span_id => {
                     children.entry((ri, p)).or_default().push(key)
                 }
                 Some(p) => {
@@ -429,12 +310,15 @@ pub fn stitch_trace_records(
                     // attempt dispatched to *this* record's replica
                     // (annotated `replica=<source>`); otherwise the first
                     // record holding the id.
-                    let candidates: Vec<(usize, &StitchSpan)> = records
+                    let candidates: Vec<(usize, &SpanRecord)> = records
                         .iter()
                         .enumerate()
                         .filter(|&(oi, _)| oi != ri)
-                        .flat_map(|(oi, r)| {
-                            r.spans.iter().filter(|s| s.span == p).map(move |s| (oi, s))
+                        .flat_map(|(oi, (_, r))| {
+                            r.spans
+                                .iter()
+                                .filter(|s| s.span_id == p)
+                                .map(move |s| (oi, s))
                         })
                         .collect();
                     let target = candidates
@@ -442,10 +326,10 @@ pub fn stitch_trace_records(
                         .find(|(_, s)| {
                             s.annotations
                                 .iter()
-                                .any(|(k, v)| k == "replica" && records[ri].sources.contains(v))
+                                .any(|(k, v)| k == "replica" && records[ri].0.contains(v))
                         })
                         .or_else(|| candidates.first())
-                        .map(|&(oi, s)| (oi, s.span));
+                        .map(|&(oi, s)| (oi, s.span_id));
                     match target {
                         Some(parent_key) => {
                             children.entry(parent_key).or_default().push(key);
@@ -464,37 +348,28 @@ pub fn stitch_trace_records(
         }
     }
 
-    let span_index: BTreeMap<(usize, u64), &StitchSpan> = records
+    let span_index: BTreeMap<(usize, u64), &SpanRecord> = records
         .iter()
         .enumerate()
-        .flat_map(|(ri, r)| r.spans.iter().map(move |s| ((ri, s.span), s)))
+        .flat_map(|(ri, (_, r))| r.spans.iter().map(move |s| ((ri, s.span_id), s)))
         .collect();
     fn render(
         key: (usize, u64),
-        records: &[StitchRecord],
-        span_index: &BTreeMap<(usize, u64), &StitchSpan>,
+        records: &[Sourced],
+        span_index: &BTreeMap<(usize, u64), &SpanRecord>,
         children: &BTreeMap<(usize, u64), Vec<(usize, u64)>>,
         grafted: &[(usize, u64)],
     ) -> Json {
         let span = span_index[&key];
         let mut node = vec![
-            ("span", Json::from(span.span as f64)),
+            ("span", Json::from(span.span_id as f64)),
             (
                 "parent",
                 span.parent.map_or(Json::Null, |p| Json::from(p as f64)),
             ),
             ("name", Json::from(span.name.as_str())),
             ("duration_us", Json::from(span.duration_us as f64)),
-            (
-                "sources",
-                Json::Array(
-                    records[key.0]
-                        .sources
-                        .iter()
-                        .map(|s| Json::from(s.as_str()))
-                        .collect(),
-                ),
-            ),
+            ("sources", source_ids(&records[key.0].0)),
         ];
         if !span.annotations.is_empty() {
             node.push((
@@ -526,36 +401,35 @@ pub fn stitch_trace_records(
         .map(|&k| render(k, &records, &span_index, &children, &grafted))
         .collect();
 
+    // Each source carries its record's outcome and error, so a stitched
+    // trace says which process's request failed.
+    let sources = records.iter().map(|(ids, r)| {
+        let mut source = vec![
+            ("ids", source_ids(ids)),
+            ("spans", Json::from(r.spans.len())),
+            ("outcome", Json::from(r.outcome())),
+        ];
+        if let Some(error) = &r.error {
+            source.push(("error", error_json(error)));
+        }
+        Json::object(source)
+    });
     let body = Json::object(vec![
         ("trace_id", Json::from(trace_id as f64)),
         ("stitched", Json::from(true)),
-        ("root", Json::from(records[0].root.as_str())),
-        ("duration_us", Json::from(records[0].duration_us as f64)),
+        ("root", Json::from(records[0].1.root.as_str())),
+        ("duration_us", Json::from(records[0].1.duration_us as f64)),
         ("span_count", Json::from(span_index.len())),
-        (
-            "sources",
-            Json::Array(
-                records
-                    .iter()
-                    .map(|r| {
-                        Json::object(vec![
-                            (
-                                "ids",
-                                Json::Array(
-                                    r.sources.iter().map(|s| Json::from(s.as_str())).collect(),
-                                ),
-                            ),
-                            ("spans", Json::from(r.spans.len())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("sources", Json::Array(sources.collect())),
         ("partial", partial_json(&partial)),
         ("tree", Json::Array(tree)),
     ])
     .to_compact();
     (200, body)
+}
+
+fn source_ids(ids: &[String]) -> Json {
+    Json::Array(ids.iter().map(|s| Json::from(s.as_str())).collect())
 }
 
 fn partial_json(partial: &[(String, String)]) -> Json {
@@ -670,7 +544,7 @@ fn serve_connection(mut stream: TcpStream, observer: &FleetObserver) {
 pub(crate) fn route_fleet(method: &str, path: &str, observer: &FleetObserver) -> (u16, String) {
     match (method, path) {
         ("GET", "/fleet/metrics") => (200, observer.fleet_metrics_json()),
-        ("GET", "/fleet/stats") => (200, observer.fleet_stats_json()),
+        ("GET", "/fleet/stats") => (200, observer.fleet_stats_json().to_compact()),
         ("GET", trace_path) if trace_path.starts_with("/fleet/trace/") => {
             match trace_path["/fleet/trace/".len()..].parse::<u64>() {
                 Ok(id) => observer.fleet_trace_json(id),
@@ -691,85 +565,6 @@ pub(crate) fn route_fleet(method: &str, path: &str, observer: &FleetObserver) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nl2vis_obs::MetricsRegistry;
-
-    /// A tiny xorshift PRNG (the crate pulls in no test dependencies).
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            let mut x = self.0;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            self.0 = x;
-            x
-        }
-    }
-
-    #[test]
-    fn snapshot_round_trips_through_json_exactly() {
-        let metrics = MetricsRegistry::new();
-        metrics.counter("llm.requests_total").add(12345);
-        metrics.gauge("router.inflight").set(-3);
-        let h = metrics.histogram("llm.request_latency_us");
-        let mut rng = Rng(7);
-        for _ in 0..500 {
-            // Spread across ~32 octaves; keep sums far below 2^53 so the
-            // JSON number hop is exact (the format's stated envelope).
-            h.record(rng.next() % (1 << (1 + rng.next() % 32)));
-        }
-        let snap = Snapshot::collect(&metrics, None);
-        let decoded = parse_snapshot(&snap.to_json()).expect("decode");
-        assert_eq!(decoded, snap);
-        // The wire hop preserves quantiles exactly.
-        let original = &snap.histograms["llm.request_latency_us"];
-        let wired = &decoded.histograms["llm.request_latency_us"];
-        for q in [0.5, 0.95, 0.99] {
-            assert_eq!(original.quantile(q), wired.quantile(q));
-        }
-    }
-
-    #[test]
-    fn decoded_replica_snapshots_merge_to_union_ground_truth() {
-        // Ground truth: all samples recorded into one histogram. The
-        // fleet path — two registries, serialized, decoded, merged —
-        // must produce identical percentiles.
-        let (a, b, union) = (
-            MetricsRegistry::new(),
-            MetricsRegistry::new(),
-            MetricsRegistry::new(),
-        );
-        let mut rng = Rng(99);
-        for i in 0..600 {
-            let v = rng.next() % (1 << (1 + rng.next() % 32));
-            let side = if i % 2 == 0 { &a } else { &b };
-            side.histogram("llm.request_latency_us").record(v);
-            side.counter("llm.requests_total").inc();
-            union.histogram("llm.request_latency_us").record(v);
-            union.counter("llm.requests_total").inc();
-        }
-        let decoded_a = parse_snapshot(&Snapshot::collect(&a, None).to_json()).unwrap();
-        let decoded_b = parse_snapshot(&Snapshot::collect(&b, None).to_json()).unwrap();
-        let merged = Snapshot::merged([&decoded_a, &decoded_b]);
-        let truth = Snapshot::collect(&union, None);
-        assert_eq!(merged.counter("llm.requests_total"), 600);
-        let (m, t) = (
-            &merged.histograms["llm.request_latency_us"],
-            &truth.histograms["llm.request_latency_us"],
-        );
-        assert_eq!(m, t, "bucket-exact merge");
-        for q in [0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0] {
-            assert_eq!(m.quantile(q), t.quantile(q), "q={q}");
-        }
-    }
-
-    #[test]
-    fn parse_snapshot_rejects_foreign_formats() {
-        assert!(parse_snapshot("{}").is_err());
-        assert!(parse_snapshot(r#"{"format":"something.else"}"#).is_err());
-        assert!(parse_snapshot("not json").is_err());
-    }
 
     /// Hand-built router-side record: client.request → router.request →
     /// two attempts annotated with their replica ids.
@@ -804,9 +599,9 @@ mod tests {
         let (status, body) = stitch_trace_records(
             42,
             vec![
-                ("router".to_string(), Ok(router_record_body())),
-                ("A".to_string(), Ok(replica_a.to_string())),
-                ("B".to_string(), Ok(replica_b.to_string())),
+                ("router".to_string(), decode_trace(&router_record_body())),
+                ("A".to_string(), decode_trace(replica_a)),
+                ("B".to_string(), decode_trace(replica_b)),
                 ("C".to_string(), Err("trace 42 not retained".to_string())),
             ],
         );
@@ -868,15 +663,93 @@ mod tests {
     }
 
     #[test]
+    fn stitched_sources_carry_their_records_outcome_and_error() {
+        // Replica A's request failed; the router's and replica B's did
+        // not. The stitched trace must say which process failed, and why.
+        let replica_a = concat!(
+            r#"{"trace_id":42,"root":"client.request","duration_us":8000,"outcome":"error","span_count":1,"#,
+            r#""error":{"component":"server","kind":"backend","message":"model \"gpt-4\" failed"},"spans":["#,
+            r#"{"span":3,"parent":12,"name":"server.handle","duration_us":7800,"annotations":{"status":"502"}}"#,
+            r#"]}"#
+        );
+        let replica_b = concat!(
+            r#"{"trace_id":42,"root":"client.request","duration_us":1900,"outcome":"ok","span_count":1,"spans":["#,
+            r#"{"span":12,"parent":13,"name":"server.handle","duration_us":1800}"#,
+            r#"]}"#
+        );
+        let (status, body) = stitch_trace_records(
+            42,
+            vec![
+                ("router".to_string(), decode_trace(&router_record_body())),
+                ("A".to_string(), decode_trace(replica_a)),
+                ("B".to_string(), decode_trace(replica_b)),
+            ],
+        );
+        assert_eq!(status, 200, "{body}");
+        let json = Json::parse(&body).unwrap();
+        let sources = json.get("sources").and_then(Json::as_array).unwrap();
+        assert_eq!(sources.len(), 3, "{body}");
+        for source in sources {
+            let id = source
+                .get("ids")
+                .and_then(|ids| ids.at(0))
+                .and_then(Json::as_str);
+            let outcome = source.get("outcome").and_then(Json::as_str);
+            let error = source.get("error");
+            if id == Some("A") {
+                assert_eq!(outcome, Some("error"), "{body}");
+                let error = error.expect("the failed replica's error");
+                assert_eq!(
+                    error.get("component").and_then(Json::as_str),
+                    Some("server")
+                );
+                assert_eq!(error.get("kind").and_then(Json::as_str), Some("backend"));
+                assert_eq!(
+                    error.get("message").and_then(Json::as_str),
+                    Some("model \"gpt-4\" failed")
+                );
+            } else {
+                assert_eq!(outcome, Some("ok"), "{id:?}: {body}");
+                assert!(error.is_none(), "{id:?}: {body}");
+            }
+        }
+    }
+
+    #[test]
+    fn records_that_differ_in_outcome_never_collapse() {
+        // Same span ids, different outcome: two processes whose id
+        // counters happened to line up, one of which failed.
+        let errored = router_record_body().replace(
+            r#""outcome":"ok","#,
+            r#""outcome":"error","error":{"component":"llm","kind":"transport","message":"reset"},"#,
+        );
+        let (status, body) = stitch_trace_records(
+            42,
+            vec![
+                ("router".to_string(), decode_trace(&router_record_body())),
+                ("A".to_string(), decode_trace(&errored)),
+            ],
+        );
+        assert_eq!(status, 200, "{body}");
+        let json = Json::parse(&body).unwrap();
+        let sources = json.get("sources").and_then(Json::as_array).unwrap();
+        let outcomes: Vec<_> = sources
+            .iter()
+            .map(|s| s.get("outcome").and_then(Json::as_str))
+            .collect();
+        assert_eq!(outcomes, vec![Some("ok"), Some("error")], "{body}");
+    }
+
+    #[test]
     fn identical_records_from_a_shared_recorder_collapse() {
         // In-process fleets: every replica serves the same record from
         // the shared flight recorder. Sources merge; spans don't double.
         let (status, body) = stitch_trace_records(
             42,
             vec![
-                ("router".to_string(), Ok(router_record_body())),
-                ("A".to_string(), Ok(router_record_body())),
-                ("B".to_string(), Ok(router_record_body())),
+                ("router".to_string(), decode_trace(&router_record_body())),
+                ("A".to_string(), decode_trace(&router_record_body())),
+                ("B".to_string(), decode_trace(&router_record_body())),
             ],
         );
         assert_eq!(status, 200);
@@ -926,8 +799,7 @@ mod tests {
             r#"{"span":2,"parent":999,"name":"server.handle","duration_us":100}"#,
             r#"]}"#
         );
-        let (status, body) =
-            stitch_trace_records(5, vec![("A".to_string(), Ok(lonely.to_string()))]);
+        let (status, body) = stitch_trace_records(5, vec![("A".to_string(), decode_trace(lonely))]);
         assert_eq!(status, 200);
         let json = Json::parse(&body).unwrap();
         let tree = json.get("tree").and_then(Json::as_array).unwrap();

@@ -35,4 +35,4 @@ pub mod router;
 pub use fleet::{FleetConfig, FleetObserver, FleetServer};
 pub use replica::ReplicaSpec;
 pub use ring::Ring;
-pub use router::{RouteLayer, RoutedCall, Router, RouterConfig, RouterStats, RouterStatsSnapshot};
+pub use router::{RoutedCall, Router, RouterConfig, RouterStats, RouterStatsSnapshot};

@@ -18,7 +18,7 @@ use crate::router::RouterConfig;
 pub type SharedService = Arc<dyn CompletionService + Send + Sync>;
 
 /// The public description of one replica, consumed by
-/// [`crate::Router::new`] and [`crate::RouteLayer::with_peer`].
+/// [`crate::Router::new`].
 #[derive(Clone)]
 pub struct ReplicaSpec {
     pub(crate) id: String,

@@ -32,7 +32,7 @@ use nl2vis_cache::completion_key;
 use nl2vis_obs::span::{current_context, Span, TraceContext};
 use nl2vis_obs::{self as obs, registry};
 use nl2vis_service::{
-    CompletionOutcome, CompletionService, GenOptions, Layer, TransportError, TransportErrorKind,
+    CompletionOutcome, CompletionService, GenOptions, TransportError, TransportErrorKind,
 };
 
 use crate::replica::{probe_healthz, Replica, ReplicaSpec};
@@ -636,38 +636,5 @@ impl CompletionService for Router {
     fn describe(&self, stack: &mut Vec<&'static str>) {
         stack.push("route");
         self.replicas[0].service.describe(stack);
-    }
-}
-
-/// [`Layer`] adapter: wraps the inner service as replica 0 and adds the
-/// configured peers, yielding a [`Router`]. Composes as
-/// `Cache(Retry(Route(..)))` under the stack contract.
-pub struct RouteLayer {
-    config: RouterConfig,
-    peers: Vec<ReplicaSpec>,
-}
-
-impl RouteLayer {
-    pub fn new(config: RouterConfig) -> RouteLayer {
-        RouteLayer {
-            config,
-            peers: Vec::new(),
-        }
-    }
-
-    /// Adds a peer replica alongside the layered-over service.
-    pub fn with_peer(mut self, peer: ReplicaSpec) -> RouteLayer {
-        self.peers.push(peer);
-        self
-    }
-}
-
-impl<S: CompletionService + Send + Sync + 'static> Layer<S> for RouteLayer {
-    type Service = Router;
-
-    fn layer(&self, inner: S) -> Router {
-        let mut specs = vec![ReplicaSpec::service("replica-0", inner)];
-        specs.extend(self.peers.iter().cloned());
-        Router::new(specs, self.config.clone())
     }
 }

@@ -17,12 +17,13 @@ use std::time::Duration;
 
 use nl2vis_data::Json;
 use nl2vis_llm::fault::FaultInjector;
-use nl2vis_llm::http::{stats_json, CompletionServer, ServerConfig};
+use nl2vis_llm::http::{CompletionServer, ServerConfig};
 use nl2vis_llm::profile::ModelProfile;
 use nl2vis_llm::sim::SimLlm;
+use nl2vis_llm::telemetry::{decode_snapshot, stats_json};
 use nl2vis_obs::recorder::{self, FlightRecorder};
 use nl2vis_obs::{MetricsRegistry, Span, WindowConfig};
-use nl2vis_router::fleet::{parse_snapshot, FleetConfig, FleetObserver, FleetServer};
+use nl2vis_router::fleet::{FleetConfig, FleetObserver, FleetServer};
 use nl2vis_router::{Router, RouterConfig};
 use nl2vis_service::GenOptions;
 
@@ -131,14 +132,14 @@ fn fleet_plane_merges_metrics_publishes_slos_and_stitches_hedged_traces() {
     let scrape = |addr| {
         let (status, body) = get(addr, "/metrics.json");
         assert_eq!(status, 200, "{body}");
-        parse_snapshot(&body).expect("replica snapshot decodes")
+        decode_snapshot(&body).expect("replica snapshot decodes")
     };
     let (snap_slow, snap_fast) = (scrape(slow.address()), scrape(fast.address()));
     observer.poll_once();
 
     let (status, body) = get(fleet.address(), "/fleet/metrics");
     assert_eq!(status, 200, "{body}");
-    let merged = parse_snapshot(&body).expect("fleet metrics is itself a mergeable snapshot");
+    let merged = decode_snapshot(&body).expect("fleet metrics is itself a mergeable snapshot");
     assert_eq!(merged.sources, 2);
     assert_eq!(
         merged.counter("llm.requests_total"),
@@ -276,7 +277,7 @@ fn one_poll_scrapes_each_replica_once() {
         assert_eq!(served(server), before + 1, "one GET per replica per poll");
     }
 
-    let stats = Json::parse(&observer.fleet_stats_json()).expect("fleet stats parses");
+    let stats = observer.fleet_stats_json();
     let rows = stats.get("replicas").and_then(Json::as_array).unwrap();
     assert_eq!(rows.len(), 2);
     for row in rows {

@@ -10,9 +10,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use nl2vis_router::{ReplicaSpec, RouteLayer, Router, RouterConfig};
+use nl2vis_router::{ReplicaSpec, Router, RouterConfig};
 use nl2vis_service::{
-    service_fn, stack_of, validate_stack, CompletionService, GenOptions, Layer, TransportError,
+    service_fn, stack_of, validate_stack, CompletionService, GenOptions, TransportError,
     TransportErrorKind,
 };
 
@@ -485,16 +485,20 @@ fn health_probes_eject_and_readmit_a_replica() {
 }
 
 #[test]
-fn route_layer_composes_under_the_stack_contract() {
-    let layer = RouteLayer::new(RouterConfig {
-        hedge: false,
-        ..test_config()
-    })
-    .with_peer(ReplicaSpec::service(
-        "peer",
-        service_fn("gpt-4", |_, _| Ok("peer".to_string())),
-    ));
-    let router = layer.layer(service_fn("gpt-4", |_, _| Ok("inner".to_string())));
+fn router_composes_under_the_stack_contract() {
+    let router = Router::new(
+        vec![
+            ReplicaSpec::service(
+                "replica-0",
+                service_fn("gpt-4", |_, _| Ok("inner".to_string())),
+            ),
+            ReplicaSpec::service("peer", service_fn("gpt-4", |_, _| Ok("peer".to_string()))),
+        ],
+        RouterConfig {
+            hedge: false,
+            ..test_config()
+        },
+    );
 
     assert_eq!(router.model(), "gpt-4");
     assert_eq!(router.replica_count(), 2);

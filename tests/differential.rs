@@ -12,7 +12,9 @@
 //! loses the same examples whether a `FaultLayer` applies it in process
 //! or the server applies it on the wire. A validating two-tier router
 //! scores the same in-process and hosted, escalations and `422`
-//! rejections included.
+//! rejections included, and a cheap tier that only ever answers prose
+//! never reaches grading: the hosted router scores exactly what the bare
+//! strong model scores.
 
 use nl2vis::corpus::{Corpus, CorpusConfig};
 use nl2vis::eval::runner::{evaluate_llm, EvalReport, LlmEvalConfig};
@@ -24,6 +26,7 @@ use nl2vis::service::{
     ValidateLayer, VqlSyntaxValidator,
 };
 use nl2vis::StackBuilder;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -356,4 +359,44 @@ fn a_validating_tier_router_scores_the_same_in_process_and_hosted() {
             );
         }
     }
+}
+
+/// The syntax gate keeps every prose answer of a cheap tier out of
+/// grading. The cheap tier answers every prompt with prose and counts its
+/// calls; cheap-first routing escalates each rejected answer to the strong
+/// tier, the bare model. Hosted behind the canonical client stack, the
+/// router must score row for row what the bare model scores, after the
+/// cheap tier was actually tried.
+#[test]
+fn a_prose_cheap_tier_never_reaches_grading() {
+    let corpus = Corpus::build(&CorpusConfig::small(23));
+    let bare = rows(&bare_eval(&corpus));
+    let calls = Arc::new(AtomicUsize::new(0));
+    let prose = {
+        let calls = Arc::clone(&calls);
+        service_fn("prose", move |_: &str, _: &GenOptions| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            Ok("I cannot answer that.".to_string())
+        })
+    };
+    let router = RouteLayer::new(RoutePolicy::CheapFirst)
+        .model(model().profile.name)
+        .tier(
+            "prose-cheap",
+            1,
+            ValidateLayer::new(VqlSyntaxValidator).layer(prose),
+        )
+        .tier("prose-strong", 10, model())
+        .build()
+        .expect("a two-tier router");
+    let hosted = hosted_eval(&corpus, router, FaultInjector::none(), Timeouts::default());
+    assert!(
+        calls.load(Ordering::Relaxed) > 0,
+        "the cheap tier was tried"
+    );
+    assert_eq!(
+        rows(&hosted.report),
+        bare,
+        "every graded answer is the strong model's"
+    );
 }

@@ -15,6 +15,7 @@ use nl2vis::data::{Database, Value};
 use nl2vis::eval::runner::{evaluate_llm, LlmEvalConfig};
 use nl2vis::llm::fault::{Fault, FaultInjector};
 use nl2vis::llm::http::{CompletionServer, HttpLlmClient, ServerConfig};
+use nl2vis::llm::telemetry::trace_json;
 use nl2vis::llm::{ModelProfile, RetryPolicy, SimLlm};
 use nl2vis::obs::{self, recorder, FlightRecorder};
 use nl2vis::{Pipeline, StackBuilder};
@@ -197,7 +198,9 @@ fn overloaded_recorder_holds_capacity_and_keeps_errored_traces() {
         .find(|r| r.error.is_some())
         .expect("an errored trace is retained");
     assert_eq!(sample.outcome(), "error");
-    assert!(sample.to_json().contains("\"kind\":\"boom\""));
+    assert!(trace_json(sample)
+        .to_compact()
+        .contains("\"kind\":\"boom\""));
 
     recorder::disable();
 }
