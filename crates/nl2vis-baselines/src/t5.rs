@@ -20,10 +20,9 @@ use crate::Nl2VisModel;
 use nl2vis_corpus::pools::SYNONYMS;
 use nl2vis_corpus::Corpus;
 use nl2vis_data::text::{split_identifier, words};
-use nl2vis_data::{Database, Rng};
+use nl2vis_data::{seed_hash, Database, Rng};
 use nl2vis_llm::corrupt_query;
 use nl2vis_llm::recover::RecoveredSchema;
-use nl2vis_llm::sim::fnv1a;
 use nl2vis_llm::understand::{ground, parse_question};
 use nl2vis_query::ast::{ColumnRef, Predicate, SelectExpr, VqlQuery};
 use std::collections::HashMap;
@@ -240,12 +239,12 @@ impl Nl2VisModel for T5Model {
         let seed = self.seed;
         let knows = move |alias: &str| {
             lexicon.knows_alias(alias, threshold)
-                || (fnv1a(alias) ^ seed.rotate_left(29)) % 10_000 < (wk * 10_000.0) as u64
+                || (seed_hash(alias) ^ seed.rotate_left(29)) % 10_000 < (wk * 10_000.0) as u64
         };
         let mut grounding = ground(&intent, &schema, &knows)?;
 
         // Residual decoder noise (seeded, query-deterministic).
-        let mut rng = Rng::new(fnv1a(question) ^ self.seed.rotate_left(13));
+        let mut rng = Rng::new(seed_hash(question) ^ self.seed.rotate_left(13));
         let mut budget = self.size.decoder_noise();
         budget += 0.10 * grounding.risk.filters_unlinked as f64;
         if grounding.risk.x_unlinked {

@@ -1,7 +1,7 @@
 //! The completion cache and the middleware that serves from it.
 //!
-//! [`CompletionCache`] composes the three mechanisms of this crate —
-//! sharded LRU, single-flight, JSONL persistence — behind one call,
+//! [`CompletionCache`] composes the two mechanisms of this crate —
+//! sharded LRU and single-flight — behind one call,
 //! [`CompletionCache::complete_through`]. [`CacheLayer`] lifts that call
 //! into the layered completion stack: it wraps any
 //! [`CompletionService`], keying by a canonical hash input of (model,
@@ -13,13 +13,11 @@
 //! cached: the next identical request goes upstream again.
 
 use crate::lru::ShardedLru;
-use crate::persist::{load, Appender};
 use crate::singleflight::{FlightRole, SingleFlight};
 use nl2vis_obs as obs;
 use nl2vis_service::{CompletionOutcome, CompletionService, GenOptions, Layer};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Unit separator: cannot occur in model names and never terminates a
 /// prompt, so the canonical key decomposes unambiguously.
@@ -35,28 +33,8 @@ pub fn completion_key(model: &str, opts: &GenOptions, prompt: &str) -> String {
     )
 }
 
-/// Cache sizing and persistence configuration.
-#[derive(Debug, Clone)]
-pub struct CacheConfig {
-    /// Maximum number of cached completions (approximate: capacity is
-    /// split evenly across shards).
-    pub capacity: usize,
-    /// Number of independently locked LRU shards.
-    pub shards: usize,
-    /// When set, completions are appended to this JSONL file and replayed
-    /// on open for a warm cross-run start.
-    pub persist: Option<PathBuf>,
-}
-
-impl Default for CacheConfig {
-    fn default() -> CacheConfig {
-        CacheConfig {
-            capacity: 4096,
-            shards: 8,
-            persist: None,
-        }
-    }
-}
+/// Independently locked LRU shards per cache.
+const SHARDS: usize = 8;
 
 /// A point-in-time view of the cache counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -71,8 +49,6 @@ pub struct CacheStats {
     pub insertions: u64,
     /// Requests that deduplicated into a concurrent identical flight.
     pub singleflight_waits: u64,
-    /// Entries replayed from the persistence file on open.
-    pub persisted_loads: u64,
 }
 
 impl CacheStats {
@@ -88,7 +64,7 @@ impl CacheStats {
 }
 
 /// A sharded, capacity-bounded completion cache with single-flight
-/// deduplication and optional JSONL persistence.
+/// deduplication.
 ///
 /// Every event is mirrored onto the global [`nl2vis_obs`] registry
 /// (`cache.hits`, `cache.misses`, `cache.evictions`, `cache.insertions`,
@@ -96,52 +72,26 @@ impl CacheStats {
 pub struct CompletionCache {
     lru: ShardedLru<String>,
     flight: SingleFlight<CompletionOutcome>,
-    appender: Option<Mutex<Appender>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
     insertions: AtomicU64,
     singleflight_waits: AtomicU64,
-    persisted_loads: u64,
 }
 
 impl CompletionCache {
-    /// Opens a cache. With `config.persist` set, the existing file is
-    /// replayed (malformed lines skipped) and subsequent insertions are
-    /// appended to it.
-    pub fn open(config: CacheConfig) -> std::io::Result<CompletionCache> {
-        let lru = ShardedLru::new(config.capacity, config.shards);
-        let (appender, persisted_loads) = match &config.persist {
-            None => (None, 0),
-            Some(path) => {
-                let loaded = load(path, |key, completion| {
-                    lru.insert(key, completion);
-                })?;
-                obs::count("cache.persist_loaded", loaded as u64);
-                (Some(Mutex::new(Appender::open(path)?)), loaded as u64)
-            }
-        };
-        Ok(CompletionCache {
-            lru,
+    /// An in-memory cache of `capacity` completions (approximate: capacity
+    /// is split evenly across [`SHARDS`] shards).
+    pub fn in_memory(capacity: usize) -> CompletionCache {
+        CompletionCache {
+            lru: ShardedLru::new(capacity, SHARDS),
             flight: SingleFlight::new(),
-            appender,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
             singleflight_waits: AtomicU64::new(0),
-            persisted_loads,
-        })
-    }
-
-    /// An in-memory cache of `capacity` completions with default sharding.
-    pub fn in_memory(capacity: usize) -> CompletionCache {
-        CompletionCache::open(CacheConfig {
-            capacity,
-            persist: None,
-            ..CacheConfig::default()
-        })
-        .expect("in-memory caches cannot fail to open")
+        }
     }
 
     /// Number of cached completions.
@@ -162,7 +112,6 @@ impl CompletionCache {
             evictions: self.evictions.load(Ordering::Relaxed),
             insertions: self.insertions.load(Ordering::Relaxed),
             singleflight_waits: self.singleflight_waits.load(Ordering::Relaxed),
-            persisted_loads: self.persisted_loads,
         }
     }
 
@@ -182,7 +131,7 @@ impl CompletionCache {
         }
     }
 
-    /// Inserts a successful completion (persisting it when configured).
+    /// Inserts a successful completion.
     pub fn insert(&self, key: &str, completion: &str) {
         if self.lru.insert(key.to_string(), completion.to_string()) {
             self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -190,16 +139,6 @@ impl CompletionCache {
         }
         self.insertions.fetch_add(1, Ordering::Relaxed);
         obs::count("cache.insertions", 1);
-        if let Some(appender) = &self.appender {
-            // Best-effort: a full disk degrades persistence, not serving.
-            if let Err(e) = appender
-                .lock()
-                .expect("cache appender")
-                .append(key, completion)
-            {
-                obs::error("cache", "persist", &e.to_string());
-            }
-        }
     }
 
     /// The serving-path entry point: returns the cached completion for
@@ -324,6 +263,7 @@ mod tests {
     use super::*;
     use nl2vis_service::{TransportError, TransportErrorKind};
     use std::sync::atomic::AtomicUsize;
+    use std::sync::Mutex;
 
     /// A scriptable fake backend: pops the next outcome per call and
     /// counts upstream traffic.
@@ -511,33 +451,5 @@ mod tests {
             "VISUALIZE LINE"
         );
         assert_eq!(cache.stats().hits, 2);
-    }
-
-    #[test]
-    fn persistence_roundtrip_warms_a_fresh_cache() {
-        let path = std::env::temp_dir().join(format!(
-            "nl2vis-cache-roundtrip-{}.jsonl",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let config = CacheConfig {
-            capacity: 16,
-            shards: 2,
-            persist: Some(path.clone()),
-        };
-        {
-            let cache = Arc::new(CompletionCache::open(config.clone()).unwrap());
-            let client = CacheLayer::with_cache(cache).layer(ScriptedLlm::new(vec![]));
-            client.call("warm me", &GenOptions::default()).unwrap();
-            assert_eq!(client.inner().calls(), 1);
-        }
-        // A brand-new cache over the same file starts hot: zero upstream.
-        let cache = Arc::new(CompletionCache::open(config).unwrap());
-        assert_eq!(cache.stats().persisted_loads, 1);
-        let client = CacheLayer::with_cache(cache).layer(ScriptedLlm::new(vec![]));
-        let out = client.call("warm me", &GenOptions::default()).unwrap();
-        assert_eq!(out, "echo:warm me");
-        assert_eq!(client.inner().calls(), 0, "served entirely from disk");
-        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -13,8 +13,10 @@
 //!   but errors are never memoized).
 //! - [`CompletionCache`] / [`CacheLayer`] — the serving-path glue: a
 //!   `nl2vis_service::Layer` that checks the cache, dedups in-flight
-//!   misses, stores only *successful* completions, and optionally
-//!   persists them as JSONL for warm cross-run starts.
+//!   misses, and stores only *successful* completions.
+//!
+//! The cache lives in memory only: every cache is built with
+//! [`CompletionCache::in_memory`] and starts cold.
 //!
 //! Layering matters: the cache wraps *outside* retry (`Cache(Retry(leaf))`
 //! — the contract `nl2vis_service::validate_stack` enforces), so a cached
@@ -24,10 +26,8 @@
 
 pub mod client;
 pub mod lru;
-pub mod persist;
 pub mod singleflight;
 
-pub use client::{completion_key, CacheConfig, CacheLayer, CacheStats, Cached, CompletionCache};
-pub use lru::{fnv1a, ShardedLru};
-pub use persist::{decode_entry, encode_entry, Appender};
+pub use client::{completion_key, CacheLayer, CacheStats, Cached, CompletionCache};
+pub use lru::ShardedLru;
 pub use singleflight::{FlightRole, SingleFlight};

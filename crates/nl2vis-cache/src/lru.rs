@@ -8,23 +8,12 @@
 //! intrusive doubly-linked list over a slot vector — `get`, `insert`, and
 //! eviction are all O(1).
 
+use nl2vis_data::fnv1a;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
 /// Sentinel for "no slot" in the intrusive list.
 const NIL: usize = usize::MAX;
-
-/// FNV-1a, the std-only stable hash used to pick a shard and to bucket
-/// keys. Stability matters: persisted caches must re-shard identically
-/// across runs (`std::collections` hashing is randomized per process).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 struct Slot<V> {
     key: String,
@@ -189,7 +178,7 @@ impl<V: Clone> ShardedLru<V> {
     }
 
     /// Snapshots every `(key, value)` pair, LRU order *within* each shard
-    /// (least recent first), shard by shard. Used by persistence.
+    /// (least recent first), shard by shard.
     pub fn snapshot(&self) -> Vec<(String, V)> {
         let mut out = Vec::new();
         for s in &self.shards {
@@ -297,12 +286,5 @@ mod tests {
             }
         });
         assert!(lru.len() <= 32);
-    }
-
-    #[test]
-    fn fnv1a_is_stable() {
-        // Pinned values: persisted caches depend on this hash never moving.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

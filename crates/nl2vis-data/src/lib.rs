@@ -17,7 +17,7 @@
 //!   inference, for running the pipeline over user data;
 //! - [`rng`]: a deterministic SplitMix64-based random number generator so that
 //!   every experiment in the paper reproduction is a pure function of its
-//!   seed;
+//!   seed, and the stable string hashes [`fnv1a`] and [`seed_hash`];
 //! - [`text`]: identifier tokenization and Jaccard similarity, shared by the
 //!   demonstration selector and the schema linkers.
 
@@ -38,7 +38,7 @@ pub use database::Database;
 pub use error::DataError;
 pub use json::Json;
 pub use load::database_from_csv;
-pub use rng::Rng;
+pub use rng::{fnv1a, seed_hash, Rng};
 pub use schema::{ColumnDef, DatabaseSchema, ForeignKey, TableDef};
 pub use table::Table;
 pub use value::{DataType, Date, Value};

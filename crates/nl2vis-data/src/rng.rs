@@ -1,4 +1,4 @@
-//! A deterministic random number generator.
+//! A deterministic random number generator, and two stable string hashes.
 //!
 //! Experiments in this reproduction must be bit-reproducible across runs and
 //! platforms; we therefore use a self-contained SplitMix64 generator (public
@@ -125,9 +125,57 @@ impl Rng {
     }
 }
 
+/// FNV-1a's loop: the 64-bit offset basis, then xor-and-multiply by
+/// `prime` per byte.
+#[inline]
+fn fnv1a_with(prime: u64, bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in bytes {
+        hash ^= u64::from(*b);
+        hash = hash.wrapping_mul(prime);
+    }
+    hash
+}
+
+/// FNV-1a (64-bit, prime `0x100_0000_01b3`): the std-only stable hash
+/// behind cache shard selection and the router's hash ring.
+/// `std::collections` hashing is randomized per process, so neither may
+/// use it.
+#[inline]
+pub fn fnv1a(bytes: impl AsRef<[u8]>) -> u64 {
+    fnv1a_with(0x0000_0100_0000_01b3, bytes.as_ref())
+}
+
+/// The string hash behind every deterministic draw of the simulated
+/// models and the trained baselines (seeds, knowledge gates, schema
+/// digests). It is FNV-1a's loop with the multiplier `0x1000_0000_01b3`,
+/// not FNV's prime: every pinned experiment number depends on its exact
+/// values, so it must not be "corrected" to [`fnv1a`].
+#[inline]
+pub fn seed_hash(s: &str) -> u64 {
+    fnv1a_with(0x0000_1000_0000_01b3, s.as_bytes())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_is_stable() {
+        // Pinned values: cache shard selection and the router ring depend
+        // on this hash never moving.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
+    fn seed_hash_is_stable() {
+        // Pinned values: SimLlm and baseline seeding, hence every
+        // experiment number, depend on this hash never moving.
+        assert_eq!(seed_hash(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(seed_hash("a"), 0xaf74_d84c_8601_ec8c);
+        assert_eq!(seed_hash("gpt-4"), 0x5440_233a_8026_d80b);
+    }
 
     #[test]
     fn deterministic_stream() {

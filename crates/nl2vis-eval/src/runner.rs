@@ -8,7 +8,7 @@ use nl2vis_baselines::Nl2VisModel;
 use nl2vis_corpus::{Corpus, Example, Hardness};
 use nl2vis_llm::{CompletionService, GenOptions, TransportErrorKind, VALIDATION_REJECTED_STATUS};
 use nl2vis_obs as obs;
-use nl2vis_prompt::select::{select_by_similarity, select_grouped, select_same_database, DemoPool};
+use nl2vis_prompt::select::DemoPool;
 use nl2vis_prompt::{build_prompt, AnswerFormat, PromptFormat, PromptOptions};
 use nl2vis_query::component::Component;
 
@@ -286,13 +286,8 @@ pub fn pick_demos<'a>(
     let pool: Vec<&Example> = train_ids
         .iter()
         .filter_map(|id| corpus.example(*id))
-        .filter(|e| e.id != test.id)
         .collect();
-    match config.selection {
-        Selection::Similarity => select_by_similarity(&pool, &test.nl, config.shots),
-        Selection::SameDatabase => select_same_database(&pool, &test.nl, config.shots),
-        Selection::Grouped { dbs, per_db } => select_grouped(&pool, &test.nl, dbs, per_db),
-    }
+    pick_demos_pooled(&DemoPool::new(&pool), test, config)
 }
 
 /// Builds the demonstration list using a precomputed [`DemoPool`].

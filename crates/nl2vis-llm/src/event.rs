@@ -8,7 +8,7 @@
 //! mode and does the byte-level work — reading, incremental HTTP parsing,
 //! request-level admission control — while the bounded *worker* pool only
 //! ever sees complete parsed requests. Thread count is
-//! `pollers + max_inflight` regardless of connection count.
+//! [`POLLERS`] `+ max_inflight` regardless of connection count.
 //!
 //! Sockets move between the two sides with a mode switch rather than a
 //! write-readiness state machine: when a poller finishes parsing a request
@@ -23,12 +23,13 @@
 //! the queue sits **server-side batching**, decided once at start: when
 //! the service [`batches`](CompletionService::batches) (the simulated
 //! model), a worker that dequeues a completion request also drains every
-//! queued completion sharing its `(model, GenOptions)` key — and
-//! optionally lingers for [`crate::http::ServerTuning::batch_window`] —
-//! serving the whole group with a single
+//! queued completion sharing its `(model, GenOptions)` key, up to
+//! [`BATCH_MAX`], serving the whole group with a single
 //! [`call_batch`](CompletionService::call_batch) that deduplicates
-//! identical prompts. Under a skewed (Zipf) workload most of a saturated
-//! queue is a handful of hot prompts, so one invocation amortizes the
+//! identical prompts. A batch is what is already queued: the worker never
+//! waits for more, so an unsaturated server adds no latency. Under a
+//! skewed (Zipf) workload most of a saturated queue is a handful of hot
+//! prompts, so one invocation amortizes the
 //! prompt/schema parse that dominates completion CPU. Any other service
 //! (a tier router escalates per request) is served one request per worker.
 //!
@@ -37,8 +38,7 @@
 //! applied. Every other request goes to [`route`] and never draws a fault.
 
 use crate::http::{
-    completion_json, route, ServerConfig, ServerTuning, JSON, SERVER_IO_TIMEOUT,
-    SERVER_KEEPALIVE_IDLE,
+    completion_json, route, ServerConfig, JSON, SERVER_IO_TIMEOUT, SERVER_KEEPALIVE_IDLE,
 };
 use crate::poll::{Poller, WakePair, WAKE_TOKEN};
 use crate::sim::GenOptions;
@@ -57,6 +57,13 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Poller threads sharing the connection table. Each owns its shard of
+/// nonblocking sockets.
+const POLLERS: usize = 2;
+
+/// Most completions one batch invocation of the hosted service serves.
+const BATCH_MAX: usize = 32;
 
 /// How long an epoll-backed poller sleeps with nothing ready; bounds the
 /// latency of idle sweeps and drain checks, not of request handling
@@ -167,7 +174,6 @@ pub(crate) struct Shared {
     /// then exit.
     draining: AtomicBool,
     config: ServerConfig,
-    tuning: ServerTuning,
     /// The hosted completion stack.
     service: Arc<dyn CompletionService + Send + Sync>,
     /// Whether workers coalesce queued completions into one
@@ -229,27 +235,24 @@ impl Core {
         windowed: Arc<WindowedRegistry>,
         faults: Arc<FaultInjector>,
         config: ServerConfig,
-        tuning: ServerTuning,
     ) -> std::io::Result<Core> {
-        let pollers = tuning.pollers.max(1);
         let workers = config.max_inflight.max(1);
         registry
             .gauge("server.serving_threads")
-            .set((pollers + workers) as i64);
-        registry.gauge("server.poller.shards").set(pollers as i64);
+            .set((POLLERS + workers) as i64);
+        registry.gauge("server.poller.shards").set(POLLERS as i64);
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
             ready: Condvar::new(),
             draining: AtomicBool::new(false),
             config,
-            tuning,
             coalesce: service.batches(),
             service,
             registry,
             windowed,
             faults,
         });
-        let poller_shared: Vec<Arc<PollerShared>> = (0..pollers)
+        let poller_shared: Vec<Arc<PollerShared>> = (0..POLLERS)
             .map(|_| {
                 Ok(Arc::new(PollerShared {
                     inbox: Mutex::new(Inbox::default()),
@@ -808,8 +811,7 @@ fn worker_loop(shared: &Shared, pollers: &[Arc<PollerShared>]) {
 
 /// Blocks for the next unit of work: the oldest queued request plus — when
 /// it is a batchable completion — every queued completion sharing its
-/// options key, up to `batch_max`. With a nonzero `batch_window` the
-/// worker lingers that long for more matches before serving.
+/// options key, up to [`BATCH_MAX`].
 fn next_batch(shared: &Shared) -> Option<Vec<Work>> {
     let mut queue = shared.queue.lock().expect("work queue");
     let first = loop {
@@ -830,42 +832,15 @@ fn next_batch(shared: &Shared) -> Option<Vec<Work>> {
     let Some(key) = batch_key(&batch[0]) else {
         return Some(batch);
     };
-    let max = shared.tuning.batch_max.max(1);
-    collect_matching(&mut queue, &mut batch, key, max);
-    if batch.len() < max && !shared.tuning.batch_window.is_zero() {
-        let deadline = Instant::now() + shared.tuning.batch_window;
-        while batch.len() < max && !shared.draining.load(Ordering::Relaxed) {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (q, _) = shared
-                .ready
-                .wait_timeout(queue, deadline - now)
-                .expect("work queue");
-            queue = q;
-            collect_matching(&mut queue, &mut batch, key, max);
-            // This worker may have consumed a wakeup meant for an idle
-            // peer; pass it along so non-matching work is not starved for
-            // the length of the window.
-            if !queue.is_empty() {
-                shared.ready.notify_one();
-            }
-        }
-    }
+    collect_matching(&mut queue, &mut batch, key);
     Some(batch)
 }
 
 /// Moves every queued completion matching `key` into `batch` (preserving
-/// arrival order of the rest), bounded by `max`.
-fn collect_matching(
-    queue: &mut VecDeque<Work>,
-    batch: &mut Vec<Work>,
-    key: (u64, u64, u64),
-    max: usize,
-) {
+/// arrival order of the rest), bounded by [`BATCH_MAX`].
+fn collect_matching(queue: &mut VecDeque<Work>, batch: &mut Vec<Work>, key: (u64, u64, u64)) {
     let mut i = 0;
-    while i < queue.len() && batch.len() < max {
+    while i < queue.len() && batch.len() < BATCH_MAX {
         if batch_key(&queue[i]) == Some(key) {
             batch.push(queue.remove(i).expect("indexed element"));
         } else {
@@ -991,7 +966,7 @@ fn serve_route(shared: &Shared, pollers: &[Arc<PollerShared>], work: Work) {
     respond(shared, pollers, work, span, status, &body, content_type);
 }
 
-/// Serves a dequeue group of 1 to `batch_max` completion requests: the one
+/// Serves a dequeue group of 1 to [`BATCH_MAX`] completion requests: the one
 /// path every `POST /v1/completions` takes, lone or coalesced.
 ///
 /// The group draws one fault per member in arrival order — malformed

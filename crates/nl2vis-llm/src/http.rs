@@ -186,33 +186,13 @@ impl Default for ServerConfig {
     }
 }
 
-/// Tuning knobs of the event-driven core that are not part of the sizing
-/// contract in [`ServerConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServerTuning {
-    /// Poller threads sharing the connection table. Each owns its shard of
-    /// nonblocking sockets; total server threads are
-    /// `pollers + max_inflight` regardless of connection count.
-    pub pollers: usize,
-    /// How long a worker lingers for more same-key completions after
-    /// forming a batch. Zero (the default) batches opportunistically: only
-    /// requests already queued together coalesce, and an unsaturated
-    /// server adds no latency.
-    pub batch_window: Duration,
-    /// Most completions one batch invocation of the hosted service may
-    /// serve.
-    pub batch_max: usize,
-}
-
-impl Default for ServerTuning {
-    fn default() -> ServerTuning {
-        ServerTuning {
-            pollers: 2,
-            batch_window: Duration::ZERO,
-            batch_max: 32,
-        }
-    }
-}
+/// The event core's tuning. It has no fields: the poller count (2) and
+/// the largest batch (32) are constants of the core, and a batch is what
+/// is already queued. It stays only as the argument of
+/// [`CompletionServer::start_with_tuning`], which the pinned `benchmark/`
+/// calls.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServerTuning;
 
 /// A completion server exposing a [`CompletionService`] on `127.0.0.1`.
 ///
@@ -225,9 +205,9 @@ impl Default for ServerTuning {
 /// load grow unboundedly. For a service whose
 /// [`batches`](CompletionService::batches) is true (the simulated model),
 /// queued completions sharing generation options are coalesced into one
-/// [`call_batch`](CompletionService::call_batch) invocation
-/// ([`ServerTuning`]); every other service — a tier router, a test double —
-/// is served one request per worker. A service error answers `502`, or
+/// [`call_batch`](CompletionService::call_batch) invocation; every other
+/// service — a tier router, a test double — is served one request per
+/// worker. A service error answers `502`, or
 /// `422` when the stack rejected the answer
 /// ([`VALIDATION_REJECTED_STATUS`](nl2vis_service::VALIDATION_REJECTED_STATUS))
 /// — a verdict on the model, not a gateway failure.
@@ -261,13 +241,11 @@ pub struct CompletionServer {
     registry: Arc<MetricsRegistry>,
     windowed: Arc<WindowedRegistry>,
     faults: Arc<FaultInjector>,
-    config: ServerConfig,
-    tuning: ServerTuning,
 }
 
 impl CompletionServer {
-    /// Hosts `service` on an ephemeral local port with default sizing and
-    /// tuning, instrumented against the process-wide global registry. The
+    /// Hosts `service` on an ephemeral local port with default sizing,
+    /// instrumented against the process-wide global registry. The
     /// server answers as the service's [`model`](CompletionService::model).
     pub fn start<S>(service: S) -> Result<CompletionServer, HttpError>
     where
@@ -306,28 +284,22 @@ impl CompletionServer {
     where
         S: CompletionService + Send + Sync + 'static,
     {
-        CompletionServer::start_with_tuning(
-            service,
-            registry,
-            faults,
-            config,
-            ServerTuning::default(),
-        )
+        CompletionServer::start_service(Arc::new(service), registry, faults, config)
     }
 
-    /// Starts the server with explicit sizing *and* event-core tuning —
-    /// the full constructor every other `start*` delegates to.
+    /// [`CompletionServer::start_with_service_config`]; the fieldless
+    /// [`ServerTuning`] changes nothing.
     pub fn start_with_tuning<S>(
         service: S,
         registry: Arc<MetricsRegistry>,
         faults: FaultInjector,
         config: ServerConfig,
-        tuning: ServerTuning,
+        _tuning: ServerTuning,
     ) -> Result<CompletionServer, HttpError>
     where
         S: CompletionService + Send + Sync + 'static,
     {
-        CompletionServer::start_service(Arc::new(service), registry, faults, config, tuning)
+        CompletionServer::start_with_service_config(service, registry, faults, config)
     }
 
     /// The non-generic body of every constructor, compiled once rather
@@ -337,7 +309,6 @@ impl CompletionServer {
         registry: Arc<MetricsRegistry>,
         faults: FaultInjector,
         config: ServerConfig,
-        tuning: ServerTuning,
     ) -> Result<CompletionServer, HttpError> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
@@ -349,7 +320,6 @@ impl CompletionServer {
             Arc::clone(&windowed),
             Arc::clone(&faults),
             config,
-            tuning,
         )?;
         // The accept thread does nothing but deal accepted sockets to the
         // poller shards.
@@ -365,8 +335,6 @@ impl CompletionServer {
             registry,
             windowed,
             faults,
-            config,
-            tuning,
         })
     }
 
@@ -392,16 +360,6 @@ impl CompletionServer {
     /// [`CompletionServer::start_with_service_config`]).
     pub fn faults(&self) -> &FaultInjector {
         &self.faults
-    }
-
-    /// The runtime sizing this server was started with.
-    pub fn config(&self) -> &ServerConfig {
-        &self.config
-    }
-
-    /// The event-core tuning this server was started with.
-    pub fn tuning(&self) -> &ServerTuning {
-        &self.tuning
     }
 }
 

@@ -24,7 +24,7 @@ use crate::prompt_parse::{parse_prompt, PromptView};
 use crate::recover::RecoveredSchema;
 use crate::understand::{ground, parse_question, Grounding};
 use nl2vis_data::value::Date;
-use nl2vis_data::Rng;
+use nl2vis_data::{seed_hash, Rng};
 use nl2vis_query::ast::*;
 use nl2vis_query::printer::{print, print_sketch};
 use std::collections::HashSet;
@@ -76,9 +76,10 @@ impl SimLlm {
         // re-prompting a failed case through another model rescues only the
         // borderline ones (the paper's modest CoT/role-play gains).
         let mut decision_rng =
-            Rng::new(fnv1a(&view.question) ^ schema_digest(&view.test_schema) ^ 0x5EED_D1FF);
-        let mut rng =
-            Rng::new(fnv1a(prompt) ^ self.seed.rotate_left(17) ^ opts.attempt.wrapping_mul(0x9E37));
+            Rng::new(seed_hash(&view.question) ^ schema_digest(&view.test_schema) ^ 0x5EED_D1FF);
+        let mut rng = Rng::new(
+            seed_hash(prompt) ^ self.seed.rotate_left(17) ^ opts.attempt.wrapping_mul(0x9E37),
+        );
 
         // Grammar discipline: with no demonstrations the model sometimes
         // answers in the wrong formalism entirely.
@@ -158,7 +159,7 @@ impl SimLlm {
         let seed = self.seed;
         let wk = self.profile.world_knowledge;
         move |alias: &str| {
-            let h = fnv1a(alias) ^ seed.rotate_left(31);
+            let h = seed_hash(alias) ^ seed.rotate_left(31);
             (h % 10_000) as f64 / 10_000.0 < wk
         }
     }
@@ -661,32 +662,22 @@ pub use nl2vis_query::extract_vql;
 pub fn schema_digest(schema: &RecoveredSchema) -> u64 {
     let mut h: u64 = 0x9E37_79B9;
     for t in &schema.tables {
-        h ^= fnv1a(&t.name).rotate_left(7);
+        h ^= seed_hash(&t.name).rotate_left(7);
         for (c, ty) in &t.columns {
-            h = h.wrapping_mul(31).wrapping_add(fnv1a(c));
+            h = h.wrapping_mul(31).wrapping_add(seed_hash(c));
             if let Some(ty) = ty {
-                h ^= fnv1a(ty.name());
+                h ^= seed_hash(ty.name());
             }
         }
     }
     for c in &schema.unattributed_columns {
-        h = h.wrapping_mul(37).wrapping_add(fnv1a(c));
+        h = h.wrapping_mul(37).wrapping_add(seed_hash(c));
     }
     for (a, b, c, d) in &schema.fks {
-        h ^= fnv1a(a)
-            ^ fnv1a(b).rotate_left(13)
-            ^ fnv1a(c).rotate_left(27)
-            ^ fnv1a(d).rotate_left(41);
-    }
-    h
-}
-
-/// FNV-1a hash for deterministic seeding from strings.
-pub fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
+        h ^= seed_hash(a)
+            ^ seed_hash(b).rotate_left(13)
+            ^ seed_hash(c).rotate_left(27)
+            ^ seed_hash(d).rotate_left(41);
     }
     h
 }

@@ -624,11 +624,21 @@ pub fn render_response(
     out.into_bytes()
 }
 
+/// The longest `Retry-After` honored. A retrying client sleeps for what a
+/// `429` advertises and the router opens a penalty window as long, so an
+/// unbounded value (`1e9` is about 31 years) would park a caller past
+/// every deadline and retire a replica for good. Real completions APIs
+/// advertise seconds, and the completion server here sheds with 50 ms
+/// (`ServerConfig::retry_after`); a minute bounds both.
+pub const MAX_RETRY_AFTER: Duration = Duration::from_secs(60);
+
 /// Reads a `Retry-After` value in seconds, fractional allowed. An
-/// unparseable or unrepresentable value means no advertised backoff,
-/// never an error.
+/// unparseable value, or one above [`MAX_RETRY_AFTER`], means no
+/// advertised backoff, never an error.
 pub fn parse_retry_after(value: &str) -> Option<Duration> {
-    Duration::try_from_secs_f64(value.parse().ok()?).ok()
+    Duration::try_from_secs_f64(value.parse().ok()?)
+        .ok()
+        .filter(|backoff| *backoff <= MAX_RETRY_AFTER)
 }
 
 /// A thread blocked in `accept` that hands every connection to a handler:

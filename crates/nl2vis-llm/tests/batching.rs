@@ -6,7 +6,7 @@
 //! over real sockets.
 
 use nl2vis_llm::fault::{Fault, FaultInjector};
-use nl2vis_llm::http::{CompletionServer, HttpError, HttpLlmClient, ServerConfig, ServerTuning};
+use nl2vis_llm::http::{CompletionServer, HttpError, HttpLlmClient, ServerConfig};
 use nl2vis_llm::profile::ModelProfile;
 use nl2vis_llm::sim::SimLlm;
 use nl2vis_llm::wire::{self, connection_keeps_alive, header_value};
@@ -243,21 +243,20 @@ fn idle_connections_decouple_from_serving_threads() {
         queue_depth: 16,
         retry_after: Duration::from_millis(50),
     };
-    let tuning = ServerTuning::default();
-    let server = CompletionServer::start_with_tuning(
+    let server = CompletionServer::start_with_service_config(
         SimLlm::new(ModelProfile::gpt_4(), 9),
         Arc::clone(&registry),
         FaultInjector::none(),
         config,
-        tuning,
     )
     .unwrap();
     let addr = server.address();
 
     let threads = registry.gauge("server.serving_threads").get();
+    let pollers = registry.gauge("server.poller.shards").get();
     assert_eq!(
         threads,
-        (tuning.pollers + config.max_inflight) as i64,
+        pollers + config.max_inflight as i64,
         "serving threads are pollers + workers, nothing per-connection"
     );
 

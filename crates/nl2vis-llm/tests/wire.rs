@@ -94,7 +94,9 @@ fn retry_after_accepts_fractions_and_ignores_garbage() {
         Some(Duration::from_millis(50))
     );
     assert_eq!(wire::parse_retry_after("2"), Some(Duration::from_secs(2)));
-    for bad in ["soon", "-1", "NaN", "1e300"] {
+    // The cap itself is honored; anything longer is no advice at all.
+    assert_eq!(wire::parse_retry_after("60"), Some(wire::MAX_RETRY_AFTER));
+    for bad in ["soon", "-1", "NaN", "1e300", "1e9", "60.001"] {
         assert_eq!(wire::parse_retry_after(bad), None, "{bad}");
     }
 }

@@ -30,7 +30,7 @@ use nl2vis_data::{Json, Rng};
 use nl2vis_llm::{FaultInjector, GenOptions, ModelProfile, ServerConfig, SimLlm};
 use nl2vis_obs as obs;
 use nl2vis_obs::{Histogram, HistogramSummary, MetricsRegistry, WindowConfig, WindowedRegistry};
-use nl2vis_router::fleet::{FleetConfig, FleetObserver};
+use nl2vis_router::fleet::FleetObserver;
 use nl2vis_router::{Router, RouterConfig, RouterStatsSnapshot};
 use nl2vis_service::{
     service_fn, Layer, RouteLayer, TieredService, ValidateLayer, VqlSyntaxValidator,
@@ -304,15 +304,13 @@ impl RunTarget {
     /// and latency windows start cold like every other per-run stat.
     fn router(&self, config: &LoadConfig) -> Router {
         let router_config = RouterConfig {
-            hedge: config.hedge_ms > 0,
-            default_hedge_delay: Duration::from_millis(config.hedge_ms.max(1)),
+            hedge_delay: (config.hedge_ms > 0).then(|| Duration::from_millis(config.hedge_ms)),
             hedge_delay_floor: Duration::from_millis(1),
             // Split the configured cache budget over the shards so a
             // 1-replica --cache=C run and an N-replica run compare the
             // same total capacity.
             shard_capacity: config.cache_capacity.div_ceil(self.addrs.len()),
             health_interval: Some(Duration::from_millis(500)),
-            ..RouterConfig::default()
         };
         Router::over_http(&self.addrs, &self.model, router_config)
     }
@@ -420,9 +418,7 @@ pub fn run_once(
 
     // The dashboard observes the fleet exactly as the router's fleet
     // plane would: scraping every replica's /metrics.json and merging.
-    let observer = config
-        .dashboard
-        .then(|| FleetObserver::new(&target.addrs, FleetConfig::default()));
+    let observer = config.dashboard.then(|| FleetObserver::new(&target.addrs));
 
     let reporter = (config.report > Duration::ZERO || observer.is_some()).then(|| {
         let shared = Arc::clone(&shared);

@@ -31,7 +31,7 @@ use nl2vis_llm::profile::ModelProfile;
 use nl2vis_llm::sim::SimLlm;
 use nl2vis_obs::recorder::{self, FlightRecorder};
 use nl2vis_obs::{MetricsRegistry, Span};
-use nl2vis_router::{FleetConfig, FleetObserver, FleetServer, Router, RouterConfig};
+use nl2vis_router::{FleetObserver, FleetServer, Router, RouterConfig};
 use nl2vis_service::GenOptions;
 
 fn flag_u64(args: &[String], key: &str, default: u64) -> u64 {
@@ -115,11 +115,11 @@ fn observe(args: &[String]) -> ! {
         &replicas,
         "gpt-4",
         RouterConfig {
-            default_hedge_delay: Duration::from_millis(hedge_ms),
+            hedge_delay: Some(Duration::from_millis(hedge_ms)),
             ..RouterConfig::default()
         },
     );
-    let observer = FleetObserver::new(&replicas, FleetConfig::default());
+    let observer = FleetObserver::new(&replicas);
     let fleet = FleetServer::start(Arc::clone(&observer))
         .unwrap_or_else(|e| die(&format!("fleet server failed to start: {e}")));
     println!("fleet listening {}", fleet.address());

@@ -3,9 +3,10 @@
 //! A [`FleetObserver`] scrapes every replica's `GET /metrics.json` (the
 //! mergeable [`Snapshot`] wire format) once per poll, folds the
 //! snapshots into a single fleet view — exact, since snapshot merge is
-//! lossless and order-independent — and evaluates the configured
+//! lossless and order-independent — and evaluates the server's default
 //! [`SloSpec`]s against the merged view, publishing `slo.*` burn-rate
-//! gauges. A [`FleetServer`] fronts the observer over HTTP:
+//! gauges. A [`FleetServer`] fronts the observer over HTTP and re-polls
+//! once a second:
 //!
 //! | endpoint            | body                                          |
 //! |---------------------|-----------------------------------------------|
@@ -49,29 +50,15 @@ use nl2vis_obs::slo::{evaluate_all, publish, SloSpec, SloStatus};
 use nl2vis_obs::snapshot::Snapshot;
 use nl2vis_obs::{recorder, registry, WindowConfig};
 
-/// Observer policy: scrape cadence, fetch deadlines, and objectives.
-#[derive(Debug, Clone)]
-pub struct FleetConfig {
-    /// How often the poller re-scrapes every replica.
-    pub poll_interval: Duration,
-    /// Connect/read deadline for one metrics fetch.
-    pub fetch_timeout: Duration,
-    /// Connect/read deadline for one trace fan-out fetch.
-    pub trace_timeout: Duration,
-    /// Objectives evaluated against the merged snapshot each poll.
-    pub slos: Vec<SloSpec>,
-}
+/// How often a [`FleetServer`]'s poller re-scrapes every replica.
+const POLL_INTERVAL: Duration = Duration::from_millis(1000);
 
-impl Default for FleetConfig {
-    fn default() -> FleetConfig {
-        FleetConfig {
-            poll_interval: Duration::from_millis(1000),
-            fetch_timeout: Duration::from_millis(500),
-            trace_timeout: Duration::from_millis(500),
-            slos: SloSpec::server_defaults(100_000),
-        }
-    }
-}
+/// Connect/read deadline for one GET to a replica: a metrics scrape or a
+/// trace fan-out fetch.
+const FETCH_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// The latency objective's threshold: 95% of completions within 100 ms.
+const LATENCY_SLO_US: u64 = 100_000;
 
 /// Deadline for each socket operation of one request the [`FleetServer`]
 /// serves on its accept thread.
@@ -81,7 +68,8 @@ const SERVE_TIMEOUT: Duration = Duration::from_secs(2);
 /// the HTTP frontend via `Arc`.
 pub struct FleetObserver {
     addrs: Vec<SocketAddr>,
-    config: FleetConfig,
+    /// Objectives evaluated against the merged snapshot each poll.
+    slos: Vec<SloSpec>,
     /// What the last poll learned about each replica: its snapshot, or
     /// why the scrape failed.
     scrapes: Mutex<Vec<Result<Snapshot, String>>>,
@@ -93,14 +81,15 @@ pub struct FleetObserver {
 impl FleetObserver {
     /// An observer over `addrs` (the replicas' serving addresses — the
     /// same ports expose completions and the debug surface).
-    pub fn new(addrs: &[SocketAddr], config: FleetConfig) -> Arc<FleetObserver> {
+    pub fn new(addrs: &[SocketAddr]) -> Arc<FleetObserver> {
+        let slos = SloSpec::server_defaults(LATENCY_SLO_US);
         Arc::new(FleetObserver {
             addrs: addrs.to_vec(),
             scrapes: Mutex::new(vec![Err("not scraped yet".to_string()); addrs.len()]),
             merged: Mutex::new(Snapshot::default()),
-            statuses: Mutex::new(evaluate_all(&config.slos, &Snapshot::default())),
+            statuses: Mutex::new(evaluate_all(&slos, &Snapshot::default())),
             polls: AtomicU64::new(0),
-            config,
+            slos,
         })
     }
 
@@ -119,7 +108,7 @@ impl FleetObserver {
             .map(|&addr| {
                 // Scrapes are `Connection: close` GETs, so observer sockets
                 // never linger in replica keep-alive tables.
-                wire::get(addr, "/metrics.json", self.config.fetch_timeout)
+                wire::get(addr, "/metrics.json", FETCH_TIMEOUT)
                     .map_err(|e| e.to_string())
                     .and_then(|(status, body)| match status {
                         200 => decode_snapshot(&body),
@@ -128,7 +117,7 @@ impl FleetObserver {
             })
             .collect();
         let merged = Snapshot::merged(fresh.iter().flatten());
-        let statuses = evaluate_all(&self.config.slos, &merged);
+        let statuses = evaluate_all(&self.slos, &merged);
         publish(&statuses, registry::global());
         *self.scrapes.lock().expect("fleet scrapes") = fresh;
         *self.merged.lock().expect("fleet merged") = merged;
@@ -220,20 +209,16 @@ impl FleetObserver {
             local.ok_or_else(|| format!("trace {trace_id} not retained")),
         )];
         for &addr in &self.addrs {
-            let fetched = wire::get(
-                addr,
-                &format!("/trace/{trace_id}"),
-                self.config.trace_timeout,
-            )
-            .map_err(|e| e.to_string())
-            .and_then(|(status, body)| match status {
-                200 => decode_trace(&body),
-                404 => Err(Json::parse(&body)
-                    .ok()
-                    .and_then(|j| j.get("error").and_then(Json::as_str).map(String::from))
-                    .unwrap_or_else(|| "not retained".to_string())),
-                other => Err(format!("http {other}")),
-            });
+            let fetched = wire::get(addr, &format!("/trace/{trace_id}"), FETCH_TIMEOUT)
+                .map_err(|e| e.to_string())
+                .and_then(|(status, body)| match status {
+                    200 => decode_trace(&body),
+                    404 => Err(Json::parse(&body)
+                        .ok()
+                        .and_then(|j| j.get("error").and_then(Json::as_str).map(String::from))
+                        .unwrap_or_else(|| "not retained".to_string())),
+                    other => Err(format!("http {other}")),
+                });
             sources.push((addr.to_string(), fetched));
         }
         stitch_trace_records(trace_id, sources)
@@ -474,11 +459,10 @@ impl FleetServer {
         let stop = Arc::new(AtomicBool::new(false));
         let poll_stop = Arc::clone(&stop);
         let poll_observer = Arc::clone(&observer);
-        let interval = poll_observer.config.poll_interval;
         let poll_handle = std::thread::spawn(move || {
             while !poll_stop.load(Ordering::Acquire) {
                 // Chunked sleep so Drop never waits a full interval.
-                let mut left = interval;
+                let mut left = POLL_INTERVAL;
                 while !poll_stop.load(Ordering::Acquire) && !left.is_zero() {
                     let step = left.min(Duration::from_millis(20));
                     std::thread::sleep(step);

@@ -32,7 +32,7 @@ pub mod replica;
 pub mod ring;
 pub mod router;
 
-pub use fleet::{FleetConfig, FleetObserver, FleetServer};
+pub use fleet::{FleetObserver, FleetServer};
 pub use replica::ReplicaSpec;
 pub use ring::Ring;
 pub use router::{RoutedCall, Router, RouterConfig, RouterStats, RouterStatsSnapshot};

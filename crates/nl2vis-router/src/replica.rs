@@ -14,6 +14,20 @@ use nl2vis_service::{CompletionService, GenOptions};
 
 use crate::router::RouterConfig;
 
+/// Consecutive transport failures, or consecutive failed probes, that
+/// eject a replica.
+const EJECT_AFTER: u32 = 3;
+
+/// Latency samples a replica needs before its windowed p95 drives the
+/// hedge trigger.
+const HEDGE_MIN_SAMPLES: u64 = 20;
+
+/// Upper clamp of the adaptive hedge trigger.
+const HEDGE_DELAY_CEILING: Duration = Duration::from_millis(500);
+
+/// Connect/read deadline for one `/healthz` probe.
+const PROBE_TIMEOUT: Duration = Duration::from_millis(200);
+
 /// A dynamic service object — any leaf or stack the router can fan out to.
 pub type SharedService = Arc<dyn CompletionService + Send + Sync>;
 
@@ -118,10 +132,10 @@ impl Replica {
 
     /// Records a transport-level failure (timeout/connect/closed/io — not
     /// an HTTP status, which proves the replica is up). Returns true when
-    /// the failure streak just crossed `eject_after` and ejected it.
-    pub(crate) fn note_transport_failure(&self, eject_after: u32) -> bool {
+    /// the failure streak just reached [`EJECT_AFTER`] and ejected it.
+    pub(crate) fn note_transport_failure(&self) -> bool {
         let streak = self.consecutive_failures.fetch_add(1, Ordering::AcqRel) + 1;
-        if streak >= eject_after.max(1) {
+        if streak >= EJECT_AFTER {
             !self.ejected.swap(true, Ordering::AcqRel)
         } else {
             false
@@ -131,14 +145,14 @@ impl Replica {
     /// Records one active `/healthz` probe result. Returns
     /// `Some(true)` when the probe readmitted the replica, `Some(false)`
     /// when it ejected it, `None` when nothing changed.
-    pub(crate) fn note_probe(&self, healthy: bool, eject_after: u32) -> Option<bool> {
+    pub(crate) fn note_probe(&self, healthy: bool) -> Option<bool> {
         if healthy {
             self.probe_failures.store(0, Ordering::Release);
             self.consecutive_failures.store(0, Ordering::Release);
             self.ejected.swap(false, Ordering::AcqRel).then_some(true)
         } else {
             let streak = self.probe_failures.fetch_add(1, Ordering::AcqRel) + 1;
-            if streak >= eject_after.max(1) && !self.ejected.swap(true, Ordering::AcqRel) {
+            if streak >= EJECT_AFTER && !self.ejected.swap(true, Ordering::AcqRel) {
                 Some(false)
             } else {
                 None
@@ -147,15 +161,17 @@ impl Replica {
     }
 
     /// How long to wait for this replica before hedging: its windowed p95
-    /// once enough samples exist, clamped to the configured band; the
-    /// configured default until then.
-    pub(crate) fn hedge_delay(&self, config: &RouterConfig) -> Duration {
+    /// once [`HEDGE_MIN_SAMPLES`] exist, at most [`HEDGE_DELAY_CEILING`]
+    /// and at least `floor` (the floor wins where the two cross, so no
+    /// caller's floor can make this panic); `initial` until then.
+    pub(crate) fn hedge_delay(&self, initial: Duration, floor: Duration) -> Duration {
         let window = self.latency.snapshot();
-        if window.count >= config.hedge_min_samples {
+        if window.count >= HEDGE_MIN_SAMPLES {
             Duration::from_micros(window.quantile(0.95) as u64)
-                .clamp(config.hedge_delay_floor, config.hedge_delay_ceiling)
+                .min(HEDGE_DELAY_CEILING)
+                .max(floor)
         } else {
-            config.default_hedge_delay
+            initial
         }
     }
 
@@ -169,8 +185,8 @@ impl Replica {
 }
 
 /// One blocking `GET /healthz` against `addr`; healthy iff it answers 200
-/// within `timeout`. The GET is `Connection: close`, so probe sockets
-/// never linger in the replica's keep-alive table.
-pub(crate) fn probe_healthz(addr: SocketAddr, timeout: Duration) -> bool {
-    nl2vis_llm::wire::get(addr, "/healthz", timeout).is_ok_and(|(status, _)| status == 200)
+/// within [`PROBE_TIMEOUT`]. The GET is `Connection: close`, so probe
+/// sockets never linger in the replica's keep-alive table.
+pub(crate) fn probe_healthz(addr: SocketAddr) -> bool {
+    nl2vis_llm::wire::get(addr, "/healthz", PROBE_TIMEOUT).is_ok_and(|(status, _)| status == 200)
 }

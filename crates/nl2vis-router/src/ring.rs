@@ -9,7 +9,7 @@
 //! so the surviving replicas keep their completion-cache shards hot across
 //! a scale-out.
 
-use nl2vis_cache::fnv1a;
+use nl2vis_data::fnv1a;
 
 /// FNV-1a concentrates its entropy in the low bits for short, similar
 /// inputs (replica ids differ by one digit), which clusters ring points

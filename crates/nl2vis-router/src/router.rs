@@ -38,52 +38,42 @@ use nl2vis_service::{
 use crate::replica::{probe_healthz, Replica, ReplicaSpec};
 use crate::ring::Ring;
 
-/// Routing, hedging, and health policy.
+/// Virtual nodes per replica on the hash ring.
+const VNODES: usize = 32;
+
+/// Penalty window for a 429 that advertised no `Retry-After`.
+const DEFAULT_PENALTY: Duration = Duration::from_millis(50);
+
+/// Routing, hedging, and health policy. The rest of the policy is fixed:
+/// 32 ring points per replica, ejection after 3 consecutive transport
+/// failures or failed 200 ms `/healthz` probes, and a 50 ms penalty
+/// window for a 429 without `Retry-After`.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Virtual nodes per replica on the hash ring.
-    pub vnodes: usize,
-    /// Master switch for latency hedging (failover on error still works
-    /// when off).
-    pub hedge: bool,
-    /// Hedge trigger before a replica has [`Self::hedge_min_samples`]
-    /// latency observations.
-    pub default_hedge_delay: Duration,
-    /// Samples required before the windowed p95 drives the trigger.
-    pub hedge_min_samples: u64,
-    /// Clamp band for the adaptive trigger: never hedge earlier than the
-    /// floor (protects against a p95 collapsed by cache-fast samples) nor
-    /// later than the ceiling.
+    /// Latency hedging. `Some(delay)` fires a hedge at the next candidate
+    /// when the primary has not answered after `delay`, until the primary
+    /// has 20 latency observations; from then on after its windowed p95,
+    /// clamped to [`Self::hedge_delay_floor`] .. 500 ms. `None` never
+    /// hedges; failover on error works either way.
+    pub hedge_delay: Option<Duration>,
+    /// Lower clamp of the adaptive hedge trigger: protects against a p95
+    /// collapsed by cache-fast samples. Wins over the ceiling if it is
+    /// set above it.
     pub hedge_delay_floor: Duration,
-    pub hedge_delay_ceiling: Duration,
-    /// Consecutive transport failures (or failed probes) that eject a
-    /// replica.
-    pub eject_after: u32,
-    /// Penalty window for a 429 that advertised no `Retry-After`.
-    pub default_penalty: Duration,
     /// Per-replica completion-cache shard capacity; 0 disables shards.
     pub shard_capacity: usize,
     /// Active `/healthz` probe cadence; `None` disables the prober (only
     /// passive ejection/readmission then).
     pub health_interval: Option<Duration>,
-    /// Connect/read deadline for one probe.
-    pub probe_timeout: Duration,
 }
 
 impl Default for RouterConfig {
     fn default() -> RouterConfig {
         RouterConfig {
-            vnodes: 32,
-            hedge: true,
-            default_hedge_delay: Duration::from_millis(25),
-            hedge_min_samples: 20,
+            hedge_delay: Some(Duration::from_millis(25)),
             hedge_delay_floor: Duration::from_millis(2),
-            hedge_delay_ceiling: Duration::from_millis(500),
-            eject_after: 3,
-            default_penalty: Duration::from_millis(50),
             shard_capacity: 0,
             health_interval: None,
-            probe_timeout: Duration::from_millis(200),
         }
     }
 }
@@ -242,7 +232,7 @@ impl Router {
         assert!(!specs.is_empty(), "router needs at least one replica");
         let model = specs[0].service.model().to_string();
         let ids: Vec<String> = specs.iter().map(|s| s.id.clone()).collect();
-        let ring = Ring::new(&ids, config.vnodes);
+        let ring = Ring::new(&ids, VNODES);
         let replicas: Arc<Vec<Replica>> = Arc::new(
             specs
                 .into_iter()
@@ -251,15 +241,10 @@ impl Router {
         );
         let stats = Arc::new(RouterStats::default());
         let health = config.health_interval.and_then(|interval| {
-            replicas.iter().any(|r| r.health_addr.is_some()).then(|| {
-                spawn_health_checker(
-                    Arc::clone(&replicas),
-                    Arc::clone(&stats),
-                    interval,
-                    config.probe_timeout,
-                    config.eject_after,
-                )
-            })
+            replicas
+                .iter()
+                .any(|r| r.health_addr.is_some())
+                .then(|| spawn_health_checker(Arc::clone(&replicas), Arc::clone(&stats), interval))
         });
         Router {
             model,
@@ -449,8 +434,11 @@ impl Router {
         let ctx = current_context();
         let primary = candidates[0];
         let second_target = candidates.get(1).copied();
-        let hedge_after = (self.config.hedge && second_target.is_some())
-            .then(|| self.replicas[primary].hedge_delay(&self.config));
+        let hedge_after = self
+            .config
+            .hedge_delay
+            .filter(|_| second_target.is_some())
+            .map(|delay| self.replicas[primary].hedge_delay(delay, self.config.hedge_delay_floor));
 
         self.spawn_attempt(&race, 0, primary, "primary", ctx, &prompt, opts);
         let started = Instant::now();
@@ -527,8 +515,6 @@ impl Router {
         let prompt = Arc::clone(prompt);
         let opts = opts.clone();
         let epoch = self.epoch;
-        let eject_after = self.config.eject_after;
-        let default_penalty = self.config.default_penalty;
         std::thread::spawn(move || {
             let replica = &replicas[replica_idx];
             let span = match ctx {
@@ -555,7 +541,7 @@ impl Router {
                     span.annotate("error", &format!("{:?}", e.kind));
                     let penalty = match (e.retry_after, &e.kind) {
                         (Some(advertised), _) => Some(advertised),
-                        (None, TransportErrorKind::Status(429)) => Some(default_penalty),
+                        (None, TransportErrorKind::Status(429)) => Some(DEFAULT_PENALTY),
                         _ => None,
                     };
                     if let Some(penalty) = penalty {
@@ -569,7 +555,7 @@ impl Router {
                             | TransportErrorKind::Connect
                             | TransportErrorKind::ConnectionClosed
                             | TransportErrorKind::Io
-                    ) && replica.note_transport_failure(eject_after)
+                    ) && replica.note_transport_failure()
                     {
                         stats.bump(&stats.ejections, "router.replica_ejected_total");
                     }
@@ -589,8 +575,6 @@ fn spawn_health_checker(
     replicas: Arc<Vec<Replica>>,
     stats: Arc<RouterStats>,
     interval: Duration,
-    probe_timeout: Duration,
-    eject_after: u32,
 ) -> HealthChecker {
     let stop = Arc::new(AtomicBool::new(false));
     let stop_flag = Arc::clone(&stop);
@@ -600,8 +584,7 @@ fn spawn_health_checker(
                 let Some(addr) = replica.health_addr else {
                     continue;
                 };
-                let healthy = probe_healthz(addr, probe_timeout);
-                match replica.note_probe(healthy, eject_after) {
+                match replica.note_probe(probe_healthz(addr)) {
                     Some(true) => {
                         stats.bump(&stats.readmissions, "router.replica_readmitted_total")
                     }

@@ -12,7 +12,7 @@
 //! Runs in its own test binary because the flight recorder is process
 //! global.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use nl2vis_data::Json;
@@ -23,9 +23,14 @@ use nl2vis_llm::sim::SimLlm;
 use nl2vis_llm::telemetry::{decode_snapshot, stats_json};
 use nl2vis_obs::recorder::{self, FlightRecorder};
 use nl2vis_obs::{MetricsRegistry, Span, WindowConfig};
-use nl2vis_router::fleet::{FleetConfig, FleetObserver, FleetServer};
+use nl2vis_router::fleet::{FleetObserver, FleetServer};
 use nl2vis_router::{Router, RouterConfig};
 use nl2vis_service::GenOptions;
+
+/// Every poll publishes the process-global `slo.*` gauges, which the
+/// first test reads; the tests that poll must not overlap. Poisoning is
+/// irrelevant — the lock only serializes.
+static SLO_GAUGES: Mutex<()> = Mutex::new(());
 
 /// One `Connection: close` GET; returns (status, body).
 fn get(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
@@ -73,6 +78,7 @@ fn settled(stats: &Json) -> Vec<(&'static str, Option<f64>)> {
 
 #[test]
 fn fleet_plane_merges_metrics_publishes_slos_and_stitches_hedged_traces() {
+    let _gauges = SLO_GAUGES.lock().unwrap_or_else(|e| e.into_inner());
     recorder::install(Arc::new(FlightRecorder::new(256)));
 
     // Replica A stalls every completion by 150ms; replica B is prompt.
@@ -91,13 +97,13 @@ fn fleet_plane_merges_metrics_publishes_slos_and_stitches_hedged_traces() {
     let addrs = [slow.address(), fast.address()];
 
     let config = RouterConfig {
-        default_hedge_delay: Duration::from_millis(15),
+        hedge_delay: Some(Duration::from_millis(15)),
         ..RouterConfig::default()
     };
     let router = Router::over_http(&addrs, "gpt-4", config);
     let slow_id = slow.address().to_string();
 
-    let observer = FleetObserver::new(&addrs, FleetConfig::default());
+    let observer = FleetObserver::new(&addrs);
     let fleet = FleetServer::start(Arc::clone(&observer)).unwrap();
 
     // Spread some plain traffic over both replicas, then drive one
@@ -248,6 +254,7 @@ fn fleet_plane_merges_metrics_publishes_slos_and_stitches_hedged_traces() {
 
 #[test]
 fn one_poll_scrapes_each_replica_once() {
+    let _gauges = SLO_GAUGES.lock().unwrap_or_else(|e| e.into_inner());
     let replicas: Vec<CompletionServer> = (0..2)
         .map(|_| {
             CompletionServer::start_with_service_registry(
@@ -258,13 +265,7 @@ fn one_poll_scrapes_each_replica_once() {
         })
         .collect();
     let addrs: Vec<_> = replicas.iter().map(CompletionServer::address).collect();
-    // No objectives, so this poll publishes no `slo.*` gauge that the
-    // other test in this binary reads.
-    let config = FleetConfig {
-        slos: Vec::new(),
-        ..FleetConfig::default()
-    };
-    let observer = FleetObserver::new(&addrs, config);
+    let observer = FleetObserver::new(&addrs);
     let served = |server: &CompletionServer| {
         server
             .registry()

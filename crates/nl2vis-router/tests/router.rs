@@ -1,6 +1,7 @@
 //! Router behavior: sticky affinity, shard hits, the hedge race (winner
-//! selection, loser cancellation, gauge hygiene), failover, 429
-//! penalties, ejection/readmission, and the all-ejected error.
+//! selection, loser cancellation, gauge hygiene), failover with hedging on
+//! and off, 429 penalties, ejection/readmission, and the all-ejected
+//! error.
 //!
 //! All assertions read the router's own [`RouterStats`] — never the
 //! process-global registry — so concurrently running tests cannot bleed
@@ -23,7 +24,7 @@ fn opts() -> GenOptions {
 /// A config with hedging tuned for fast tests and no active prober.
 fn test_config() -> RouterConfig {
     RouterConfig {
-        default_hedge_delay: Duration::from_millis(10),
+        hedge_delay: Some(Duration::from_millis(10)),
         ..RouterConfig::default()
     }
 }
@@ -38,6 +39,10 @@ fn prompt_owned_by(router: &Router, want: &str) -> String {
     }
     panic!("no prompt hashed to replica {want}");
 }
+
+/// Consecutive transport failures (or failed probes) that eject a
+/// replica: the router's fixed policy.
+const EJECT_AFTER: usize = 3;
 
 /// Polls `cond` for up to `deadline`, sleeping between checks.
 fn wait_until(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
@@ -58,7 +63,7 @@ fn same_prompt_sticks_to_one_replica_and_hits_its_shard() {
     let (ca, cb) = (Arc::clone(&calls_a), Arc::clone(&calls_b));
     let config = RouterConfig {
         shard_capacity: 64,
-        hedge: false,
+        hedge_delay: None,
         ..test_config()
     };
     let router = Router::new(
@@ -233,7 +238,7 @@ fn losing_attempt_is_discarded_and_inflight_settles_to_zero() {
 fn fast_primary_error_fails_over_without_waiting_for_the_hedge_timer() {
     let config = RouterConfig {
         // A timer far above the test budget: only error-failover can win.
-        default_hedge_delay: Duration::from_millis(500),
+        hedge_delay: Some(Duration::from_millis(500)),
         ..RouterConfig::default()
     };
     let router = Router::new(
@@ -269,9 +274,76 @@ fn fast_primary_error_fails_over_without_waiting_for_the_hedge_timer() {
 }
 
 #[test]
+fn with_hedging_off_a_slow_primary_is_never_hedged() {
+    let config = RouterConfig {
+        hedge_delay: None,
+        ..test_config()
+    };
+    let router = Router::new(
+        vec![
+            ReplicaSpec::service(
+                "slow",
+                service_fn("gpt-4", |_, _| {
+                    std::thread::sleep(Duration::from_millis(50));
+                    Ok("slow answer".to_string())
+                }),
+            ),
+            ReplicaSpec::service(
+                "fast",
+                service_fn("gpt-4", |_, _| Ok("fast answer".to_string())),
+            ),
+        ],
+        config,
+    );
+    let prompt = prompt_owned_by(&router, "slow");
+
+    let call = router.call_detailed(&prompt, &opts());
+    assert_eq!(call.outcome.unwrap(), "slow answer");
+    assert_eq!(call.replica, "slow");
+    assert_eq!(call.role, "primary");
+    assert!(!call.hedged);
+    let stats = router.stats().snapshot();
+    assert_eq!(stats.hedges_fired, 0, "no hedge without a hedge delay");
+    assert_eq!(stats.primary_wins, 1);
+}
+
+#[test]
+fn with_hedging_off_an_erroring_primary_still_fails_over() {
+    let config = RouterConfig {
+        hedge_delay: None,
+        ..test_config()
+    };
+    let router = Router::new(
+        vec![
+            ReplicaSpec::service(
+                "down",
+                service_fn("gpt-4", |_, _| {
+                    Err(TransportError::new(
+                        TransportErrorKind::Connect,
+                        1,
+                        "connection refused",
+                    ))
+                }),
+            ),
+            ReplicaSpec::service("up", service_fn("gpt-4", |_, _| Ok("backup".to_string()))),
+        ],
+        config,
+    );
+    let prompt = prompt_owned_by(&router, "down");
+
+    let call = router.call_detailed(&prompt, &opts());
+    assert_eq!(call.outcome.unwrap(), "backup");
+    assert_eq!(call.role, "failover");
+    assert!(!call.hedged);
+    let stats = router.stats().snapshot();
+    assert_eq!(stats.failovers, 1);
+    assert_eq!(stats.hedges_fired, 0);
+}
+
+#[test]
 fn retry_after_penalty_routes_the_key_around_the_replica() {
     let config = RouterConfig {
-        hedge: false,
+        hedge_delay: None,
         ..test_config()
     };
     let router = Router::new(
@@ -312,8 +384,7 @@ fn retry_after_penalty_routes_the_key_around_the_replica() {
 #[test]
 fn all_replicas_ejected_is_a_typed_error_not_a_hang() {
     let config = RouterConfig {
-        eject_after: 1,
-        hedge: false,
+        hedge_delay: None,
         ..test_config()
     };
     let router = Router::new(
@@ -342,9 +413,12 @@ fn all_replicas_ejected_is_a_typed_error_not_a_hang() {
         config,
     );
 
-    // The discovering call ejects both replicas (primary + failover).
-    let first = router.call_detailed("Q: q0\nVQL:", &opts());
-    assert!(first.outcome.is_err());
+    // Each discovering call fails on both replicas (primary + failover);
+    // the third failure in a row ejects each of them.
+    for i in 0..EJECT_AFTER {
+        let first = router.call_detailed(&format!("Q: q0-{i}\nVQL:"), &opts());
+        assert!(first.outcome.is_err());
+    }
     assert!(wait_until(Duration::from_secs(2), || {
         router.stats().snapshot().ejections == 2
     }));
@@ -374,8 +448,7 @@ fn without_probes_ejection_is_sticky_even_after_the_backend_recovers() {
     let broken = Arc::new(AtomicBool::new(true));
     let flag = Arc::clone(&broken);
     let config = RouterConfig {
-        eject_after: 1,
-        hedge: false,
+        hedge_delay: None,
         ..test_config()
     };
     let router = Router::new(
@@ -392,7 +465,10 @@ fn without_probes_ejection_is_sticky_even_after_the_backend_recovers() {
         config,
     );
 
-    assert!(router.call_detailed("Q: a\nVQL:", &opts()).outcome.is_err());
+    for i in 0..EJECT_AFTER {
+        let prompt = format!("Q: a-{i}\nVQL:");
+        assert!(router.call_detailed(&prompt, &opts()).outcome.is_err());
+    }
     assert!(wait_until(Duration::from_secs(2), || {
         router.stats().snapshot().ejections == 1
     }));
@@ -430,9 +506,9 @@ fn health_probes_eject_and_readmit_a_replica() {
         }
     });
 
+    // Three failed probes in a row eject: 75 ms at this cadence.
     let config = RouterConfig {
-        hedge: false,
-        eject_after: 2,
+        hedge_delay: None,
         health_interval: Some(Duration::from_millis(25)),
         ..RouterConfig::default()
     };
@@ -495,7 +571,7 @@ fn router_composes_under_the_stack_contract() {
             ReplicaSpec::service("peer", service_fn("gpt-4", |_, _| Ok("peer".to_string()))),
         ],
         RouterConfig {
-            hedge: false,
+            hedge_delay: None,
             ..test_config()
         },
     );

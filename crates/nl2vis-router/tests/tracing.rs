@@ -44,7 +44,7 @@ fn hedged_request_renders_as_one_trace_tree_with_the_winner_marked() {
     .unwrap();
 
     let config = RouterConfig {
-        default_hedge_delay: Duration::from_millis(15),
+        hedge_delay: Some(Duration::from_millis(15)),
         ..RouterConfig::default()
     };
     let router = Router::over_http(&[slow.address(), fast.address()], "gpt-4", config);

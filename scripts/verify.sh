@@ -42,6 +42,12 @@ run "cargo test --workspace" cargo test -q --workspace
 # step runs nl2vis-llm's own suites over that build.
 run "cargo test nl2vis-llm (scan poller)" cargo test -q -p nl2vis-llm --no-default-features
 
+# Pinned benchmark: `benchmark/` is a standalone package (not a workspace
+# member) that must build unchanged against the crates' public APIs. Its
+# smoke test runs every workload for 1 s, untraced and traced, and checks
+# `correct:true` and the metric set `BENCHMARK.json` names.
+run "benchmark smoke" cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+
 # Sustained-load smoke: a short reduced-thread loadgen run against a
 # self-hosted server (open loop, coordinated-omission corrected). Kept
 # under ~10 s; writes its snapshot under target/ so it never clobbers a

@@ -3,7 +3,7 @@
 //! One seeded corpus is evaluated twice: through a bare [`SimLlm`], and
 //! through the same model hosted by a [`CompletionServer`] behind the
 //! canonical client stack `Trace(Metrics(Cache(Retry(HttpLlmClient))))`
-//! with two eval workers. Nothing on the wire may change what the model
+//! with three eval workers. Nothing on the wire may change what the model
 //! said: every example must match the bare run byte for byte — id,
 //! completion, exact, exec — whether the server coalesces requests into
 //! batches or serves them one at a time. Under a seeded fault schedule an
@@ -18,8 +18,8 @@
 
 use nl2vis::corpus::{Corpus, CorpusConfig};
 use nl2vis::eval::runner::{evaluate_llm, EvalReport, LlmEvalConfig};
-use nl2vis::llm::http::{CompletionServer, HttpLlmClient, ServerConfig, ServerTuning, Timeouts};
-use nl2vis::llm::{FaultInjector, GenOptions, ModelProfile, RetryPolicy, SimLlm};
+use nl2vis::llm::http::{CompletionServer, HttpLlmClient, ServerConfig, Timeouts};
+use nl2vis::llm::{Fault, FaultInjector, GenOptions, ModelProfile, RetryPolicy, SimLlm};
 use nl2vis::obs::{self, MetricsRegistry};
 use nl2vis::service::{
     service_fn, CompletionService, FaultLayer, Layer, RouteLayer, RoutePolicy, TieredService,
@@ -56,20 +56,21 @@ fn config() -> LlmEvalConfig {
     }
 }
 
-/// A single server worker that lingers for a second request with the
-/// same options: the two eval workers' requests coalesce whenever the
-/// hosted service batches.
-fn batching_tuning() -> (ServerConfig, ServerTuning) {
-    let config = ServerConfig {
+/// A single server worker, so requests queue behind the one in service;
+/// queued requests with the same options coalesce whenever the hosted
+/// service batches.
+fn one_worker() -> ServerConfig {
+    ServerConfig {
         max_inflight: 1,
         ..ServerConfig::default()
-    };
-    let tuning = ServerTuning {
-        batch_window: Duration::from_millis(20),
-        batch_max: 2,
-        ..ServerTuning::default()
-    };
-    (config, tuning)
+    }
+}
+
+/// A fault plan that stalls only the first completion request. Behind it
+/// the other two eval workers' requests queue on the one server worker,
+/// so the next dequeue finds two requests with the same options.
+fn opening_stall() -> FaultInjector {
+    FaultInjector::script(vec![Fault::Stall(Duration::from_millis(200))])
 }
 
 /// Evaluates through the canonical client stack
@@ -108,25 +109,27 @@ struct Hosted {
     faults_injected: u64,
 }
 
-/// Evaluates `service`, hosted with `faults`, through the canonical client
-/// stack with `timeouts` on two eval workers.
+/// Evaluates `service`, hosted with `faults` on one server worker, through
+/// the canonical client stack with `timeouts` on three eval workers.
 fn hosted_eval<S>(corpus: &Corpus, service: S, faults: FaultInjector, timeouts: Timeouts) -> Hosted
 where
     S: CompletionService + Send + Sync + 'static,
 {
     let registry = Arc::new(MetricsRegistry::new());
     let model = service.model().to_string();
-    let (server_config, tuning) = batching_tuning();
-    let server = CompletionServer::start_with_tuning(
+    let server = CompletionServer::start_with_service_config(
         service,
         Arc::clone(&registry),
         faults,
-        server_config,
-        tuning,
+        one_worker(),
     )
     .expect("server starts");
     let http = HttpLlmClient::with_timeouts(server.address(), model, timeouts);
-    let report = client_eval(http, corpus, &config());
+    let config = LlmEvalConfig {
+        workers: Some(3),
+        ..config()
+    };
+    let report = client_eval(http, corpus, &config);
     let faults_injected = server.faults().injected();
     drop(server);
     Hosted {
@@ -155,8 +158,9 @@ fn serving_matches_the_bare_model_batched_and_unbatched() {
     assert_eq!(bare.results.len(), EXAMPLES);
     assert_eq!(bare.transport_failures(), 0);
 
-    // The simulated model batches: requests coalesce into shared batches.
-    let batched = hosted_eval(&corpus, model(), FaultInjector::none(), Timeouts::default());
+    // The simulated model batches: the requests queued behind the opening
+    // stall coalesce into a shared batch.
+    let batched = hosted_eval(&corpus, model(), opening_stall(), Timeouts::default());
     assert_eq!(rows(&batched.report), rows(&bare), "batched serving");
     let registry = &batched.registry;
     assert!(
@@ -165,14 +169,14 @@ fn serving_matches_the_bare_model_batched_and_unbatched() {
         "at least one batch coalesced two requests"
     );
 
-    // A tier router does not batch: with the same tuning, every request
-    // is served on its own.
+    // A tier router does not batch: with the same queue behind the same
+    // stall, every request is served on its own.
     let router = RouteLayer::new(RoutePolicy::CheapFirst)
         .model(model().profile.name)
         .tier("only", 1, model())
         .build()
         .expect("a one-tier router");
-    let unbatched = hosted_eval(&corpus, router, FaultInjector::none(), Timeouts::default());
+    let unbatched = hosted_eval(&corpus, router, opening_stall(), Timeouts::default());
     assert_eq!(rows(&unbatched.report), rows(&bare), "unbatched serving");
     let registry = &unbatched.registry;
     assert_eq!(

@@ -14,7 +14,7 @@ use nl2vis::llm::wire::{self, AcceptLoop, WireError, MAX_BODY_BYTES, MAX_HEADER_
 use nl2vis::llm::{ModelProfile, SimLlm};
 use nl2vis::obs::{self, FlightRecorder, MetricsRegistry};
 use nl2vis_loadgen::client::{LoadConn, Outcome};
-use nl2vis_router::fleet::{FleetConfig, FleetObserver, FleetServer};
+use nl2vis_router::fleet::{FleetObserver, FleetServer};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -201,7 +201,7 @@ fn every_server_frames_requests_alike() {
         Arc::clone(&registry),
     )
     .unwrap();
-    let fleet = FleetServer::start(FleetObserver::new(&[], FleetConfig::default())).unwrap();
+    let fleet = FleetServer::start(FleetObserver::new(&[])).unwrap();
 
     for case in request_cases() {
         for (server, addr, (status, fragment, keep_alive)) in [
