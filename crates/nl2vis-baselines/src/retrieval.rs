@@ -99,7 +99,7 @@ impl RetrievalIndex {
                 id: e.id,
                 nl: e.nl.clone(),
                 tokens: tokenize(&e.nl, mode),
-                vql: e.vql.clone(),
+                vql: (*e.vql).clone(),
                 db: e.db.clone(),
             })
             .collect();

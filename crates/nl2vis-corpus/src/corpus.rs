@@ -28,8 +28,11 @@ pub struct Example {
     pub domain: String,
     /// The user's natural-language request.
     pub nl: String,
-    /// Gold VQL query.
-    pub vql: VqlQuery,
+    /// Gold VQL query. Boxed so that an `Example` is 96 B rather than
+    /// 624 B: a corpus's `examples` buffer then stays small enough that
+    /// freeing it does not push glibc's mmap threshold past the blocks a
+    /// long run grows later (DESIGN §19).
+    pub vql: Box<VqlQuery>,
     /// nvBench hardness level.
     pub hardness: Hardness,
     /// Whether the gold query joins two tables (the paper's join scenario).
@@ -139,7 +142,7 @@ impl Corpus {
                             domain: domain.clone(),
                             nl,
                             is_join: vql.is_join(),
-                            vql: vql.clone(),
+                            vql: Box::new(vql.clone()),
                             hardness,
                         });
                         id += 1;

@@ -155,7 +155,7 @@ pub fn corpus_from_json(doc: &Json) -> Result<Corpus, IoError> {
                 .get("is_join")
                 .and_then(Json::as_bool)
                 .unwrap_or(vql.is_join()),
-            vql,
+            vql: Box::new(vql),
             hardness,
         });
     }

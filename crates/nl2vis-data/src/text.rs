@@ -52,18 +52,25 @@ fn flush(words: &mut Vec<String>, current: &mut String) {
 /// discarded; digits stay attached to their run (`"top 5"` → `["top","5"]`).
 pub fn words(text: &str) -> Vec<String> {
     let mut out = Vec::new();
+    for_each_word(text, |w| out.push(w.to_string()));
+    out
+}
+
+/// Calls `f` on each of [`words`]' tokens in order, through one reused
+/// buffer, so a caller that only looks words up allocates nothing per word.
+pub fn for_each_word(text: &str, mut f: impl FnMut(&str)) {
     let mut current = String::new();
     for c in text.chars() {
         if c.is_alphanumeric() {
             current.push(c.to_ascii_lowercase());
         } else if !current.is_empty() {
-            out.push(std::mem::take(&mut current));
+            f(&current);
+            current.clear();
         }
     }
     if !current.is_empty() {
-        out.push(current);
+        f(&current);
     }
-    out
 }
 
 /// Jaccard similarity of the word sets of two strings: |A∩B| / |A∪B|.
@@ -76,11 +83,19 @@ pub fn jaccard(a: &str, b: &str) -> f64 {
 
 /// Jaccard similarity of two pre-tokenized word sets.
 pub fn jaccard_sets(sa: &HashSet<String>, sb: &HashSet<String>) -> f64 {
-    if sa.is_empty() && sb.is_empty() {
+    jaccard_counts(sa.len(), sb.len(), sa.intersection(sb).count())
+}
+
+/// Jaccard similarity from set sizes alone: `|A∩B| / |A∪B|` given `|A|`,
+/// `|B|` and `|A∩B|`, and 1.0 when both sets are empty. Every Jaccard score
+/// is computed here, so a caller that counts the intersection another way
+/// (an inverted index) gets bit-identical scores.
+pub fn jaccard_counts(a: usize, b: usize, inter: usize) -> f64 {
+    if a == 0 && b == 0 {
         return 1.0;
     }
-    let inter = sa.intersection(sb).count() as f64;
-    let union = (sa.len() + sb.len()) as f64 - inter;
+    let inter = inter as f64;
+    let union = (a + b) as f64 - inter;
     if union == 0.0 {
         1.0
     } else {

@@ -10,8 +10,6 @@ use nl2vis_query::{execute, parse};
 /// The outcome of scoring one prediction against its gold query.
 #[derive(Debug, Clone)]
 pub struct EvalOutcome {
-    /// Prediction parsed as VQL.
-    pub predicted: Option<VqlQuery>,
     /// AST-level exact match after canonicalization.
     pub exact: bool,
     /// Execution results match (chart type + x/y/series data).
@@ -40,7 +38,6 @@ impl EvalOutcome {
     /// scored like an unparseable answer.
     pub fn no_prediction() -> EvalOutcome {
         EvalOutcome {
-            predicted: None,
             exact: false,
             exec: false,
             components_wrong: Vec::new(),
@@ -56,7 +53,6 @@ impl EvalOutcome {
     /// toward any metric.
     pub fn unscored() -> EvalOutcome {
         EvalOutcome {
-            predicted: None,
             exact: false,
             exec: false,
             components_wrong: Vec::new(),
@@ -82,7 +78,6 @@ pub fn score_completion(completion: &str, gold: &VqlQuery, db: &Database) -> Eva
     match parsed {
         Some(pred) => score_query(&pred, gold, db),
         None => EvalOutcome {
-            predicted: None,
             exact: false,
             exec: false,
             components_wrong: Vec::new(),
@@ -104,7 +99,6 @@ pub fn score_query(pred: &VqlQuery, gold: &VqlQuery, db: &Database) -> EvalOutco
         }
     };
     EvalOutcome {
-        predicted: Some(pred.clone()),
         exact,
         exec,
         components_wrong: diff(gold, pred),

@@ -4,9 +4,10 @@
 //! many failures the strategy rescues.
 
 use crate::metrics::{score_completion, EvalOutcome};
-use crate::runner::{pick_demos, LlmEvalConfig};
+use crate::runner::{demo_pool, pick_demos_pooled, LlmEvalConfig};
 use nl2vis_corpus::{Corpus, Example};
 use nl2vis_llm::{GenOptions, ModelProfile, SimLlm};
+use nl2vis_prompt::select::DemoPool;
 use nl2vis_prompt::{build_prompt, PromptOptions};
 use nl2vis_query::execute;
 
@@ -54,12 +55,12 @@ impl Strategy {
     }
 }
 
-/// Applies a strategy to one previously-failed example, returning the new
-/// scoring outcome.
+/// Applies a strategy to one previously-failed example, drawing its
+/// demonstrations from `pool`, and returns the new scoring outcome.
 pub fn apply_strategy(
     strategy: Strategy,
     corpus: &Corpus,
-    train_ids: &[usize],
+    pool: &DemoPool,
     example: &Example,
     base: &LlmEvalConfig,
     seed: u64,
@@ -69,7 +70,7 @@ pub fn apply_strategy(
         .catalog
         .database(&example.db)
         .expect("example database exists");
-    let demos = pick_demos(corpus, train_ids, example, base);
+    let demos = pick_demos_pooled(pool, example, base);
 
     let mut options = PromptOptions {
         format: base.format,
@@ -221,12 +222,13 @@ pub fn run_strategy(
         rescued_exact: 0,
         by_chart: Vec::new(),
     };
+    let pool = demo_pool(corpus, train_ids);
     for id in failed_ids {
         let Some(example) = corpus.example(*id) else {
             continue;
         };
         report.attempted += 1;
-        let outcome = apply_strategy(strategy, corpus, train_ids, example, base, seed);
+        let outcome = apply_strategy(strategy, corpus, &pool, example, base, seed);
         let chart = example.vql.extended_chart_label().to_string();
         let slot = match report.by_chart.iter_mut().find(|(c, _, _)| *c == chart) {
             Some(s) => s,

@@ -11,6 +11,8 @@ use nl2vis_obs as obs;
 use nl2vis_prompt::select::DemoPool;
 use nl2vis_prompt::{build_prompt, AnswerFormat, PromptFormat, PromptOptions};
 use nl2vis_query::component::Component;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Demonstration-selection policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -275,19 +277,13 @@ impl EvalReport {
     }
 }
 
-/// Builds the demonstration list for one test example (convenience wrapper
-/// around [`pick_demos_pooled`] that constructs a throwaway pool).
-pub fn pick_demos<'a>(
-    corpus: &'a Corpus,
-    train_ids: &[usize],
-    test: &Example,
-    config: &LlmEvalConfig,
-) -> Vec<&'a Example> {
-    let pool: Vec<&Example> = train_ids
+/// The demonstration pool over the training ids that exist in `corpus`.
+pub fn demo_pool<'a>(corpus: &'a Corpus, train_ids: &[usize]) -> DemoPool<'a> {
+    let candidates: Vec<&Example> = train_ids
         .iter()
         .filter_map(|id| corpus.example(*id))
         .collect();
-    pick_demos_pooled(&DemoPool::new(&pool), test, config)
+    DemoPool::new(&candidates)
 }
 
 /// Builds the demonstration list using a precomputed [`DemoPool`].
@@ -335,11 +331,7 @@ pub fn evaluate_llm_with_progress(
         .copied()
         .take(limit.unwrap_or(usize::MAX))
         .collect();
-    let candidates: Vec<&Example> = train_ids
-        .iter()
-        .filter_map(|id| corpus.example(*id))
-        .collect();
-    let pool = DemoPool::new(&candidates);
+    let pool = demo_pool(corpus, train_ids);
     parallel_map(
         &ids,
         config.workers,
@@ -466,29 +458,32 @@ fn default_workers() -> usize {
         .min(8)
 }
 
+/// What every evaluation step of one run shares: the run's size, its
+/// completion count and progress callback, and the per-example metric
+/// handles, resolved once per run rather than by name (a `String` and the
+/// registry mutex) per example.
+struct Steps<'p, P> {
+    total: usize,
+    done: AtomicUsize,
+    progress: &'p P,
+    latency: Arc<obs::Histogram>,
+    examples: Arc<obs::Counter>,
+}
+
 /// One instrumented evaluation step: times the example into
 /// `eval.example_latency_us`, converts a panic into a counted miss, and
 /// reports progress.
-fn run_one<F, P>(
-    id: &usize,
-    f: &F,
-    total: usize,
-    done: &std::sync::atomic::AtomicUsize,
-    progress: &P,
-    panics: &mut usize,
-) -> Option<ExampleResult>
+fn run_one<F, P>(id: &usize, f: &F, steps: &Steps<P>, panics: &mut usize) -> Option<ExampleResult>
 where
     F: Fn(&usize) -> Option<ExampleResult> + Sync,
     P: Fn(usize, usize) + Sync,
 {
     let started = std::time::Instant::now();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(id)));
-    obs::global()
-        .histogram("eval.example_latency_us")
-        .record_duration(started.elapsed());
-    obs::global().counter("eval.examples_total").inc();
-    let completed = done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-    progress(completed, total);
+    steps.latency.record_duration(started.elapsed());
+    steps.examples.inc();
+    let completed = steps.done.fetch_add(1, Ordering::Relaxed) + 1;
+    (steps.progress)(completed, steps.total);
     match result {
         Ok(r) => r,
         Err(panic) => {
@@ -528,13 +523,19 @@ where
         .unwrap_or_else(default_workers)
         .max(1)
         .min(total.max(1));
-    let done = std::sync::atomic::AtomicUsize::new(0);
+    let steps = Steps {
+        total,
+        done: AtomicUsize::new(0),
+        progress: &progress,
+        latency: obs::global().histogram("eval.example_latency_us"),
+        examples: obs::global().counter("eval.examples_total"),
+    };
     if total < 8 || workers < 2 {
         let started = std::time::Instant::now();
         let mut panics = 0usize;
         let results: Vec<ExampleResult> = ids
             .iter()
-            .filter_map(|id| run_one(id, &f, total, &done, &progress, &mut panics))
+            .filter_map(|id| run_one(id, &f, &steps, &mut panics))
             .collect();
         let stats = vec![WorkerStats {
             worker: 0,
@@ -547,7 +548,7 @@ where
             worker_stats: stats,
         };
     }
-    let next = std::sync::atomic::AtomicUsize::new(0);
+    let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<ExampleResult>> =
         std::iter::repeat_with(|| None).take(total).collect();
     let mut worker_panics = 0usize;
@@ -560,11 +561,11 @@ where
                     let mut panics = 0usize;
                     let mut claimed: Vec<(usize, Option<ExampleResult>)> = Vec::new();
                     loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= total {
                             break;
                         }
-                        let result = run_one(&ids[i], &f, total, &done, &progress, &mut panics);
+                        let result = run_one(&ids[i], &f, &steps, &mut panics);
                         claimed.push((i, result));
                     }
                     (claimed, panics, started.elapsed())
@@ -859,7 +860,6 @@ mod tests {
                 Some(ExampleResult {
                     id: *id,
                     outcome: EvalOutcome {
-                        predicted: None,
                         exact: false,
                         exec: false,
                         components_wrong: Vec::new(),

@@ -11,11 +11,12 @@
 //! (prompt build → simulated model → execution → comparison).
 
 use crate::metrics::score_completion;
-use crate::runner::{pick_demos, LlmEvalConfig};
+use crate::runner::{demo_pool, pick_demos_pooled, LlmEvalConfig};
 use nl2vis_corpus::{Corpus, Example, Hardness};
 use nl2vis_data::text::words;
 use nl2vis_data::Rng;
 use nl2vis_llm::{ModelProfile, SimLlm};
+use nl2vis_prompt::select::DemoPool;
 use nl2vis_prompt::{build_prompt, PromptOptions};
 
 /// User expertise group.
@@ -187,12 +188,13 @@ pub fn run_study(corpus: &Corpus, train_ids: &[usize], config: &StudyConfig) -> 
         }
     }
 
+    let pool = demo_pool(corpus, train_ids);
     let mut report = StudyReport::default();
     for user in [UserKind::Expert, UserKind::NonExpert] {
         for target in &targets {
             let session = run_session(
                 corpus,
-                train_ids,
+                &pool,
                 &llm,
                 &eval_config,
                 target,
@@ -209,7 +211,7 @@ pub fn run_study(corpus: &Corpus, train_ids: &[usize], config: &StudyConfig) -> 
 #[allow(clippy::too_many_arguments)] // internal driver mirroring the study's knobs
 fn run_session(
     corpus: &Corpus,
-    train_ids: &[usize],
+    pool: &DemoPool,
     llm: &SimLlm,
     eval_config: &LlmEvalConfig,
     target: &Example,
@@ -235,18 +237,18 @@ fn run_session(
     let mut prompt_seconds = 0.0;
     let mut generate_seconds = 0.0;
 
+    // The demonstrations depend only on the target, so every round reuses
+    // them. The user asks for a *new* visualization: demonstrations that are
+    // this very chart (paraphrase siblings in the training pool) are
+    // excluded, otherwise the model would just echo the answer and no
+    // phrasing effect could be measured.
+    let mut demos = pick_demos_pooled(pool, target, eval_config);
+    demos.retain(|d| d.db != target.db || !nl2vis_query::canon::exact_match(&d.vql, &target.vql));
+
     let mut success = false;
     let mut revisions = 0usize;
     for round in 0..=config.max_revisions {
         let question = apply_defects(ideal, &defects);
-        // The user asks for a *new* visualization: demonstrations that are
-        // this very chart (paraphrase siblings in the training pool) are
-        // excluded, otherwise the model would just echo the answer and no
-        // phrasing effect could be measured.
-        let mut demos = pick_demos(corpus, train_ids, target, eval_config);
-        demos.retain(|d| {
-            d.db != target.db || !nl2vis_query::canon::exact_match(&d.vql, &target.vql)
-        });
         let options = PromptOptions {
             format: eval_config.format,
             token_budget: eval_config.token_budget,

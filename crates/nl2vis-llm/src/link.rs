@@ -11,7 +11,8 @@
 use crate::recover::RecoveredSchema;
 use nl2vis_corpus::pools::SYNONYMS;
 use nl2vis_data::text::{singularize, split_identifier, words};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::sync::OnceLock;
 
 /// Stopwords ignored during phrase↔identifier matching.
 const STOPWORDS: &[&str] = &[
@@ -42,12 +43,35 @@ pub fn content_tokens(phrase: &str) -> Vec<String> {
         .collect()
 }
 
+/// Singular alias → every `(singular canonical, raw alias)` of [`SYNONYMS`]
+/// with that singular alias, in dictionary order.
+type SynonymTable = HashMap<String, Vec<(String, &'static str)>>;
+
+/// [`SYNONYMS`] singularized once: linking tests every phrase token against
+/// every column token.
+fn singular_synonyms() -> &'static SynonymTable {
+    static TABLE: OnceLock<SynonymTable> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut table = SynonymTable::new();
+        for (alias, canonical) in SYNONYMS {
+            table
+                .entry(singularize(alias))
+                .or_default()
+                .push((singularize(canonical), *alias));
+        }
+        table
+    })
+}
+
 /// Does `token` match the schema word `col_token` through the synonym
 /// dictionary? An alias may map to several canonicals ("grade" → score,
-/// gpa); the schema context disambiguates, exactly as an LLM would.
+/// gpa); the schema context disambiguates, exactly as an LLM would. `knows`
+/// gates the alias as the dictionary spells it.
 fn synonym_match(token: &str, col_token: &str, knows: &dyn Fn(&str) -> bool) -> bool {
-    SYNONYMS.iter().any(|(alias, canonical)| {
-        singularize(alias) == token && singularize(canonical) == col_token && knows(alias)
+    singular_synonyms().get(token).is_some_and(|pairs| {
+        pairs
+            .iter()
+            .any(|(canonical, alias)| canonical == col_token && knows(alias))
     })
 }
 
@@ -261,10 +285,12 @@ pub fn find_join(schema: &RecoveredSchema, a: &str, b: &str) -> Option<(String, 
 mod tests {
     use super::*;
     use crate::recover::recover;
+    use crate::{ModelProfile, SimLlm};
     use nl2vis_corpus::domains::all_domains;
     use nl2vis_corpus::generate::instantiate;
     use nl2vis_data::Rng;
     use nl2vis_prompt::PromptFormat;
+    use std::collections::BTreeSet;
 
     fn schema(format: PromptFormat) -> RecoveredSchema {
         let db = instantiate(&all_domains()[0], 0, &mut Rng::new(2));
@@ -368,6 +394,40 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The precomputed synonym table answers exactly as singularizing every
+    /// dictionary pair per call did, for every singular alias against every
+    /// singular canonical of the dictionary, under any knowledge gate.
+    #[test]
+    fn synonym_table_matches_per_call_singularizing() {
+        let reference = |token: &str, col_token: &str, knows: &dyn Fn(&str) -> bool| {
+            SYNONYMS.iter().any(|(alias, canonical)| {
+                singularize(alias) == token && singularize(canonical) == col_token && knows(alias)
+            })
+        };
+        let tokens: BTreeSet<String> = SYNONYMS.iter().map(|(a, _)| singularize(a)).collect();
+        let col_tokens: BTreeSet<String> = SYNONYMS.iter().map(|(_, c)| singularize(c)).collect();
+        // The weakest profile's gate refuses the most aliases.
+        let davinci_002 = SimLlm::new(ModelProfile::davinci_002(), 7);
+        let model_gate = davinci_002.knowledge_gate();
+        assert!(SYNONYMS.iter().any(|(alias, _)| !model_gate(alias)));
+        let gates: [&dyn Fn(&str) -> bool; 3] = [&KNOW_ALL, &KNOW_NONE, &model_gate];
+        let mut matched = 0;
+        for (name, knows) in ["all", "none", "davinci-002"].into_iter().zip(gates) {
+            for token in &tokens {
+                for col_token in &col_tokens {
+                    let want = reference(token, col_token, knows);
+                    assert_eq!(
+                        synonym_match(token, col_token, knows),
+                        want,
+                        "{token} ~ {col_token} under the {name} gate"
+                    );
+                    matched += usize::from(want);
+                }
+            }
+        }
+        assert!(matched > 0);
     }
 
     #[test]

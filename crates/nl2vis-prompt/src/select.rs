@@ -5,9 +5,9 @@
 //! the demonstrations: `A` distinct databases × `B` examples per database.
 
 use nl2vis_corpus::Example;
-use nl2vis_data::text::{jaccard_sets, words};
+use nl2vis_data::text::{for_each_word, jaccard_counts, jaccard_sets, words};
 use nl2vis_data::Rng;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// Template filler words carried by almost every realized question; they
 /// would otherwise dominate the Jaccard signal and drown out the schema
@@ -61,11 +61,6 @@ const FILLER: &[&str] = &[
     "combined",
 ];
 
-/// Content-word Jaccard similarity between two questions.
-fn content_jaccard(a: &HashSet<String>, b: &HashSet<String>) -> f64 {
-    jaccard_sets(a, b)
-}
-
 /// Extracts the content-word set of a question.
 fn content_set(text: &str) -> HashSet<String> {
     words(text)
@@ -74,21 +69,90 @@ fn content_set(text: &str) -> HashSet<String> {
         .collect()
 }
 
-/// Per-database accumulator: the best similarity score seen for the
-/// database plus every scored example in it.
-type DbSlots<'a> = BTreeMap<&'a str, (f64, Vec<(f64, &'a Example)>)>;
+/// The word id every [`FILLER`] word is interned to, so that the lookup that
+/// finds a word's id also drops filler.
+const FILLER_ID: u32 = u32::MAX;
 
-/// A demonstration pool with precomputed content-word sets, so repeated
-/// selections over the same training split don't re-tokenize every example.
+/// One pooled example.
+struct Entry<'a> {
+    example: &'a Example,
+    /// `example.id`, kept beside the scores so that filtering and ranking
+    /// the whole pool never dereferences an example.
+    id: usize,
+    /// Size of its question's content-word set.
+    size: usize,
+    /// Its database's index into [`DemoPool::by_db`].
+    db: usize,
+}
+
+/// A demonstration pool indexed for repeated selections over one training
+/// split. Each content word is interned once to an id holding the ascending
+/// list of entries whose question contains it, so a selection walks only
+/// the question's postings and scores every entry from integer counts with
+/// [`jaccard_counts`] — the function [`jaccard_sets`] uses — and so ranks
+/// exactly as the tokenize-per-call free functions do.
 pub struct DemoPool<'a> {
-    entries: Vec<(&'a Example, HashSet<String>)>,
+    entries: Vec<Entry<'a>>,
+    /// Content word → word id ([`FILLER_ID`] for filler).
+    word_ids: HashMap<String, u32>,
+    /// Per word id: the entries containing the word, ascending.
+    postings: Vec<Vec<u32>>,
+    /// Per database, in name order: its entries, ascending.
+    by_db: Vec<Vec<u32>>,
 }
 
 impl<'a> DemoPool<'a> {
     /// Builds the pool from candidate examples.
     pub fn new(pool: &[&'a Example]) -> DemoPool<'a> {
+        assert!(
+            u32::try_from(pool.len()).is_ok(),
+            "a pool holds fewer than 2^32 examples"
+        );
+        let names: BTreeSet<&str> = pool.iter().map(|e| e.db.as_str()).collect();
+        let db_index: HashMap<&str, usize> =
+            names.iter().enumerate().map(|(i, n)| (*n, i)).collect();
+        let mut by_db = vec![Vec::new(); names.len()];
+        let mut word_ids: HashMap<String, u32> =
+            FILLER.iter().map(|w| (w.to_string(), FILLER_ID)).collect();
+        let mut postings: Vec<Vec<u32>> = Vec::new();
+        let mut entries = Vec::with_capacity(pool.len());
+        for (i, e) in (0u32..).zip(pool) {
+            let mut size = 0;
+            for_each_word(&e.nl, |w| {
+                let id = match word_ids.get(w) {
+                    Some(&id) => id,
+                    None => {
+                        let id = u32::try_from(postings.len()).expect("fewer than 2^32 words");
+                        word_ids.insert(w.to_string(), id);
+                        postings.push(Vec::new());
+                        id
+                    }
+                };
+                if id == FILLER_ID {
+                    return;
+                }
+                // Entries arrive in order, so a word repeated within this
+                // question already ends its list.
+                let list = &mut postings[id as usize];
+                if list.last() != Some(&i) {
+                    list.push(i);
+                    size += 1;
+                }
+            });
+            let db = db_index[e.db.as_str()];
+            by_db[db].push(i);
+            entries.push(Entry {
+                example: e,
+                id: e.id,
+                size,
+                db,
+            });
+        }
         DemoPool {
-            entries: pool.iter().map(|e| (*e, content_set(&e.nl))).collect(),
+            entries,
+            word_ids,
+            postings,
+            by_db,
         }
     }
 
@@ -102,42 +166,69 @@ impl<'a> DemoPool<'a> {
         self.entries.is_empty()
     }
 
-    /// Top-`k` most similar demonstrations, excluding `exclude_id`.
-    pub fn select_similar(&self, question: &str, k: usize, exclude_id: usize) -> Vec<&'a Example> {
-        let q = content_set(question);
-        let scored: Vec<(f64, &Example)> = self
-            .entries
+    /// Every entry's content-word Jaccard similarity to `question`, by
+    /// entry index.
+    fn scores(&self, question: &str) -> Vec<f64> {
+        let mut ids = Vec::new();
+        // Words no entry contains still count toward the question's set.
+        let mut unseen: Vec<String> = Vec::new();
+        for_each_word(question, |w| match self.word_ids.get(w) {
+            Some(&FILLER_ID) => {}
+            Some(&id) => ids.push(id),
+            None if unseen.iter().any(|u| u == w) => {}
+            None => unseen.push(w.to_string()),
+        });
+        ids.sort_unstable();
+        ids.dedup();
+        let size = ids.len() + unseen.len();
+        let mut inter = vec![0usize; self.entries.len()];
+        for id in ids {
+            for &i in &self.postings[id as usize] {
+                inter[i as usize] += 1;
+            }
+        }
+        self.entries
             .iter()
-            .filter(|(e, _)| e.id != exclude_id)
-            .map(|(e, set)| (content_jaccard(&q, set), *e))
+            .zip(inter)
+            .map(|(e, n)| jaccard_counts(size, e.size, n))
+            .collect()
+    }
+
+    /// The top `k` of one database's entries, excluding `exclude_id`.
+    fn rank_db(&self, db: usize, scores: &[f64], k: usize, exclude_id: usize) -> Vec<&'a Example> {
+        let scored = self.by_db[db]
+            .iter()
+            .map(|&i| i as usize)
+            .filter(|&i| self.entries[i].id != exclude_id)
+            .map(|i| (scores[i], self.entries[i].id, self.entries[i].example))
             .collect();
         rank_scored(scored, k)
     }
 
-    /// All `k` demonstrations from the single most relevant database.
+    /// Top-`k` most similar demonstrations, excluding `exclude_id`.
+    pub fn select_similar(&self, question: &str, k: usize, exclude_id: usize) -> Vec<&'a Example> {
+        let scored = self
+            .entries
+            .iter()
+            .zip(self.scores(question))
+            .filter(|(e, _)| e.id != exclude_id)
+            .map(|(e, score)| (score, e.id, e.example))
+            .collect();
+        rank_scored(scored, k)
+    }
+
+    /// All `k` demonstrations from the single most relevant database: the
+    /// database of the first entry, in pool order, with the best score.
     pub fn select_same_db(&self, question: &str, k: usize, exclude_id: usize) -> Vec<&'a Example> {
-        let q = content_set(question);
-        let mut best: Option<(&str, f64)> = None;
-        let mut by_db: BTreeMap<&str, Vec<(f64, &Example)>> = BTreeMap::new();
-        for (e, set) in &self.entries {
-            if e.id == exclude_id {
-                continue;
-            }
-            // Score once against the cached content set; the same score
-            // ranks databases *and* the examples inside the winning one —
-            // the whole point of pooling is to never re-tokenize.
-            let score = content_jaccard(&q, set);
-            by_db.entry(e.db.as_str()).or_default().push((score, e));
-            let beats = match best {
-                Some((_, b)) => score.total_cmp(&b).is_gt(),
-                None => true,
-            };
-            if beats {
-                best = Some((e.db.as_str(), score));
+        let scores = self.scores(question);
+        let mut best: Option<(usize, f64)> = None;
+        for (e, &score) in self.entries.iter().zip(&scores) {
+            if e.id != exclude_id && best.is_none_or(|(_, b)| score.total_cmp(&b).is_gt()) {
+                best = Some((e.db, score));
             }
         }
         match best {
-            Some((db, _)) => rank_scored(by_db.remove(db).unwrap_or_default(), k),
+            Some((db, _)) => self.rank_db(db, &scores, k, exclude_id),
             None => Vec::new(),
         }
     }
@@ -150,40 +241,50 @@ impl<'a> DemoPool<'a> {
         per_db: usize,
         exclude_id: usize,
     ) -> Vec<&'a Example> {
-        let q = content_set(question);
-        let mut by_db: DbSlots = BTreeMap::new();
-        for (e, set) in &self.entries {
-            if e.id == exclude_id {
-                continue;
-            }
-            let score = content_jaccard(&q, set);
-            let slot = by_db.entry(e.db.as_str()).or_insert((f64::MIN, Vec::new()));
-            if score.total_cmp(&slot.0).is_gt() {
-                slot.0 = score;
-            }
-            slot.1.push((score, e));
-        }
-        let mut ranked: Vec<(&str, f64)> = by_db.iter().map(|(db, (s, _))| (*db, *s)).collect();
-        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(b.0)));
-        let winners: Vec<&str> = ranked.into_iter().take(dbs).map(|(db, _)| db).collect();
-        let mut out = Vec::new();
-        for db in winners {
-            if let Some((_, scored)) = by_db.remove(db) {
-                out.extend(rank_scored(scored, per_db));
-            }
-        }
-        out
+        let scores = self.scores(question);
+        // Each database's best score; one whose only entry is excluded
+        // drops out.
+        let mut ranked: Vec<(f64, usize)> = self
+            .by_db
+            .iter()
+            .enumerate()
+            .filter_map(|(db, members)| {
+                members
+                    .iter()
+                    .filter(|&&i| self.entries[i as usize].id != exclude_id)
+                    .map(|&i| scores[i as usize])
+                    .max_by(f64::total_cmp)
+                    .map(|best| (best, db))
+            })
+            .collect();
+        // Database indices follow name order: ties go to the first name.
+        ranked.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        ranked
+            .into_iter()
+            .take(dbs)
+            .flat_map(|(_, db)| self.rank_db(db, &scores, per_db, exclude_id))
+            .collect()
     }
 }
 
-/// Sorts pre-scored demonstrations best-first (ties broken by example id,
-/// matching the unscored selectors) and returns the top `k`. `total_cmp`
+/// Sorts `(score, example id, demonstration)` triples best-first (ties
+/// broken by example id) and returns the top `k` demonstrations. `total_cmp`
 /// keeps the comparator a total order — a `partial_cmp`-to-`Equal`
 /// fallback makes NaN compare equal to *everything*, which violates sort's
 /// transitivity contract and can scramble an otherwise well-ordered list.
-fn rank_scored(mut scored: Vec<(f64, &Example)>, k: usize) -> Vec<&Example> {
-    scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.id.cmp(&b.1.id)));
-    scored.into_iter().take(k).map(|(_, e)| e).collect()
+/// Only the top `k` are sorted: partitioning around the `k`-th first keeps
+/// a 5-of-3,654 selection linear. The order is total over a pool's
+/// distinct ids, so this returns exactly what a full sort would.
+fn rank_scored(mut scored: Vec<(f64, usize, &Example)>, k: usize) -> Vec<&Example> {
+    let order = |a: &(f64, usize, &Example), b: &(f64, usize, &Example)| {
+        b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
+    };
+    if k < scored.len() {
+        scored.select_nth_unstable_by(k, order);
+        scored.truncate(k);
+    }
+    scored.sort_by(order);
+    scored.into_iter().map(|(_, _, e)| e).collect()
 }
 
 /// Selects up to `k` demonstrations from the pool, most Jaccard-similar to
@@ -194,36 +295,35 @@ pub fn select_by_similarity<'a>(
     k: usize,
 ) -> Vec<&'a Example> {
     let q = content_set(question);
-    let scored: Vec<(f64, &Example)> = pool
+    let scored = pool
         .iter()
-        .map(|e| (content_jaccard(&q, &content_set(&e.nl)), *e))
+        .map(|e| (jaccard_sets(&q, &content_set(&e.nl)), e.id, *e))
         .collect();
     rank_scored(scored, k)
 }
 
-/// Selects demonstrations restricted to one database: the pool database most
-/// similar to the question supplies all `k` examples (mimicking "examples
-/// drawn from the same database" in Figure 8).
+/// Selects demonstrations restricted to one database, which supplies all `k`
+/// examples (mimicking "examples drawn from the same database" in Figure
+/// 8): the database of the pool's first example, in pool order, with the
+/// best similarity to the question.
 pub fn select_same_database<'a>(
     pool: &[&'a Example],
     question: &str,
     k: usize,
 ) -> Vec<&'a Example> {
-    let by_db = group_by_db(pool);
     let q = content_set(question);
-    // Rank databases by their best example similarity.
     let mut best: Option<(&str, f64)> = None;
-    for (db, examples) in &by_db {
-        let score = examples
-            .iter()
-            .map(|e| content_jaccard(&q, &content_set(&e.nl)))
-            .fold(f64::MIN, f64::max);
-        if best.is_none() || score > best.unwrap().1 {
-            best = Some((db, score));
+    for e in pool {
+        let score = jaccard_sets(&q, &content_set(&e.nl));
+        if best.is_none_or(|(_, b)| score > b) {
+            best = Some((e.db.as_str(), score));
         }
     }
     match best {
-        Some((db, _)) => select_by_similarity(&by_db[db], question, k),
+        Some((db, _)) => {
+            let same: Vec<&Example> = pool.iter().copied().filter(|e| e.db == db).collect();
+            select_by_similarity(&same, question, k)
+        }
         None => Vec::new(),
     }
 }
@@ -245,7 +345,7 @@ pub fn select_grouped<'a>(
         .map(|(db, examples)| {
             let score = examples
                 .iter()
-                .map(|e| content_jaccard(&q, &content_set(&e.nl)))
+                .map(|e| jaccard_sets(&q, &content_set(&e.nl)))
                 .fold(f64::MIN, f64::max);
             (*db, score)
         })
@@ -337,30 +437,105 @@ mod tests {
         assert_eq!(ids.len(), 5);
     }
 
-    /// The pooled selectors rank from cached content sets; they must pick
-    /// exactly what the tokenize-per-call free functions pick.
+    /// Asserts that the three pooled selectors pick exactly what the
+    /// tokenize-per-call free functions pick over the same pool without
+    /// `exclude_id`.
+    fn assert_pooled_matches(
+        pool: &DemoPool,
+        refs: &[&Example],
+        question: &str,
+        exclude_id: usize,
+    ) {
+        let rest: Vec<&Example> = refs
+            .iter()
+            .copied()
+            .filter(|e| e.id != exclude_id)
+            .collect();
+        let ids = |v: Vec<&Example>| v.iter().map(|e| e.id).collect::<Vec<_>>();
+        let case = format!("question {question:?}, excluding {exclude_id}");
+        assert_eq!(
+            ids(pool.select_similar(question, 4, exclude_id)),
+            ids(select_by_similarity(&rest, question, 4)),
+            "similar: {case}"
+        );
+        assert_eq!(
+            ids(pool.select_same_db(question, 4, exclude_id)),
+            ids(select_same_database(&rest, question, 4)),
+            "same database: {case}"
+        );
+        assert_eq!(
+            ids(pool.select_grouped(question, 3, 2, exclude_id)),
+            ids(select_grouped(&rest, question, 3, 2)),
+            "grouped: {case}"
+        );
+    }
+
+    /// The pooled selectors score from an inverted index; they must pick
+    /// exactly what the free functions pick, for every corpus question
+    /// (asked by its own example, and by none) and for questions with no
+    /// content words, words no entry contains, repeats, and mixed case and
+    /// punctuation. One pooled question is all filler, so an empty question
+    /// meets an empty entry: Jaccard scores that 1.0.
     #[test]
     fn pooled_selectors_match_free_functions() {
         let c = corpus();
-        let pool_refs: Vec<&Example> = c.examples.iter().collect();
-        let pool = DemoPool::new(&pool_refs);
-        for probe in [&c.examples[0], &c.examples[7], &c.examples[13]] {
-            let ids = |v: Vec<&Example>| v.iter().map(|e| e.id).collect::<Vec<_>>();
-            // exclude_id past the corpus: the pooled methods exclude
-            // nothing, same as the free functions.
-            let none = usize::MAX;
-            assert_eq!(
-                ids(pool.select_similar(&probe.nl, 4, none)),
-                ids(select_by_similarity(&pool_refs, &probe.nl, 4)),
-            );
-            assert_eq!(
-                ids(pool.select_same_db(&probe.nl, 4, none)),
-                ids(select_same_database(&pool_refs, &probe.nl, 4)),
-            );
-            assert_eq!(
-                ids(pool.select_grouped(&probe.nl, 3, 2, none)),
-                ids(select_grouped(&pool_refs, &probe.nl, 3, 2)),
-            );
+        let filler = Example {
+            id: c.examples.len(),
+            nl: "Show me the chart of the records".to_string(),
+            ..c.examples[3].clone()
+        };
+        let mut refs: Vec<&Example> = c.examples.iter().collect();
+        refs.push(&filler);
+        let pool = DemoPool::new(&refs);
+        // exclude_id past every id: the pooled methods exclude nothing,
+        // same as the free functions.
+        let none = usize::MAX;
+        // Two threads share the probes: the free functions tokenize the
+        // whole pool on every call.
+        std::thread::scope(|scope| {
+            for probes in c.examples.chunks(c.examples.len().div_ceil(2)) {
+                let (pool, refs) = (&pool, &refs);
+                scope.spawn(move || {
+                    for probe in probes {
+                        assert_pooled_matches(pool, refs, &probe.nl, probe.id);
+                        assert_pooled_matches(pool, refs, &probe.nl, none);
+                    }
+                });
+            }
+        });
+        let base = &c.examples[7].nl;
+        let questions = [
+            String::new(),
+            "Show me the chart".to_string(),
+            "qqq zzyzx quux".to_string(),
+            format!("{base} qqq"),
+            format!("{base} {base} {base}"),
+            format!("¡{}?!", base.to_uppercase().replace(' ', ", ")),
+        ];
+        for q in &questions {
+            for exclude_id in [none, filler.id, c.examples[7].id] {
+                assert_pooled_matches(&pool, &refs, q, exclude_id);
+            }
+        }
+        // The both-empty rule decides these: only the filler entry scores.
+        for q in ["", "Show me the chart"] {
+            assert_eq!(pool.select_similar(q, 1, none)[0].id, filler.id);
+        }
+    }
+
+    /// The paper-sized check: the default corpus's in-domain training split
+    /// as the pool, every test question as the probe. Run it with
+    /// `cargo test --release -p nl2vis-prompt -- --ignored`.
+    #[test]
+    #[ignore = "paper-sized; run in release"]
+    fn pooled_selectors_match_free_functions_paper_sized() {
+        let c = Corpus::build(&CorpusConfig::default());
+        let split = c.split_in_domain(1);
+        let refs: Vec<&Example> = split.train.iter().map(|&id| &c.examples[id]).collect();
+        let pool = DemoPool::new(&refs);
+        for &id in &split.test {
+            let probe = &c.examples[id];
+            assert_pooled_matches(&pool, &refs, &probe.nl, probe.id);
         }
     }
 

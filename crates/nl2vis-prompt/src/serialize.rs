@@ -16,8 +16,9 @@
 //! LLM's per-format prompt parsers and the ICL token budget turn those
 //! differences into the accuracy differences of Table 2.
 
-use nl2vis_data::text::{approx_token_count, jaccard};
-use nl2vis_data::{csv, Database, Json, Table};
+use nl2vis_data::text::{approx_token_count, jaccard_sets, words};
+use nl2vis_data::{csv, Database, Json, Table, Value};
+use std::collections::HashSet;
 
 /// A concrete serialization strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -181,23 +182,19 @@ impl std::fmt::Display for PromptFormat {
 }
 
 /// Index of the row of `table` most relevant to the question, by Jaccard
-/// similarity between the question and the rendered row (§2.2.2).
+/// similarity between the question and the rendered row (§2.2.2); ties go
+/// to the earlier row.
 pub fn most_relevant_row(table: &Table, question: &str) -> Option<usize> {
-    (0..table.len()).max_by(|&a, &b| {
-        let render = |i: usize| {
-            table
-                .row(i)
-                .unwrap()
-                .iter()
-                .map(|v| v.render())
-                .collect::<Vec<_>>()
-                .join(" ")
-        };
-        jaccard(question, &render(a))
-            .total_cmp(&jaccard(question, &render(b)))
-            // Stable tie-break toward the earlier row.
-            .then(b.cmp(&a))
-    })
+    let q: HashSet<String> = words(question).into_iter().collect();
+    let mut best: Option<(usize, f64)> = None;
+    for (i, row) in table.rows().iter().enumerate() {
+        let rendered = row.iter().map(Value::render).collect::<Vec<_>>().join(" ");
+        let score = jaccard_sets(&q, &words(&rendered).into_iter().collect());
+        if best.is_none_or(|(_, b)| score.total_cmp(&b).is_gt()) {
+            best = Some((i, score));
+        }
+    }
+    best.map(|(i, _)| i)
 }
 
 fn schema_flat(db: &Database) -> String {
@@ -535,7 +532,7 @@ mod tests {
     use super::*;
     use nl2vis_corpus::domains::all_domains;
     use nl2vis_corpus::generate::instantiate;
-    use nl2vis_data::Rng;
+    use nl2vis_data::{ColumnDef, DataType, Rng, TableDef};
 
     fn db() -> Database {
         instantiate(&all_domains()[0], 0, &mut Rng::new(2))
@@ -638,6 +635,32 @@ mod tests {
         let name = t.row(3).unwrap()[1].render();
         let idx = most_relevant_row(t, &format!("what is the salary of {name}")).unwrap();
         assert_eq!(t.row(idx).unwrap()[1].render(), name);
+    }
+
+    #[test]
+    fn relevant_row_ties_go_to_the_earlier_row() {
+        let mut t = Table::new(TableDef::new(
+            "t",
+            vec![
+                ColumnDef::new("name", DataType::Text),
+                ColumnDef::new("team", DataType::Text),
+            ],
+        ));
+        for (name, team) in [
+            ("Ann", "Red"),
+            ("Bob", "Blue"),
+            ("Cy", "Red"),
+            ("Di", "Blue"),
+        ] {
+            t.push_row(vec![Value::from(name), Value::from(team)])
+                .unwrap();
+        }
+        // Rows 1 and 3 tie on "blue"; rows 0 and 2 on "red".
+        assert_eq!(most_relevant_row(&t, "players on the blue team"), Some(1));
+        assert_eq!(most_relevant_row(&t, "RED?"), Some(0));
+        // No row shares a word: every row ties at zero.
+        assert_eq!(most_relevant_row(&t, "zebra"), Some(0));
+        assert_eq!(most_relevant_row(&Table::new(t.def.clone()), "zebra"), None);
     }
 
     #[test]

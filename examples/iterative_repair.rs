@@ -8,7 +8,7 @@
 
 use nl2vis::corpus::{Corpus, CorpusConfig};
 use nl2vis::eval::optimize::{apply_strategy, Strategy};
-use nl2vis::eval::runner::{evaluate_llm, LlmEvalConfig};
+use nl2vis::eval::runner::{demo_pool, evaluate_llm, LlmEvalConfig};
 use nl2vis::prelude::*;
 
 fn main() {
@@ -32,6 +32,7 @@ fn main() {
     );
 
     // Walk the first few failures through each strategy.
+    let pool = demo_pool(&corpus, &split.train);
     for id in failed.iter().take(4) {
         let example = corpus.example(*id).unwrap();
         println!("Q: {}", example.nl);
@@ -44,7 +45,7 @@ fn main() {
             .unwrap_or_default();
         println!("base: {}", base_completion.lines().last().unwrap_or(""));
         for strategy in Strategy::all() {
-            let outcome = apply_strategy(strategy, &corpus, &split.train, example, &config, 11);
+            let outcome = apply_strategy(strategy, &corpus, &pool, example, &config, 11);
             println!(
                 "  {:<16} ({:<17}) -> exact {} exec {}",
                 strategy.name(),

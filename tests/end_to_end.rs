@@ -90,7 +90,7 @@ fn gold_queries_render_through_every_stage() {
         // Parse ∘ print is identity on gold queries.
         let printed = nl2vis::query::printer::print(&example.vql);
         let reparsed = parse(&printed).unwrap();
-        assert_eq!(reparsed, example.vql);
+        assert_eq!(reparsed, *example.vql);
         // Execution yields data; renderers accept it.
         let result = execute(&example.vql, db).unwrap();
         assert!(!result.rows.is_empty());
