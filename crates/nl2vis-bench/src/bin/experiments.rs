@@ -4,25 +4,24 @@
 //! cargo run -p nl2vis-bench --bin experiments --release -- all
 //! cargo run -p nl2vis-bench --bin experiments --release -- table3 fig11 --fast
 //! cargo run -p nl2vis-bench --bin experiments --release -- all --fast --trace=trace.jsonl
-//! cargo run -p nl2vis-bench --bin experiments --release -- transport --fast \
-//!     --fault=drop=0.1,500=0.08,stall=0.05,stall_ms=1500,seed=7 --retries=4
 //! ```
+//!
+//! The binary takes experiment names (none or `all` runs every one),
+//! `--fast` (the reduced corpus profile) and `--trace=<path>`; any other
+//! flag is refused with exit status 2, so a typo never silently runs the
+//! default.
 //!
 //! The `transport` experiment serves the model over HTTP twice — cleanly
 //! and through a fault-injecting server — and shows that retries keep
 //! accuracy identical while residual transport failures land in the
-//! `error.transport` bucket. `--fault=<spec>` sets the injected fault rates
-//! (see `FaultInjector::parse`), `--retries=<n>` the client attempt budget.
+//! `error.transport` bucket (fault plan `TRANSPORT_FAULT_SPEC`, 4 attempts).
 //!
 //! The `serving` experiment runs one eval twice through a shared completion
-//! cache against a live HTTP server with injected per-request latency: the
-//! warm run must match the cold run's scores while serving from memory.
-//! `--cache=<capacity>` sets the cache entry budget (default 4096). The
-//! cold/warm comparison is also written to `BENCH_serving.json`.
-//! `--overload=<threads>` adds an admission-control phase: a burst of that
-//! many retrying clients against a tiny bounded server (2 workers, 2-deep
-//! queue), reporting the shed rate, recovery, in-flight peak, and p50/p99
-//! latency — appended to `BENCH_serving.json` as `overload_*` fields.
+//! cache (4096 entries) against a live HTTP server with injected
+//! per-request latency: the warm run must match the cold run's scores
+//! while serving from memory. The cold/warm comparison is also written to
+//! `BENCH_serving.json`, and the `routing` experiment writes its policy
+//! table there too.
 //!
 //! The `load` experiment runs the `nl2vis-loadgen` harness in both arrival
 //! modes (closed-loop, then fixed-rate open-loop with coordinated-omission
@@ -49,6 +48,7 @@
 
 use nl2vis_bench::experiments;
 use nl2vis_bench::ExperimentContext;
+use nl2vis_data::Json;
 use nl2vis_obs as obs;
 
 const ALL: &[&str] = &[
@@ -73,23 +73,18 @@ const ALL: &[&str] = &[
     "topology",
 ];
 
-/// Serializes the serving-path comparison (and, when the run included the
-/// `--overload=` phase, its admission-control summary) for
-/// `BENCH_serving.json`.
-fn serving_json(
-    s: &experiments::ServingSummary,
-    overload: Option<&experiments::OverloadSummary>,
-    cache_capacity: usize,
-    fast: bool,
-) -> nl2vis_data::Json {
-    use nl2vis_data::Json;
-    let mut fields = vec![
+/// Serializes the serving-path comparison for `BENCH_serving.json`.
+fn serving_json(s: &experiments::ServingSummary, fast: bool) -> Json {
+    Json::object(vec![
         ("experiment", Json::String("serving".to_string())),
         (
             "profile",
             Json::String(if fast { "fast" } else { "full" }.to_string()),
         ),
-        ("cache_capacity", Json::Number(cache_capacity as f64)),
+        (
+            "cache_capacity",
+            Json::Number(experiments::SERVING_CACHE_CAPACITY as f64),
+        ),
         ("examples", Json::Number(s.n as f64)),
         ("cold_wall_ms", Json::Number(s.cold_wall_ms)),
         ("warm_wall_ms", Json::Number(s.warm_wall_ms)),
@@ -105,38 +100,20 @@ fn serving_json(
         ("warm_exact", Json::Number(s.warm.0)),
         ("warm_exec", Json::Number(s.warm.1)),
         ("scores_identical", Json::Bool(s.identical)),
-    ];
-    if let Some(o) = overload {
-        fields.extend([
-            ("overload_threads", Json::Number(o.threads as f64)),
-            ("overload_requests", Json::Number(o.requests as f64)),
-            ("overload_shed_total", Json::Number(o.shed_total as f64)),
-            ("overload_shed_rate", Json::Number(o.shed_rate)),
-            ("overload_served", Json::Number(o.served as f64)),
-            ("overload_recovered", Json::Number(o.recovered as f64)),
-            (
-                "overload_concurrent_peak",
-                Json::Number(o.concurrent_peak as f64),
-            ),
-            ("overload_pool_size", Json::Number(o.pool_size as f64)),
-            ("overload_queue_depth", Json::Number(o.queue_depth as f64)),
-            ("overload_p50_ms", Json::Number(o.p50_ms)),
-            ("overload_p99_ms", Json::Number(o.p99_ms)),
-        ]);
-    }
-    Json::object(fields)
+    ])
 }
 
 /// Folds another serving-shaped document into the pending
-/// `BENCH_serving.json` payload, so `serving routing` in one invocation
-/// yields a single file carrying both the cache comparison and the
-/// routing policy table.
-fn merge_bench_serving(into: &mut Option<nl2vis_data::Json>, doc: nl2vis_data::Json) {
+/// `BENCH_serving.json` payload: `doc`'s top-level keys replace the
+/// payload's. So `serving routing` in one invocation yields a single
+/// document carrying both the cache comparison and the routing policy
+/// table, and that document replaces only its own keys in the file.
+fn merge_bench_serving(into: &mut Option<Json>, doc: Json) {
     let Some(existing) = into else {
         *into = Some(doc);
         return;
     };
-    if let nl2vis_data::Json::Object(members) = doc {
+    if let Json::Object(members) = doc {
         for (key, value) in members {
             existing.set(&key, value);
         }
@@ -144,8 +121,7 @@ fn merge_bench_serving(into: &mut Option<nl2vis_data::Json>, doc: nl2vis_data::J
 }
 
 /// Serializes the routing policy table for `BENCH_serving.json`.
-fn routing_json(rows: &[experiments::RoutingRow]) -> nl2vis_data::Json {
-    use nl2vis_data::Json;
+fn routing_json(rows: &[experiments::RoutingRow]) -> Json {
     Json::object(vec![
         ("experiment", Json::String("serving".to_string())),
         (
@@ -174,14 +150,76 @@ fn routing_json(rows: &[experiments::RoutingRow]) -> nl2vis_data::Json {
     ])
 }
 
-/// Fault spec used by the `transport` experiment when `--fault=` is absent:
-/// enough drops, 500s and deadline-tripping stalls to exercise every retry
-/// path, deterministic under the fixed seed.
-const DEFAULT_FAULT_SPEC: &str = "drop=0.1,500=0.08,stall=0.05,stall_ms=1500,seed=7";
+fn usage() -> String {
+    format!(
+        "\
+usage: experiments [EXPERIMENT ...] [--fast] [--trace=PATH]
+  EXPERIMENT    all (the default) or one of: {}
+  --fast        the reduced corpus profile
+  --trace=PATH  stream JSONL events to PATH (`-` for stderr)
+",
+        ALL.join(" ")
+    )
+}
+
+/// Writes this run's results document to `path`, folded into what the
+/// file already holds so that regenerating one experiment keeps another's
+/// results: `fold(on_disk, this_run)` is the new content. A file that
+/// exists but is not a JSON object is left untouched and reported.
+fn save(path: &str, this_run: Json, fold: fn(Json, Json) -> Json) -> Result<(), String> {
+    let doc = match std::fs::read_to_string(path) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => this_run,
+        Err(e) => return Err(format!("cannot read {path}: {e}")),
+        Ok(text) => match Json::parse(&text) {
+            Ok(on_disk @ Json::Object(_)) => fold(on_disk, this_run),
+            _ => return Err(format!("{path} is not a JSON object; left it untouched")),
+        },
+    };
+    std::fs::write(path, doc.to_pretty()).map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+/// `BENCH_load.json`: this run's rows go first, so they win a run key the
+/// file also has; rows only the file has stay.
+fn fold_load(on_disk: Json, this_run: Json) -> Json {
+    let mut merged = Some(this_run);
+    nl2vis_loadgen::diff::merge_runs(&mut merged, on_disk);
+    merged.expect("seeded with this run")
+}
+
+/// `BENCH_serving.json`: this run's top-level keys replace the file's.
+fn fold_serving(on_disk: Json, this_run: Json) -> Json {
+    let mut merged = Some(on_disk);
+    merge_bench_serving(&mut merged, this_run);
+    merged.expect("seeded with the file")
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // Refuse unknown flags and experiments before any work (even opening
+    // the trace file): a typo that silently fell back to a default would
+    // invalidate the run.
+    if let Some(flag) = args
+        .iter()
+        .find(|a| a.starts_with("--") && *a != "--fast" && !a.starts_with("--trace="))
+    {
+        eprintln!("unknown flag `{flag}`\n\n{}", usage());
+        std::process::exit(2);
+    }
     let fast = args.iter().any(|a| a == "--fast");
+    let mut requested: Vec<&str> = args
+        .iter()
+        .filter(|a| !a.starts_with("--"))
+        .map(String::as_str)
+        .collect();
+    if requested.is_empty() || requested.contains(&"all") {
+        requested = ALL.to_vec();
+    }
+    for r in &requested {
+        if !ALL.contains(r) {
+            eprintln!("unknown experiment `{r}`\n\n{}", usage());
+            std::process::exit(2);
+        }
+    }
     if let Some(path) = args.iter().find_map(|a| a.strip_prefix("--trace=")) {
         let sink: obs::JsonlSink = if path == "-" {
             obs::JsonlSink::stderr()
@@ -195,59 +233,6 @@ fn main() {
             }
         };
         obs::set_sink(std::sync::Arc::new(sink));
-    }
-    let fault_spec = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--fault="))
-        .unwrap_or(DEFAULT_FAULT_SPEC)
-        .to_string();
-    if let Err(e) = nl2vis_llm::FaultInjector::parse(&fault_spec) {
-        eprintln!("invalid --fault spec: {e}");
-        std::process::exit(2);
-    }
-    let retries: u32 = match args.iter().find_map(|a| a.strip_prefix("--retries=")) {
-        None => 4,
-        Some(v) => match v.parse() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("invalid --retries value `{v}`: expected an integer >= 1");
-                std::process::exit(2);
-            }
-        },
-    };
-    let cache_capacity: usize = match args.iter().find_map(|a| a.strip_prefix("--cache=")) {
-        None => 4096,
-        Some(v) => match v.parse() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("invalid --cache value `{v}`: expected an integer >= 1");
-                std::process::exit(2);
-            }
-        },
-    };
-    let overload: Option<usize> = match args.iter().find_map(|a| a.strip_prefix("--overload=")) {
-        None => None,
-        Some(v) => match v.parse() {
-            Ok(n) if n >= 1 => Some(n),
-            _ => {
-                eprintln!("invalid --overload value `{v}`: expected an integer >= 1");
-                std::process::exit(2);
-            }
-        },
-    };
-    let mut requested: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .collect();
-    if requested.is_empty() || requested.contains(&"all") {
-        requested = ALL.to_vec();
-    }
-    for r in &requested {
-        if !ALL.contains(r) {
-            eprintln!("unknown experiment `{r}`; available: all {}", ALL.join(" "));
-            std::process::exit(2);
-        }
     }
 
     eprintln!(
@@ -269,8 +254,8 @@ fn main() {
     drop(corpus_span);
 
     let mut fig9_done = false;
-    let mut bench_load_doc: Option<nl2vis_data::Json> = None;
-    let mut bench_serving_doc: Option<nl2vis_data::Json> = None;
+    let mut bench_load_doc: Option<Json> = None;
+    let mut bench_serving_doc: Option<Json> = None;
     for name in requested {
         let span = obs::span!(format!("bench.{name}"));
         let text = match name {
@@ -292,20 +277,11 @@ fn main() {
             "ablations" => experiments::ablations(&ctx),
             "ext_vega" => experiments::ext_vega(&ctx).1,
             "hardness" => experiments::hardness(&ctx).1,
-            "transport" => experiments::transport(&ctx, &fault_spec, retries).1,
+            "transport" => experiments::transport(&ctx).1,
             "traces" => experiments::traces(&ctx).1,
             "serving" => {
-                let (summary, mut text) = experiments::serving(&ctx, cache_capacity);
-                let overload_summary = overload.map(|threads| {
-                    let (o, overload_text) = experiments::serving_overload(&ctx, threads);
-                    text.push('\n');
-                    text.push_str(&overload_text);
-                    o
-                });
-                merge_bench_serving(
-                    &mut bench_serving_doc,
-                    serving_json(&summary, overload_summary.as_ref(), cache_capacity, fast),
-                );
+                let (summary, text) = experiments::serving(&ctx);
+                merge_bench_serving(&mut bench_serving_doc, serving_json(&summary, fast));
                 text
             }
             "routing" => {
@@ -315,14 +291,14 @@ fn main() {
             }
             "load" => {
                 let (doc, text) = experiments::load(fast);
-                if !matches!(doc, nl2vis_data::Json::Null) {
+                if !matches!(doc, Json::Null) {
                     nl2vis_loadgen::diff::merge_runs(&mut bench_load_doc, doc);
                 }
                 text
             }
             "topology" => {
                 let (doc, text) = experiments::topology(fast);
-                if !matches!(doc, nl2vis_data::Json::Null) {
+                if !matches!(doc, Json::Null) {
                     nl2vis_loadgen::diff::merge_runs(&mut bench_load_doc, doc);
                 }
                 text
@@ -332,15 +308,14 @@ fn main() {
         println!("{text}");
         eprintln!("[{name} took {:.1}s]\n", span.elapsed().as_secs_f64());
     }
-    if let Some(doc) = bench_load_doc {
-        if let Err(e) = std::fs::write("BENCH_load.json", doc.to_pretty()) {
-            eprintln!("cannot write BENCH_load.json: {e}");
-        }
-    }
-    if let Some(doc) = bench_serving_doc {
-        if let Err(e) = std::fs::write("BENCH_serving.json", doc.to_pretty()) {
-            eprintln!("cannot write BENCH_serving.json: {e}");
-        }
+    let saved = [
+        bench_load_doc.map(|doc| save("BENCH_load.json", doc, fold_load)),
+        bench_serving_doc.map(|doc| save("BENCH_serving.json", doc, fold_serving)),
+    ];
+    let mut save_failed = false;
+    for e in saved.into_iter().flatten().filter_map(Result::err) {
+        eprintln!("{e}");
+        save_failed = true;
     }
 
     // Everything above recorded into the global registry — the bench.*
@@ -348,4 +323,7 @@ fn main() {
     // any pipeline/llm counters. Close the run with the summary table.
     println!("{}", obs::report::render_summary(obs::global()));
     obs::sink::sink().flush();
+    if save_failed {
+        std::process::exit(1);
+    }
 }

@@ -865,6 +865,14 @@ fn resilient(
     TraceLayer::request().layer(MetricsLayer::default().layer(RetryLayer::new(policy).layer(http)))
 }
 
+/// The faults the [`transport`] experiment's server injects: enough drops,
+/// 500s and deadline-tripping stalls to exercise every retry path,
+/// deterministic under the fixed seed (see `FaultInjector::parse`).
+pub const TRANSPORT_FAULT_SPEC: &str = "drop=0.1,500=0.08,stall=0.05,stall_ms=1500,seed=7";
+
+/// The [`transport`] experiment's client attempt budget per request.
+pub const TRANSPORT_ATTEMPTS: u32 = 4;
+
 /// **Transport resilience**: the same model, split and prompts, served
 /// twice over HTTP — once cleanly, once through a fault-injecting server
 /// (drops, 500s, stalls) with a retrying client. When retries recover every
@@ -872,11 +880,7 @@ fn resilient(
 /// Accuracy is a property of the model, not of the wire. Residual faults
 /// (beyond the retry budget) land in the `error.transport` bucket, never in
 /// the model-failure counts.
-pub fn transport(
-    ctx: &ExperimentContext,
-    fault_spec: &str,
-    retries: u32,
-) -> (TransportResilience, String) {
+pub fn transport(ctx: &ExperimentContext) -> (TransportResilience, String) {
     use nl2vis_llm::http::{CompletionServer, HttpLlmClient, ServerConfig, Timeouts};
     use nl2vis_llm::{FaultInjector, RetryPolicy};
     use nl2vis_obs::MetricsRegistry;
@@ -885,8 +889,8 @@ pub fn transport(
 
     let llm = davinci003(ctx);
     let config = LlmEvalConfig::default();
-    // Deadlines tight enough that an injected stall (default 1500 ms) trips
-    // the read deadline and converts into a retried timeout.
+    // Deadlines tight enough that an injected stall (1500 ms) trips the
+    // read deadline and converts into a retried timeout.
     let timeouts = Timeouts {
         connect: Duration::from_secs(2),
         read: Duration::from_secs(1),
@@ -894,7 +898,7 @@ pub fn transport(
     };
     let policy = RetryPolicy {
         jitter_seed: ctx.seed,
-        ..RetryPolicy::attempts(retries)
+        ..RetryPolicy::attempts(TRANSPORT_ATTEMPTS)
     };
 
     let run = |faults: FaultInjector| {
@@ -925,7 +929,7 @@ pub fn transport(
     let retries_counter = nl2vis_obs::global().counter("llm.retries_total");
     let (clean_report, _) = run(FaultInjector::none());
     let retries_before = retries_counter.get();
-    let faults = FaultInjector::parse(fault_spec).expect("fault spec validated by caller");
+    let faults = FaultInjector::parse(TRANSPORT_FAULT_SPEC).expect("static spec");
     let (faulty_report, faults_injected) = run(faults);
     let retries_used = retries_counter.get() - retries_before;
 
@@ -945,7 +949,7 @@ pub fn transport(
         faults_injected,
     };
     let text = format!(
-        "Transport resilience (text-davinci-003 over HTTP, cross-domain, fault spec `{fault_spec}`, {retries} attempts)\n{}\
+        "Transport resilience (text-davinci-003 over HTTP, cross-domain, fault spec `{TRANSPORT_FAULT_SPEC}`, {TRANSPORT_ATTEMPTS} attempts)\n{}\
          retries issued: {}   faults injected: {}\n\
          transport failures are excluded from accuracy and counted under error.transport\n",
         table(
@@ -1005,6 +1009,11 @@ pub struct ServingSummary {
     pub identical: bool,
 }
 
+/// Entry budget of the [`serving`] experiment's completion cache: above the
+/// eval's prompt count in either corpus profile (80 fast, 644 full), so
+/// the warm run can hit on every prompt and nothing is evicted.
+pub const SERVING_CACHE_CAPACITY: usize = 4096;
+
 /// **Serving-path caching**: one eval run served over HTTP twice through a
 /// shared completion cache. The cold run misses everything and pays the
 /// (injected) upstream latency per request; the warm run replays the same
@@ -1012,7 +1021,7 @@ pub struct ServingSummary {
 /// TCP connections, and a fraction of the wall-clock. Every request pays a
 /// deterministic injected stall standing in for real model inference, so
 /// the cold/warm gap is reproducible rather than noise.
-pub fn serving(ctx: &ExperimentContext, cache_capacity: usize) -> (ServingSummary, String) {
+pub fn serving(ctx: &ExperimentContext) -> (ServingSummary, String) {
     use nl2vis_cache::{CacheLayer, CompletionCache};
     use nl2vis_llm::http::{CompletionServer, HttpLlmClient, ServerConfig};
     use nl2vis_llm::FaultInjector;
@@ -1029,7 +1038,7 @@ pub fn serving(ctx: &ExperimentContext, cache_capacity: usize) -> (ServingSummar
         ServerConfig::default(),
     )
     .expect("server starts");
-    let cache = Arc::new(CompletionCache::in_memory(cache_capacity));
+    let cache = Arc::new(CompletionCache::in_memory(SERVING_CACHE_CAPACITY));
     let client = CacheLayer::with_cache(Arc::clone(&cache))
         .layer(HttpLlmClient::new(server.address(), llm.profile.name));
 
@@ -1087,7 +1096,7 @@ pub fn serving(ctx: &ExperimentContext, cache_capacity: usize) -> (ServingSummar
                 .map(|x| (x.id, x.outcome.exact, x.outcome.exec))),
     };
     let text = format!(
-        "Serving-path caching (text-davinci-003 over HTTP, cross-domain, {} examples, cache capacity {cache_capacity}, 3 ms injected upstream latency)\n{}\
+        "Serving-path caching (text-davinci-003 over HTTP, cross-domain, {} examples, cache capacity {SERVING_CACHE_CAPACITY}, 3 ms injected upstream latency)\n{}\
          warm hit rate: {}   scores identical across runs: {}\n\
          single-flight waits: {}   evictions: {}\n",
         summary.n,
@@ -1118,163 +1127,6 @@ pub fn serving(ctx: &ExperimentContext, cache_capacity: usize) -> (ServingSummar
         summary.identical,
         stats.singleflight_waits,
         stats.evictions,
-    );
-    (summary, text)
-}
-
-/// Summary of the serving-path overload phase (see [`serving_overload`]).
-#[derive(Debug, Clone, Copy)]
-pub struct OverloadSummary {
-    /// Concurrent client threads in the burst.
-    pub threads: usize,
-    /// Logical requests issued (threads × requests-per-thread).
-    pub requests: usize,
-    /// Connections rejected by admission control (`server.shed_total`).
-    pub shed_total: u64,
-    /// Sheds as a fraction of all connection attempts (sheds + served).
-    pub shed_rate: f64,
-    /// Completion requests the workers actually served.
-    pub served: u64,
-    /// Logical requests that ended in a completion (retries included).
-    pub recovered: usize,
-    /// High-water mark of concurrently served connections.
-    pub concurrent_peak: i64,
-    /// Worker-pool size the server ran with.
-    pub pool_size: usize,
-    /// Accept-queue depth the server ran with.
-    pub queue_depth: usize,
-    /// Median client-observed request latency, milliseconds.
-    pub p50_ms: f64,
-    /// 99th-percentile client-observed request latency, milliseconds.
-    pub p99_ms: f64,
-}
-
-/// **Admission control under overload**: a burst of concurrent retrying
-/// clients against a deliberately tiny server (2 workers, 2-deep accept
-/// queue, 2 ms injected service time). The accept thread sheds the
-/// overflow with `429` + `Retry-After`; the clients honor the advertised
-/// backoff and re-submit. The run must show all three runtime promises at
-/// once: in-flight work stays bounded by the pool, overload is shed
-/// rather than queued without bound, and every logical request still
-/// recovers to a completion.
-pub fn serving_overload(ctx: &ExperimentContext, threads: usize) -> (OverloadSummary, String) {
-    use nl2vis_llm::http::{CompletionServer, HttpLlmClient, ServerConfig};
-    use nl2vis_llm::{FaultInjector, GenOptions, RetryPolicy};
-    use nl2vis_obs::MetricsRegistry;
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    const REQUESTS_PER_THREAD: usize = 4;
-
-    let llm = davinci003(ctx);
-    let model = llm.profile.name;
-    let registry = Arc::new(MetricsRegistry::new());
-    let config = ServerConfig {
-        max_inflight: 2,
-        queue_depth: 2,
-        retry_after: Duration::from_millis(2),
-    };
-    let server = CompletionServer::start_with_service_config(
-        llm,
-        Arc::clone(&registry),
-        FaultInjector::parse("stall=1.0,stall_ms=2,seed=1").expect("static spec"),
-        config,
-    )
-    .expect("server starts");
-    let addr = server.address();
-
-    let mut latencies_ms: Vec<f64> = Vec::new();
-    let mut recovered = 0usize;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                s.spawn(move || {
-                    // A generous attempt budget with growing, jittered
-                    // backoff: the point is that *every* request recovers,
-                    // so the budget must outlast the worst-case herd.
-                    let client = resilient(
-                        HttpLlmClient::new(addr, model),
-                        RetryPolicy {
-                            max_attempts: 48,
-                            base_backoff: Duration::from_millis(1),
-                            max_backoff: Duration::from_millis(16),
-                            jitter_seed: t as u64,
-                        },
-                    );
-                    (0..REQUESTS_PER_THREAD)
-                        .map(|i| {
-                            let started = Instant::now();
-                            let outcome = client.call(
-                                &format!("Q: overload probe {t}-{i}\nVQL:"),
-                                &GenOptions::default(),
-                            );
-                            (started.elapsed().as_secs_f64() * 1e3, outcome.is_ok())
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            for (ms, ok) in h.join().expect("overload client thread") {
-                latencies_ms.push(ms);
-                if ok {
-                    recovered += 1;
-                }
-            }
-        }
-    });
-
-    let shed_total = registry.counter("server.shed_total").get();
-    let served = registry.counter("llm.requests_total").get();
-    let concurrent_peak = registry.gauge("server.concurrent_peak").get();
-    // Graceful drain: by here every client finished, so shutdown must not
-    // find (or drop) anything in flight.
-    drop(server);
-    let leftover = registry.gauge("server.active_connections").get();
-
-    latencies_ms.sort_by(f64::total_cmp);
-    let percentile = |p: f64| -> f64 {
-        if latencies_ms.is_empty() {
-            return 0.0;
-        }
-        let idx = ((p / 100.0) * (latencies_ms.len() - 1) as f64).round() as usize;
-        latencies_ms[idx]
-    };
-    let attempts = shed_total + served;
-    let summary = OverloadSummary {
-        threads,
-        requests: threads * REQUESTS_PER_THREAD,
-        shed_total,
-        shed_rate: if attempts == 0 {
-            0.0
-        } else {
-            shed_total as f64 / attempts as f64
-        },
-        served,
-        recovered,
-        concurrent_peak,
-        pool_size: config.max_inflight,
-        queue_depth: config.queue_depth,
-        p50_ms: percentile(50.0),
-        p99_ms: percentile(99.0),
-    };
-    let text = format!(
-        "Serving under overload ({threads} clients × {REQUESTS_PER_THREAD} requests, pool {} + queue {}, 2 ms injected service time)\n\
-         connection attempts: {attempts}   shed (429): {}   shed rate: {}\n\
-         served requests: {}   recovered: {}/{}   dropped at shutdown: {leftover}\n\
-         in-flight peak: {} (bounded by pool {})\n\
-         latency p50 / p99: {:.1} ms / {:.1} ms\n",
-        config.max_inflight,
-        config.queue_depth,
-        summary.shed_total,
-        pct(summary.shed_rate),
-        summary.served,
-        summary.recovered,
-        summary.requests,
-        summary.concurrent_peak,
-        config.max_inflight,
-        summary.p50_ms,
-        summary.p99_ms,
     );
     (summary, text)
 }
@@ -1444,7 +1296,7 @@ pub fn traces(ctx: &ExperimentContext) -> (TracesSummary, String) {
 /// across PRs. The standalone `nl2vis-loadgen` binary runs the same
 /// harness with full control over every knob.
 pub fn load(fast: bool) -> (nl2vis_data::Json, String) {
-    use nl2vis_loadgen::{results, run_load, Arrival, LoadConfig, Skew};
+    use nl2vis_loadgen::{results, run_load, Arrival, LoadConfig};
     use std::time::Duration;
 
     let (duration, warmup, threads, rps) = if fast {
@@ -1456,7 +1308,6 @@ pub fn load(fast: bool) -> (nl2vis_data::Json, String) {
         threads: vec![threads],
         duration,
         warmup,
-        skew: Skew::Zipf { theta: 1.1 },
         prompts: 64,
         report: Duration::ZERO,
         out: String::new(),
@@ -1527,7 +1378,7 @@ pub fn load(fast: bool) -> (nl2vis_data::Json, String) {
 /// low-concurrency rows are re-run so one invocation regenerates a
 /// `BENCH_load.json` that `bench_diff` can hold future PRs to.
 pub fn topology(fast: bool) -> (nl2vis_data::Json, String) {
-    use nl2vis_loadgen::{results, run_load, Arrival, LoadConfig, Skew};
+    use nl2vis_loadgen::{results, run_load, Arrival, LoadConfig};
     use std::time::Duration;
 
     // The acceptance scale: 512 closed-loop clients over 4 replicas. The
@@ -1555,7 +1406,6 @@ pub fn topology(fast: bool) -> (nl2vis_data::Json, String) {
         duration,
         warmup,
         arrival: Arrival::Closed,
-        skew: Skew::Zipf { theta: 1.1 },
         prompts: 64,
         report: Duration::ZERO,
         out: String::new(),

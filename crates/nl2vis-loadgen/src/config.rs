@@ -3,12 +3,15 @@
 //! Everything is a `--key=value` flag with a benchmark-friendly default,
 //! so `cargo run -p nl2vis-loadgen --release` alone produces a meaningful
 //! sustained run, and the acceptance invocation
-//! `--threads=32 --duration=60 --rate=open:500 --skew=zipf:1.1` scales it
-//! up.
+//! `--threads=32 --duration=60 --rate=open:500` scales it up. Settings no
+//! caller varies are constants instead: the prompt skew
+//! ([`ZIPF_THETA`](crate::prompts::ZIPF_THETA)) and the [`SEED`].
 
-use nl2vis_llm::ModelProfile;
-use nl2vis_service::RoutePolicy;
 use std::time::Duration;
+
+/// Seed of the prompt corpus, each worker's prompt draws and the
+/// self-hosted models.
+pub const SEED: u64 = 42;
 
 /// How the load generator schedules request starts.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,30 +42,6 @@ impl Arrival {
     }
 }
 
-/// Which prompts the generator draws, and how often.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Skew {
-    /// Every prompt equally likely.
-    Uniform,
-    /// Rank-`r` prompt drawn with probability proportional to
-    /// `1 / r^theta` — hot-key skew, the access pattern that exercises the
-    /// completion cache and single-flight dedup.
-    Zipf {
-        /// Skew exponent; ~0.99–1.2 models real workload hot keys.
-        theta: f64,
-    },
-}
-
-impl Skew {
-    /// Stable label used in results (`uniform`, `zipf:1.1`).
-    pub fn label(&self) -> String {
-        match self {
-            Skew::Uniform => "uniform".to_string(),
-            Skew::Zipf { theta } => format!("zipf:{theta}"),
-        }
-    }
-}
-
 /// Where the harness finds its server.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Target {
@@ -84,8 +63,6 @@ pub struct LoadConfig {
     pub warmup: Duration,
     /// Arrival discipline.
     pub arrival: Arrival,
-    /// Prompt-key distribution.
-    pub skew: Skew,
     /// Distinct prompts in the pool.
     pub prompts: usize,
     /// Client-side completion-cache capacity; 0 disables the cache.
@@ -111,27 +88,14 @@ pub struct LoadConfig {
     pub server_workers: usize,
     /// Accept-queue depth of the self-hosted server.
     pub server_queue: usize,
-    /// Live fleet dashboard: replaces the one-line reporter with a
-    /// rolling per-replica + merged table scraped from each replica's
-    /// `/metrics.json` (self-hosted fleets and remote servers alike), and
-    /// records the final fleet snapshot into the results file.
-    pub dashboard: bool,
     /// Where the JSON results go; empty string suppresses the file.
     pub out: String,
     /// Live progress-report interval; zero silences the reporter.
     pub report: Duration,
-    /// Seed for prompt sampling.
-    pub seed: u64,
-    /// Model profile name (`text-davinci-003`, `gpt-4`,
-    /// `gpt-3.5-turbo-16k`).
+    /// Model name sent with each request. A self-hosted run serves the
+    /// model profile of that name (an unknown name is an error); a remote
+    /// run sends it as given, so it must be what the server hosts.
     pub model: String,
-    /// Tier names for a tiered self-hosted server, registration
-    /// (cheap → strong) order. Each entry is a model profile name or the
-    /// literal `bad` (a deliberately broken tier whose every completion
-    /// fails validation — the escalation smoke case). Empty = untiered.
-    pub tiers: Vec<String>,
-    /// Routing policy when `--tiers` is set.
-    pub route_policy: RoutePolicy,
 }
 
 impl Default for LoadConfig {
@@ -141,7 +105,6 @@ impl Default for LoadConfig {
             duration: Duration::from_secs(10),
             warmup: Duration::from_secs(2),
             arrival: Arrival::Closed,
-            skew: Skew::Zipf { theta: 1.1 },
             prompts: 256,
             cache_capacity: 0,
             service_ms: 2,
@@ -152,13 +115,9 @@ impl Default for LoadConfig {
             target: Target::SelfHosted,
             server_workers: 16,
             server_queue: 64,
-            dashboard: false,
             out: "BENCH_load.json".to_string(),
             report: Duration::from_secs(2),
-            seed: 42,
             model: "text-davinci-003".to_string(),
-            tiers: Vec::new(),
-            route_policy: RoutePolicy::CheapFirst,
         }
     }
 }
@@ -219,23 +178,6 @@ impl LoadConfig {
                     } else {
                         return Err(format!(
                             "--rate wants `closed` or `open:<rps>`, got `{value}`"
-                        ));
-                    };
-                }
-                "--skew" => {
-                    config.skew = if value == "uniform" {
-                        Skew::Uniform
-                    } else if let Some(theta) = value.strip_prefix("zipf:") {
-                        let theta: f64 = theta
-                            .parse()
-                            .map_err(|_| format!("bad zipf exponent `{theta}`"))?;
-                        if !theta.is_finite() || theta < 0.0 {
-                            return Err(format!("zipf exponent must be >= 0, got `{theta}`"));
-                        }
-                        Skew::Zipf { theta }
-                    } else {
-                        return Err(format!(
-                            "--skew wants `uniform` or `zipf:<theta>`, got `{value}`"
                         ));
                     };
                 }
@@ -304,40 +246,9 @@ impl LoadConfig {
                         .parse()
                         .map_err(|_| format!("bad queue depth `{value}`"))?;
                 }
-                "--dashboard" => {
-                    config.dashboard = match value {
-                        "on" => true,
-                        "off" => false,
-                        other => {
-                            return Err(format!("--dashboard wants `on` or `off`, got `{other}`"))
-                        }
-                    };
-                }
                 "--out" => config.out = value.to_string(),
                 "--report" => config.report = parse_secs(value, flag)?,
-                "--seed" => {
-                    config.seed = value.parse().map_err(|_| format!("bad seed `{value}`"))?;
-                }
                 "--model" => config.model = value.to_string(),
-                "--tiers" => {
-                    config.tiers = value
-                        .split(',')
-                        .map(|t| {
-                            let t = t.trim();
-                            if t == "bad" || ModelProfile::by_name(t).is_some() {
-                                Ok(t.to_string())
-                            } else {
-                                Err(format!(
-                                    "unknown tier `{t}` (want a model profile name or `bad`)"
-                                ))
-                            }
-                        })
-                        .collect::<Result<Vec<_>, _>>()?;
-                }
-                "--route-policy" => {
-                    config.route_policy =
-                        RoutePolicy::parse(value).map_err(|e| format!("--route-policy: {e}"))?;
-                }
                 other => return Err(format!("unknown flag `{other}`")),
             }
         }
@@ -351,17 +262,11 @@ mod tests {
 
     #[test]
     fn acceptance_invocation_parses() {
-        let config = LoadConfig::parse_args([
-            "--threads=32",
-            "--duration=60",
-            "--rate=open:500",
-            "--skew=zipf:1.1",
-        ])
-        .unwrap();
+        let config =
+            LoadConfig::parse_args(["--threads=32", "--duration=60", "--rate=open:500"]).unwrap();
         assert_eq!(config.threads, vec![32]);
         assert_eq!(config.duration, Duration::from_secs(60));
         assert_eq!(config.arrival, Arrival::Open { rps: 500.0 });
-        assert_eq!(config.skew, Skew::Zipf { theta: 1.1 });
         assert_eq!(config.arrival.label(), "open:500");
     }
 
@@ -371,7 +276,6 @@ mod tests {
             "--threads=4,8,16",
             "--server=127.0.0.1:9999",
             "--rate=closed",
-            "--skew=uniform",
             "--cache=128",
             "--out=",
         ])
@@ -379,7 +283,6 @@ mod tests {
         assert_eq!(config.threads, vec![4, 8, 16]);
         assert_eq!(config.target, Target::Remote("127.0.0.1:9999".to_string()));
         assert_eq!(config.arrival, Arrival::Closed);
-        assert_eq!(config.skew.label(), "uniform");
         assert_eq!(config.cache_capacity, 128);
         assert!(config.out.is_empty());
     }
@@ -395,6 +298,16 @@ mod tests {
         assert!(LoadConfig::parse_args(["--tail=0.05"]).is_err());
         assert!(LoadConfig::parse_args(["--tail=1.5:40"]).is_err());
         assert!(LoadConfig::parse_args(["--dashboard=maybe"]).is_err());
+        // Flags the harness no longer has are refused, never ignored.
+        for removed in [
+            "--tiers=gpt-4",
+            "--route-policy=cheap-first",
+            "--dashboard=on",
+            "--skew=zipf:1.1",
+            "--seed=7",
+        ] {
+            assert!(LoadConfig::parse_args([removed]).is_err(), "{removed}");
+        }
     }
 
     #[test]
@@ -413,45 +326,5 @@ mod tests {
         let off = LoadConfig::parse_args(["--tail=off", "--hedge-ms=0"]).unwrap();
         assert_eq!(off.tail_prob, 0.0);
         assert_eq!(off.hedge_ms, 0);
-    }
-
-    #[test]
-    fn tier_flags_parse_strictly() {
-        let config = LoadConfig::parse_args([
-            "--tiers=bad,gpt-3.5-turbo-16k,gpt-4",
-            "--route-policy=budget:200",
-        ])
-        .unwrap();
-        assert_eq!(config.tiers, vec!["bad", "gpt-3.5-turbo-16k", "gpt-4"]);
-        assert_eq!(config.route_policy, RoutePolicy::BudgetCapped(200));
-        assert_eq!(
-            LoadConfig::parse_args(["--route-policy=quality-first"])
-                .unwrap()
-                .route_policy,
-            RoutePolicy::QualityFirst
-        );
-        // Defaults: untiered, cheap-first.
-        assert!(LoadConfig::default().tiers.is_empty());
-        assert_eq!(LoadConfig::default().route_policy, RoutePolicy::CheapFirst);
-        // Typos are rejected, never defaulted.
-        assert!(LoadConfig::parse_args(["--tiers=gpt-5"]).is_err());
-        assert!(LoadConfig::parse_args(["--tiers="]).is_err());
-        assert!(LoadConfig::parse_args(["--route-policy=cheapest"]).is_err());
-        assert!(LoadConfig::parse_args(["--route-policy=budget:lots"]).is_err());
-    }
-
-    #[test]
-    fn dashboard_flag_parses_and_defaults_off() {
-        assert!(!LoadConfig::default().dashboard);
-        assert!(
-            LoadConfig::parse_args(["--dashboard=on"])
-                .unwrap()
-                .dashboard
-        );
-        assert!(
-            !LoadConfig::parse_args(["--dashboard=off"])
-                .unwrap()
-                .dashboard
-        );
     }
 }

@@ -1,9 +1,9 @@
 //! Regression detection between two `BENCH_load.json` files, and the
 //! merge that builds one such file from several load documents.
 //!
-//! A run's identity is `(threads, rate, replicas, hedge_ms, tier stack)`
-//! (`replicas` defaults to 1 for pre-topology rows, and the others to
-//! "none" for rows written before them). The diff matches runs by it, and
+//! A run's identity is `(threads, rate, replicas, hedge_ms)` (`replicas`
+//! defaults to 1 for pre-topology rows, and `hedge_ms` to 0 for rows
+//! written before hedging). The diff matches runs by it, and
 //! [`merge_runs`] keys rows by it. A metric regresses when it moves past the
 //! relative threshold in the bad direction (throughput down, corrected
 //! p50/p99 up, shed rate up). Latency comparisons also require a small
@@ -61,11 +61,6 @@ struct RunKey {
     /// hedged run and an unhedged one at the same topology are different
     /// experiments, never comparable.
     hedge_ms: i64,
-    /// `policy/tier,tier,...` of a tiered run; empty for untiered runs
-    /// and for pre-routing rows. A tiered run's latency includes
-    /// escalation round-trips, so it never compares against an untiered
-    /// run (or a different tier stack) at the same thread count.
-    tiers: String,
 }
 
 impl std::fmt::Display for RunKey {
@@ -76,9 +71,6 @@ impl std::fmt::Display for RunKey {
         }
         if self.hedge_ms != 0 {
             write!(f, " hedge={}ms", self.hedge_ms)?;
-        }
-        if !self.tiers.is_empty() {
-            write!(f, " tiers={}", self.tiers)?;
         }
         Ok(())
     }
@@ -94,23 +86,6 @@ fn run_key(run: &Json) -> RunKey {
             .to_string(),
         replicas: run.get("replicas").and_then(Json::as_f64).unwrap_or(1.0) as i64,
         hedge_ms: run.get("hedge_ms").and_then(Json::as_f64).unwrap_or(0.0) as i64,
-        tiers: run
-            .get("tiers")
-            .map(|t| {
-                let names = t
-                    .get("tiers")
-                    .and_then(Json::as_array)
-                    .map(|rows| {
-                        rows.iter()
-                            .filter_map(|r| r.get("name").and_then(Json::as_str))
-                            .collect::<Vec<_>>()
-                            .join(",")
-                    })
-                    .unwrap_or_default();
-                let policy = t.get("policy").and_then(Json::as_str).unwrap_or("?");
-                format!("{policy}/{names}")
-            })
-            .unwrap_or_default(),
     }
 }
 
@@ -376,9 +351,13 @@ mod tests {
     }
 
     fn hedge_doc(hedge_ms: i64) -> Json {
+        hedge_doc_at(hedge_ms, 900.0)
+    }
+
+    fn hedge_doc_at(hedge_ms: i64, rps: f64) -> Json {
         Json::parse(&format!(
             r#"{{"experiment":"load","runs":[{{"threads":8,"rate":"closed","replicas":4,
-                "hedge_ms":{hedge_ms},"throughput_rps":900.0,"shed_rate":0.0,
+                "hedge_ms":{hedge_ms},"throughput_rps":{rps},"shed_rate":0.0,
                 "latency_ms":{{"e2e_corrected":{{"p50_ms":1.0,"p99_ms":6.0}}}}}}]}}"#
         ))
         .unwrap()
@@ -452,63 +431,26 @@ mod tests {
         assert!(report.strict_clean(), "{:?}", report.regressions);
     }
 
-    fn tiered_doc(policy: &str) -> Json {
-        Json::parse(&format!(
-            r#"{{"experiment":"load","runs":[{{"threads":8,"rate":"open:500",
-                "throughput_rps":480.0,"shed_rate":0.0,
-                "latency_ms":{{"e2e_corrected":{{"p50_ms":1.2,"p99_ms":14.0}}}},
-                "tiers":{{"policy":"{policy}","requests_total":100,
-                    "escalations_total":12,"cost_units":1300,
-                    "tiers":[{{"name":"gpt-3.5-turbo-16k","requests":100,"escalations":12}},
-                             {{"name":"gpt-4","requests":12,"escalations":0}}]}}}}]}}"#
-        ))
-        .unwrap()
-    }
-
     #[test]
-    fn tier_stack_separates_otherwise_identical_runs() {
-        // Tiered vs untiered at the same threads/rate: a tiered run's
-        // latency includes escalation round-trips, so they never compare.
-        let report = diff(&doc(8, 500.0, 12.0, 0.0), &tiered_doc("cheap-first"), 0.2);
-        assert_eq!(report.unmatched, 2);
-        assert!(report.clean());
-        assert!(report
-            .unmatched_candidate
-            .iter()
-            .any(|k| k.contains("tiers=cheap-first/gpt-3.5-turbo-16k,gpt-4")));
-        // Same stack, different policy: still different experiments.
-        let report = diff(
-            &tiered_doc("cheap-first"),
-            &tiered_doc("quality-first"),
-            0.2,
-        );
-        assert_eq!(report.unmatched, 2);
-        // Identical stack and policy: comparable.
-        let report = diff(&tiered_doc("cheap-first"), &tiered_doc("cheap-first"), 0.2);
-        assert_eq!(report.unmatched, 0);
-        assert!(report.strict_clean());
-    }
-
-    #[test]
-    fn merge_keeps_runs_that_differ_only_in_tiers() {
-        // Same threads, rate, replicas and hedge: only the tier stack
-        // tells these rows apart, as it does for the diff.
+    fn merge_keeps_runs_that_differ_only_in_hedge_delay() {
+        // Same threads, rate and replicas: only the hedge delay tells
+        // these rows apart, as it does for the diff.
         let mut merged = None;
-        merge_runs(&mut merged, tiered_doc("cheap-first"));
-        merge_runs(&mut merged, tiered_doc("quality-first"));
-        merge_runs(&mut merged, doc(8, 500.0, 12.0, 0.0));
+        merge_runs(&mut merged, hedge_doc(12));
+        merge_runs(&mut merged, hedge_doc(25));
+        merge_runs(&mut merged, hedge_doc(0));
         // An identical row collapses: the first writer wins.
-        merge_runs(&mut merged, doc(8, 300.0, 30.0, 0.0));
+        merge_runs(&mut merged, hedge_doc_at(12, 300.0));
         let merged = merged.expect("merged document");
         let runs = runs_of(&merged);
         let keys: Vec<String> = runs.iter().map(|r| run_key(r).to_string()).collect();
         assert_eq!(keys.len(), 3, "{keys:?}");
-        assert!(keys[0].ends_with("tiers=cheap-first/gpt-3.5-turbo-16k,gpt-4"));
-        assert!(keys[1].ends_with("tiers=quality-first/gpt-3.5-turbo-16k,gpt-4"));
-        assert_eq!(keys[2], "threads=8 rate=open:500");
+        assert_eq!(keys[0], "threads=8 rate=closed replicas=4 hedge=12ms");
+        assert_eq!(keys[1], "threads=8 rate=closed replicas=4 hedge=25ms");
+        assert_eq!(keys[2], "threads=8 rate=closed replicas=4");
         assert_eq!(
-            runs[2].get("throughput_rps").and_then(Json::as_f64),
-            Some(500.0)
+            runs[0].get("throughput_rps").and_then(Json::as_f64),
+            Some(900.0)
         );
         // Every merged row still matches itself one to one.
         let report = diff(&merged, &merged, 0.2);

@@ -3,8 +3,11 @@
 //!
 //! ```text
 //! cargo run -p nl2vis-loadgen --release -- \
-//!     --threads=32 --duration=60 --rate=open:500 --skew=zipf:1.1
+//!     --threads=32 --duration=60 --rate=open:500
 //! ```
+//!
+//! Prompt keys are always Zipf-skewed (exponent 1.1) and sampled from seed
+//! 42; every other setting is a flag (see `--help`).
 
 use nl2vis_loadgen::{results, run_load, LoadConfig};
 
@@ -23,10 +26,9 @@ fn main() {
         }
     };
     eprintln!(
-        "[loadgen] threads={:?} rate={} skew={} prompts={} cache={} replicas={} warmup={:.0}s duration={:.0}s",
+        "[loadgen] threads={:?} rate={} prompts={} cache={} replicas={} warmup={:.0}s duration={:.0}s",
         config.threads,
         config.arrival.label(),
-        config.skew.label(),
         config.prompts,
         config.cache_capacity,
         config.replicas,
@@ -62,8 +64,8 @@ flags (all --key=value):
   --duration=SECS      measured phase per thread count      [10]
   --warmup=SECS        unmeasured warmup phase              [2]
   --rate=closed|open:RPS arrival discipline                 [closed]
-  --skew=uniform|zipf:THETA prompt-key distribution         [zipf:1.1]
-  --prompts=N          distinct prompts in the pool         [256]
+  --prompts=N          distinct prompts in the pool,
+                       drawn zipf:1.1                       [256]
   --cache=N            client-side cache capacity, 0 = off  [0]
   --service-ms=MS      injected service time (self-hosted)  [2]
   --tail=P:MS|off      heavy-tail stall: probability P, MS  [off]
@@ -72,15 +74,10 @@ flags (all --key=value):
   --server=self|HOST:PORT target server                     [self]
   --server-workers=N   self-hosted worker pool size         [16]
   --server-queue=N     self-hosted accept-queue depth       [64]
-  --dashboard=on|off   live fleet table (per-replica + merged
-                       rps/p50/p99/shed, SLO burn rates)    [off]
   --out=PATH           results file, empty to skip          [BENCH_load.json]
   --report=SECS        live progress interval, 0 = quiet    [2]
-  --seed=N             prompt sampling seed                 [42]
-  --model=NAME         model profile                        [text-davinci-003]
-  --tiers=T[,T..]      tiered self-hosted stack, cheap to
-                       strong; model names or `bad`         [untiered]
-  --route-policy=P     cheap-first|quality-first|budget:N   [cheap-first]
+  --model=NAME         model the server hosts; self-hosted
+                       runs serve that profile              [text-davinci-003]
 "
     .to_string()
 }

@@ -7,25 +7,29 @@
 //! the client-side completion cache and the server's single-flight dedup
 //! earn their keep under load.
 
-use crate::config::Skew;
+use crate::config::SEED;
 use nl2vis_corpus::{Corpus, CorpusConfig};
 use nl2vis_data::Rng;
 use nl2vis_prompt::{build_prompt, PromptOptions};
 
+/// Zipf exponent of the prompt-key distribution: rank `r` is drawn with
+/// probability proportional to `1 / r^ZIPF_THETA`. Values around 0.99–1.2
+/// model real workload hot keys.
+pub const ZIPF_THETA: f64 = 1.1;
+
 /// A fixed pool of rendered prompts plus the distribution over them.
 pub struct PromptPool {
     prompts: Vec<String>,
-    /// Cumulative probabilities per rank; `None` means uniform.
-    cdf: Option<Vec<f64>>,
+    /// Cumulative probabilities per rank.
+    cdf: Vec<f64>,
 }
 
 impl PromptPool {
     /// Builds `n` prompts from the deterministic corpus (cycling the
-    /// example set if `n` exceeds it) with the given skew. Rank order is
-    /// the corpus order, so the hot set is stable across runs with the
-    /// same seed.
-    pub fn build(n: usize, skew: Skew, seed: u64) -> PromptPool {
-        let corpus = Corpus::build(&CorpusConfig::small(seed));
+    /// example set if `n` exceeds it) under Zipf skew. Rank order is the
+    /// corpus order, so the hot set is stable across runs.
+    pub fn build(n: usize) -> PromptPool {
+        let corpus = Corpus::build(&CorpusConfig::small(SEED));
         let mut prompts = Vec::with_capacity(n);
         let options = PromptOptions::default();
         for i in 0..n {
@@ -45,24 +49,18 @@ impl PromptPool {
             }
             prompts.push(prompt);
         }
-        let cdf = match skew {
-            Skew::Uniform => None,
-            Skew::Zipf { theta } => {
-                let weights: Vec<f64> =
-                    (0..n).map(|r| 1.0 / ((r + 1) as f64).powf(theta)).collect();
-                let total: f64 = weights.iter().sum();
-                let mut acc = 0.0;
-                Some(
-                    weights
-                        .iter()
-                        .map(|w| {
-                            acc += w / total;
-                            acc
-                        })
-                        .collect(),
-                )
-            }
-        };
+        let weights: Vec<f64> = (0..n)
+            .map(|r| 1.0 / ((r + 1) as f64).powf(ZIPF_THETA))
+            .collect();
+        let total: f64 = weights.iter().sum();
+        let mut acc = 0.0;
+        let cdf = weights
+            .iter()
+            .map(|w| {
+                acc += w / total;
+                acc
+            })
+            .collect();
         PromptPool { prompts, cdf }
     }
 
@@ -76,16 +74,13 @@ impl PromptPool {
         self.prompts.is_empty()
     }
 
-    /// Draws a rank from the configured distribution.
+    /// Draws a rank from the Zipf distribution.
     pub fn sample_rank(&self, rng: &mut Rng) -> usize {
-        match &self.cdf {
-            None => rng.below_usize(self.prompts.len()),
-            Some(cdf) => {
-                let u = rng.f64();
-                // First rank whose cumulative probability covers `u`.
-                cdf.partition_point(|&c| c < u).min(self.prompts.len() - 1)
-            }
-        }
+        let u = rng.f64();
+        // First rank whose cumulative probability covers `u`.
+        self.cdf
+            .partition_point(|&c| c < u)
+            .min(self.prompts.len() - 1)
     }
 
     /// The prompt at `rank`.
@@ -100,7 +95,7 @@ mod tests {
 
     #[test]
     fn pool_produces_distinct_real_prompts() {
-        let pool = PromptPool::build(64, Skew::Uniform, 7);
+        let pool = PromptPool::build(64);
         assert_eq!(pool.len(), 64);
         assert!(pool.prompt(0).contains("VQL"), "real prompt expected");
         let mut seen = std::collections::HashSet::new();
@@ -111,7 +106,7 @@ mod tests {
 
     #[test]
     fn zipf_sampling_concentrates_on_low_ranks() {
-        let pool = PromptPool::build(100, Skew::Zipf { theta: 1.1 }, 7);
+        let pool = PromptPool::build(100);
         let mut rng = Rng::new(3);
         let mut counts = vec![0u64; pool.len()];
         let draws = 20_000;
@@ -130,18 +125,5 @@ mod tests {
         // ...and the tail still gets occasional traffic.
         let tail: u64 = counts[50..].iter().sum();
         assert!(tail > 0, "tail never sampled");
-    }
-
-    #[test]
-    fn uniform_sampling_spreads_across_the_pool() {
-        let pool = PromptPool::build(50, Skew::Uniform, 7);
-        let mut rng = Rng::new(3);
-        let mut counts = vec![0u64; pool.len()];
-        for _ in 0..10_000 {
-            counts[pool.sample_rank(&mut rng)] += 1;
-        }
-        let (min, max) = (*counts.iter().min().unwrap(), *counts.iter().max().unwrap());
-        assert!(min > 0, "every rank sampled");
-        assert!(max < 5 * min.max(1), "uniform draw skewed: {min}..{max}");
     }
 }

@@ -4,7 +4,8 @@
 //! re-runs the harness and `bench_diff` compares the new file against the
 //! previous one, so "did p99 move" is a table, not an argument.
 
-use crate::config::LoadConfig;
+use crate::config::{LoadConfig, SEED};
+use crate::prompts::ZIPF_THETA;
 use crate::runner::RunStats;
 use nl2vis_data::Json;
 use nl2vis_obs::HistogramSummary;
@@ -72,12 +73,6 @@ pub fn run_json(run: &RunStats) -> Json {
             ]),
         ));
     }
-    if let Some(fleet) = &run.fleet {
-        fields.push(("fleet", fleet.clone()));
-    }
-    if let Some(tiers) = &run.tiers {
-        fields.push(("tiers", tiers.clone()));
-    }
     if let Some(stats) = &run.server_stats {
         fields.push(("server_stats", stats.clone()));
     }
@@ -90,7 +85,7 @@ pub fn bench_json(config: &LoadConfig, runs: &[RunStats]) -> Json {
         ("experiment", Json::from("load")),
         ("model", Json::from(config.model.as_str())),
         ("rate", Json::from(config.arrival.label().as_str())),
-        ("skew", Json::from(config.skew.label().as_str())),
+        ("skew", Json::from(format!("zipf:{ZIPF_THETA}").as_str())),
         ("prompts", Json::from(config.prompts as i64)),
         ("cache_capacity", Json::from(config.cache_capacity as i64)),
         ("service_ms", Json::from(config.service_ms as i64)),
@@ -100,21 +95,7 @@ pub fn bench_json(config: &LoadConfig, runs: &[RunStats]) -> Json {
         ("tail_ms", Json::from(config.tail_ms as i64)),
         ("warmup_s", Json::Number(config.warmup.as_secs_f64())),
         ("duration_s", Json::Number(config.duration.as_secs_f64())),
-        ("seed", Json::from(config.seed as i64)),
-        (
-            "tiers",
-            Json::Array(
-                config
-                    .tiers
-                    .iter()
-                    .map(|t| Json::from(t.as_str()))
-                    .collect(),
-            ),
-        ),
-        (
-            "route_policy",
-            Json::from(config.route_policy.name().as_str()),
-        ),
+        ("seed", Json::from(SEED as i64)),
         ("runs", Json::Array(runs.iter().map(run_json).collect())),
     ])
 }

@@ -23,18 +23,14 @@
 //! throttled and uncorrected numbers were lying.
 
 use crate::client::{LoadConn, Outcome};
-use crate::config::{Arrival, LoadConfig, Target};
+use crate::config::{Arrival, LoadConfig, Target, SEED};
 use crate::prompts::PromptPool;
 use nl2vis_cache::{completion_key, CompletionCache};
 use nl2vis_data::{Json, Rng};
 use nl2vis_llm::{FaultInjector, GenOptions, ModelProfile, ServerConfig, SimLlm};
 use nl2vis_obs as obs;
 use nl2vis_obs::{Histogram, HistogramSummary, MetricsRegistry, WindowConfig, WindowedRegistry};
-use nl2vis_router::fleet::FleetObserver;
 use nl2vis_router::{Router, RouterConfig, RouterStatsSnapshot};
-use nl2vis_service::{
-    service_fn, Layer, RouteLayer, TieredService, ValidateLayer, VqlSyntaxValidator,
-};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -48,7 +44,9 @@ pub struct RunStats {
     pub rate: String,
     /// Wall-clock of the measured phase.
     pub measured: Duration,
-    /// Requests whose *intended* time fell inside the measured phase.
+    /// Requests that *completed* inside the measured phase (see
+    /// `worker_loop`: a saturated open loop falls behind its schedule, so
+    /// intended times would re-label sustained-phase damage as warmup).
     pub sent: u64,
     /// ... of which completed `200` (including cache hits).
     pub ok: u64,
@@ -78,13 +76,6 @@ pub struct RunStats {
     pub hedge_ms: u64,
     /// Router counters when the run went through the replica router.
     pub router: Option<RouterStatsSnapshot>,
-    /// The fleet observer's final `/fleet/stats` view (`--dashboard`
-    /// runs): merged + per-replica rollup and SLO burn rates.
-    pub fleet: Option<Json>,
-    /// Tier routing telemetry for `--tiers` runs: policy, per-tier
-    /// request/escalation counts, validation failures, and cost units —
-    /// the deltas this run put on the `route.*` counters.
-    pub tiers: Option<Json>,
 }
 
 impl RunStats {
@@ -154,42 +145,6 @@ pub struct RunTarget {
     servers: Vec<nl2vis_llm::http::CompletionServer>,
 }
 
-/// Composes the tiered completion service for a `--tiers` run. Every
-/// non-final tier is validation-gated: a completion that fails the VQL
-/// syntax check comes back as a 422 and the router escalates. The final
-/// tier answers unconditionally (the quality floor). A `bad` tier is a
-/// deliberately broken backend whose every answer fails the gate.
-fn build_tiers(config: &LoadConfig) -> Result<TieredService, String> {
-    let mut route = RouteLayer::new(config.route_policy).model("tiered");
-    let last = config.tiers.len().saturating_sub(1);
-    for (i, name) in config.tiers.iter().enumerate() {
-        let gated = i < last;
-        if name == "bad" {
-            let leaf = service_fn("bad", |_, _| Ok("I cannot answer that.".to_string()));
-            route = if gated {
-                route.tier("bad", 1, ValidateLayer::new(VqlSyntaxValidator).layer(leaf))
-            } else {
-                route.tier("bad", 1, leaf)
-            };
-        } else {
-            let profile = ModelProfile::by_name(name)
-                .ok_or_else(|| format!("unknown tier model `{name}`"))?;
-            let cost = profile.cost_units();
-            let llm = SimLlm::new(profile, config.seed);
-            route = if gated {
-                route.tier(
-                    name.clone(),
-                    cost,
-                    ValidateLayer::new(VqlSyntaxValidator).layer(llm),
-                )
-            } else {
-                route.tier(name.clone(), cost, llm)
-            };
-        }
-    }
-    route.build()
-}
-
 /// The self-hosted server's service-time plan. The simulated model
 /// completes in microseconds of CPU; `--service-ms` stalls every
 /// completion for a realistic service time and `--tail` adds a rare heavy
@@ -214,36 +169,6 @@ impl RunTarget {
     /// Resolves the configured target, starting the in-process replica
     /// fleet for [`Target::SelfHosted`].
     pub fn start(config: &LoadConfig) -> Result<RunTarget, String> {
-        let model = config.model.clone();
-        if !config.tiers.is_empty() {
-            if config.target != Target::SelfHosted {
-                return Err("--tiers needs --server=self (the harness owns the stack)".to_string());
-            }
-            if config.replicas > 1 {
-                return Err(
-                    "--tiers and --replicas don't combine (one routing layer per run)".to_string(),
-                );
-            }
-            let tiered = build_tiers(config)?;
-            let model = "tiered".to_string();
-            let server = nl2vis_llm::http::CompletionServer::start_with_service_config(
-                tiered,
-                Arc::new(MetricsRegistry::new()),
-                service_time(config, 1),
-                ServerConfig {
-                    max_inflight: config.server_workers,
-                    queue_depth: config.server_queue,
-                    retry_after: Duration::from_millis(5),
-                },
-            )
-            .map_err(|e| format!("tiered server start failed: {e}"))?;
-            return Ok(RunTarget {
-                addr: server.address(),
-                addrs: vec![server.address()],
-                model,
-                servers: vec![server],
-            });
-        }
         match &config.target {
             Target::Remote(addr) => {
                 if config.replicas > 1 {
@@ -257,23 +182,29 @@ impl RunTarget {
                 Ok(RunTarget {
                     addr,
                     addrs: vec![addr],
-                    model,
+                    model: config.model.clone(),
                     servers: Vec::new(),
                 })
             }
             Target::SelfHosted => {
-                let profile = match model.as_str() {
-                    "gpt-4" => ModelProfile::gpt_4(),
-                    "gpt-3.5-turbo-16k" => ModelProfile::turbo_16k(),
-                    _ => ModelProfile::davinci_003(),
-                };
+                let profile = ModelProfile::by_name(&config.model).ok_or_else(|| {
+                    let known: Vec<&str> = ModelProfile::all_inference()
+                        .iter()
+                        .map(|p| p.name)
+                        .collect();
+                    format!(
+                        "unknown --model `{}` (self-hosted models: {})",
+                        config.model,
+                        known.join(", ")
+                    )
+                })?;
                 let model = profile.name.to_string();
                 let mut servers = Vec::with_capacity(config.replicas);
                 for replica in 0..config.replicas {
                     // Each replica draws from its own seed so tails
                     // de-correlate.
                     let server = nl2vis_llm::http::CompletionServer::start_with_service_config(
-                        SimLlm::new(profile.clone(), config.seed),
+                        SimLlm::new(profile.clone(), SEED),
                         Arc::new(MetricsRegistry::new()),
                         service_time(config, 1 + replica as u64),
                         ServerConfig {
@@ -316,70 +247,6 @@ impl RunTarget {
     }
 }
 
-/// Point-in-time read of the `route.*` counters a tiered run moves; two
-/// snapshots bracket a run, and their difference is that run's telemetry
-/// (the counters are process-global, so a thread sweep accumulates).
-struct RouteCounters {
-    requests: u64,
-    escalations: u64,
-    validation_failures: u64,
-    cost_units: u64,
-    /// `(tier name, requests, escalations)` per configured tier.
-    per_tier: Vec<(String, u64, u64)>,
-}
-
-fn route_counters(tiers: &[String]) -> RouteCounters {
-    let g = obs::global();
-    RouteCounters {
-        requests: g.counter("route.tier.requests_total").get(),
-        escalations: g.counter("route.tier.escalations_total").get(),
-        validation_failures: g.counter("route.tier.validation_failures_total").get(),
-        cost_units: g.counter("route.cost_units").get(),
-        per_tier: tiers
-            .iter()
-            .map(|t| {
-                (
-                    t.clone(),
-                    g.counter(&format!("route.tier.{t}.requests_total")).get(),
-                    g.counter(&format!("route.tier.{t}.escalations_total"))
-                        .get(),
-                )
-            })
-            .collect(),
-    }
-}
-
-impl RouteCounters {
-    /// The run's tier telemetry as a JSON object: this snapshot minus
-    /// `before`.
-    fn delta_json(&self, before: &RouteCounters, policy: &str) -> Json {
-        let count = |now: u64, was: u64| Json::from((now - was) as f64);
-        let tiers = self.per_tier.iter().zip(&before.per_tier).map(
-            |((name, reqs, escs), (_, reqs0, escs0))| {
-                Json::object(vec![
-                    ("name", Json::from(name.as_str())),
-                    ("requests", count(*reqs, *reqs0)),
-                    ("escalations", count(*escs, *escs0)),
-                ])
-            },
-        );
-        Json::object(vec![
-            ("policy", Json::from(policy)),
-            ("requests_total", count(self.requests, before.requests)),
-            (
-                "escalations_total",
-                count(self.escalations, before.escalations),
-            ),
-            (
-                "validation_failures_total",
-                count(self.validation_failures, before.validation_failures),
-            ),
-            ("cost_units", count(self.cost_units, before.cost_units)),
-            ("tiers", Json::Array(tiers.collect())),
-        ])
-    }
-}
-
 /// Runs warmup + measurement at one thread count against `target`.
 pub fn run_once(
     config: &LoadConfig,
@@ -387,7 +254,6 @@ pub fn run_once(
     target: &RunTarget,
     pool: &Arc<PromptPool>,
 ) -> RunStats {
-    let route_before = (!config.tiers.is_empty()).then(|| route_counters(&config.tiers));
     let shared = Arc::new(RunShared {
         epoch: Instant::now(),
         measure_from: config.warmup,
@@ -416,19 +282,10 @@ pub fn run_once(
 
     let router = (config.replicas > 1).then(|| Arc::new(target.router(config)));
 
-    // The dashboard observes the fleet exactly as the router's fleet
-    // plane would: scraping every replica's /metrics.json and merging.
-    let observer = config.dashboard.then(|| FleetObserver::new(&target.addrs));
-
-    let reporter = (config.report > Duration::ZERO || observer.is_some()).then(|| {
+    let reporter = (config.report > Duration::ZERO).then(|| {
         let shared = Arc::clone(&shared);
         let interval = config.report.max(Duration::from_millis(500));
-        let observer = observer.clone();
-        let router = router.clone();
-        std::thread::spawn(move || match &observer {
-            Some(observer) => dashboard_loop(&shared, observer, router.as_deref(), interval),
-            None => report_loop(&shared, interval, threads),
-        })
+        std::thread::spawn(move || report_loop(&shared, interval, threads))
     });
 
     std::thread::scope(|scope| {
@@ -438,7 +295,6 @@ pub fn run_once(
             let addr = target.addr;
             let model = target.model.clone();
             let arrival = config.arrival;
-            let seed = config.seed;
             let router = router.clone();
             scope.spawn(move || {
                 worker_loop(
@@ -449,7 +305,6 @@ pub fn run_once(
                     addr,
                     &model,
                     arrival,
-                    seed,
                     router.as_deref(),
                 )
             });
@@ -463,11 +318,6 @@ pub fn run_once(
     let server_stats = nl2vis_llm::wire::get(target.addr, "/stats", Duration::from_secs(2))
         .ok()
         .and_then(|(_, body)| Json::parse(&body).ok());
-    // A final poll so the recorded fleet snapshot covers the whole run.
-    let fleet = observer.map(|observer| {
-        observer.poll_once();
-        observer.fleet_stats_json()
-    });
     let measured = shared
         .epoch
         .elapsed()
@@ -495,10 +345,6 @@ pub fn run_once(
             0
         },
         router: router.map(|r| r.stats().snapshot()),
-        fleet,
-        tiers: route_before.map(|before| {
-            route_counters(&config.tiers).delta_json(&before, &config.route_policy.name())
-        }),
     }
 }
 
@@ -512,10 +358,9 @@ fn worker_loop(
     addr: SocketAddr,
     model: &str,
     arrival: Arrival,
-    seed: u64,
     router: Option<&Router>,
 ) {
-    let mut rng = Rng::new(seed).fork(worker as u64 + 1);
+    let mut rng = Rng::new(SEED).fork(worker as u64 + 1);
     let mut conn = LoadConn::new(addr, model);
     let options = GenOptions::default();
     let mut iteration = 0u64;
@@ -724,106 +569,35 @@ fn report_loop(shared: &RunShared, interval: Duration, threads: usize) {
     }
 }
 
-/// One dashboard row from a `/fleet/stats` replica row or its merged
-/// `fleet` object: both are `/stats` bodies.
-fn dashboard_row(label: &str, node: &Json) -> String {
-    let f = |key: &str| node.get(key).and_then(Json::as_f64).unwrap_or(0.0);
-    let window_us = |key: &str| {
-        node.get("latency_us")
-            .and_then(|l| l.get("window"))
-            .and_then(|w| w.get(key))
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0)
-    };
-    format!(
-        "  {label:<22} {:>8.1} {:>8.1} {:>8.1} {:>6.1}% {:>8}",
-        f("throughput_rps"),
-        window_us("p50_us") / 1_000.0,
-        window_us("p99_us") / 1_000.0,
-        f("window_shed_rate") * 100.0,
-        f("requests_total") as u64,
-    )
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// The `--dashboard` reporter: scrape the fleet each tick and render a
-/// rolling table — one row per replica, one merged row, one SLO burn
-/// line, plus the router's hedge/shard-hit counters when routing.
-fn dashboard_loop(
-    shared: &RunShared,
-    observer: &FleetObserver,
-    router: Option<&Router>,
-    interval: Duration,
-) {
-    while !shared.stop.load(Ordering::Relaxed) {
-        let mut left = interval;
-        while !shared.stop.load(Ordering::Relaxed) && !left.is_zero() {
-            let step = left.min(Duration::from_millis(200));
-            std::thread::sleep(step);
-            left -= step;
-        }
-        if shared.stop.load(Ordering::Relaxed) {
-            return;
-        }
-        observer.poll_once();
-        let stats = observer.fleet_stats_json();
-        let elapsed = shared.epoch.elapsed();
-        let phase = if elapsed < shared.measure_from {
-            " warmup"
-        } else {
-            ""
+    #[test]
+    fn self_hosted_runs_serve_the_named_model_or_refuse() {
+        let config = LoadConfig {
+            model: "text-davinci-002".to_string(),
+            ..LoadConfig::default()
         };
-        let mut out = format!(
-            "[fleet t={:>5.1}s{phase}]  {:<21} {:>8} {:>8} {:>8} {:>7} {:>8}\n",
-            elapsed.as_secs_f64(),
-            "replica",
-            "rps",
-            "p50ms",
-            "p99ms",
-            "shed",
-            "reqs",
-        );
-        if let Some(rows) = stats.get("replicas").and_then(Json::as_array) {
-            for row in rows {
-                let id = row.get("id").and_then(Json::as_str).unwrap_or("?");
-                if row.get("ok").and_then(Json::as_bool) == Some(true) {
-                    out.push_str(&dashboard_row(id, row));
-                } else {
-                    let error = row.get("error").and_then(Json::as_str).unwrap_or("down");
-                    out.push_str(&format!("  {id:<22} UNREACHABLE ({error})"));
-                }
-                out.push('\n');
-            }
-        }
-        if let Some(fleet) = stats.get("fleet") {
-            out.push_str(&dashboard_row("MERGED", fleet));
-            out.push('\n');
-        }
-        if let Some(statuses) = stats.get("slo").and_then(Json::as_array) {
-            let burns: Vec<String> = statuses
-                .iter()
-                .map(|s| {
-                    format!(
-                        "{}={:.2}/{:.2}",
-                        s.get("name").and_then(Json::as_str).unwrap_or("?"),
-                        s.get("fast_burn").and_then(Json::as_f64).unwrap_or(0.0),
-                        s.get("slow_burn").and_then(Json::as_f64).unwrap_or(0.0),
-                    )
-                })
-                .collect();
-            out.push_str(&format!("  slo burn (fast/slow): {}", burns.join("  ")));
-        }
-        if let Some(router) = router {
-            let snap = router.stats().snapshot();
-            let hit_rate = if snap.requests == 0 {
-                0.0
-            } else {
-                snap.shard_hits as f64 / snap.requests as f64 * 100.0
-            };
-            out.push_str(&format!(
-                "   router: hit={hit_rate:.0}% hedges={} wins={}",
-                snap.hedges_fired, snap.hedge_wins,
-            ));
-        }
-        eprintln!("{out}");
+        let target = RunTarget::start(&config).expect("a known model self-hosts");
+        assert_eq!(target.model, "text-davinci-002");
+        let (status, body) =
+            nl2vis_llm::wire::get(target.addr, "/v1/models", Duration::from_secs(2)).unwrap();
+        assert_eq!(status, 200, "{body}");
+        let models = Json::parse(&body).unwrap();
+        let hosted = models
+            .get("data")
+            .and_then(Json::as_array)
+            .and_then(|data| data.first())
+            .and_then(|model| model.get("id"))
+            .and_then(Json::as_str);
+        assert_eq!(hosted, Some("text-davinci-002"), "{body}");
+
+        // A typo is refused, not served as some other model.
+        let typo = LoadConfig {
+            model: "gpt4".to_string(),
+            ..LoadConfig::default()
+        };
+        assert!(RunTarget::start(&typo).is_err());
     }
 }

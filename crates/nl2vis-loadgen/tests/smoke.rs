@@ -7,7 +7,7 @@
 //! one's throughput floor measures its own run, not its neighbours'.
 
 use nl2vis_data::Json;
-use nl2vis_loadgen::{run_load, Arrival, LoadConfig, Skew};
+use nl2vis_loadgen::{run_load, Arrival, LoadConfig};
 use nl2vis_obs as obs;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
@@ -27,7 +27,6 @@ fn quick(threads: usize, arrival: Arrival) -> LoadConfig {
         duration: Duration::from_millis(1500),
         warmup: Duration::from_millis(300),
         arrival,
-        skew: Skew::Zipf { theta: 1.1 },
         prompts: 64,
         cache_capacity: 0,
         service_ms: 0,

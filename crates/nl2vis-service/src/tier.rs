@@ -256,36 +256,6 @@ pub enum RoutePolicy {
     BudgetCapped(u64),
 }
 
-impl RoutePolicy {
-    /// Parses a policy name as used by CLI flags (`cheap-first`,
-    /// `quality-first`, `budget:<units>`).
-    pub fn parse(s: &str) -> Result<RoutePolicy, String> {
-        match s {
-            "cheap-first" => Ok(RoutePolicy::CheapFirst),
-            "quality-first" => Ok(RoutePolicy::QualityFirst),
-            _ => match s.strip_prefix("budget:") {
-                Some(b) => b
-                    .parse::<u64>()
-                    .map(RoutePolicy::BudgetCapped)
-                    .map_err(|e| format!("bad budget in route policy `{s}`: {e}")),
-                None => Err(format!(
-                    "unknown route policy `{s}` (expected cheap-first, quality-first, \
-                     or budget:<units>)"
-                )),
-            },
-        }
-    }
-
-    /// Stable display name (inverse of [`RoutePolicy::parse`]).
-    pub fn name(&self) -> String {
-        match self {
-            RoutePolicy::CheapFirst => "cheap-first".to_string(),
-            RoutePolicy::QualityFirst => "quality-first".to_string(),
-            RoutePolicy::BudgetCapped(b) => format!("budget:{b}"),
-        }
-    }
-}
-
 /// One rung of the ladder: a named inner service with a cost weight.
 pub struct Tier {
     /// Tier name used in metrics (`route.tier.<name>.*`) and reporting.
@@ -516,7 +486,7 @@ mod tests {
     /// assert on them hold this lock, so the asserted deltas are exact.
     static ROUTE_COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-    fn route_counters() -> std::sync::MutexGuard<'static, ()> {
+    fn lock_route_counters() -> std::sync::MutexGuard<'static, ()> {
         ROUTE_COUNTERS.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -605,7 +575,7 @@ mod tests {
 
     #[test]
     fn cheap_first_escalates_past_a_failing_tier() {
-        let _counters = route_counters();
+        let _counters = lock_route_counters();
         let cheap_calls = Arc::new(AtomicUsize::new(0));
         let c = Arc::clone(&cheap_calls);
         let svc = RouteLayer::new(RoutePolicy::CheapFirst)
@@ -627,7 +597,7 @@ mod tests {
 
     #[test]
     fn quality_first_reverses_the_walk() {
-        let _counters = route_counters();
+        let _counters = lock_route_counters();
         let cheap_calls = Arc::new(AtomicUsize::new(0));
         let c = Arc::clone(&cheap_calls);
         let svc = RouteLayer::new(RoutePolicy::QualityFirst)
@@ -652,7 +622,7 @@ mod tests {
 
     #[test]
     fn budget_cap_skips_unaffordable_tiers() {
-        let _counters = route_counters();
+        let _counters = lock_route_counters();
         let escalations_before = obs::global().counter("route.tier.escalations_total").get();
         let strong_calls = Arc::new(AtomicUsize::new(0));
         let s = Arc::clone(&strong_calls);
@@ -699,7 +669,7 @@ mod tests {
 
     #[test]
     fn transport_failure_escalates_and_is_never_scored_as_output() {
-        let _counters = route_counters();
+        let _counters = lock_route_counters();
         let svc = RouteLayer::new(RoutePolicy::CheapFirst)
             .tier(
                 "down",
@@ -738,21 +708,8 @@ mod tests {
     }
 
     #[test]
-    fn policy_parse_round_trips() {
-        for p in [
-            RoutePolicy::CheapFirst,
-            RoutePolicy::QualityFirst,
-            RoutePolicy::BudgetCapped(42),
-        ] {
-            assert_eq!(RoutePolicy::parse(&p.name()).unwrap(), p);
-        }
-        assert!(RoutePolicy::parse("fastest").is_err());
-        assert!(RoutePolicy::parse("budget:lots").is_err());
-    }
-
-    #[test]
     fn route_metrics_move_on_escalation() {
-        let _counters = route_counters();
+        let _counters = lock_route_counters();
         let before_esc = obs::global().counter("route.tier.escalations_total").get();
         let before_cost = obs::global().counter("route.cost_units").get();
         let svc = RouteLayer::new(RoutePolicy::CheapFirst)

@@ -55,12 +55,28 @@ run "cargo test nl2vis-prompt (paper-sized, release)" \
 # `correct:true` and the metric set `BENCHMARK.json` names.
 run "benchmark smoke" cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 
+# Experiments smoke: the `transport` experiment end to end (its fault
+# plan and retry budget, a clean and a faulty eval over HTTP), run from a
+# fresh temporary directory so no results file in the repository can be
+# overwritten.
+experiments_smoke() {
+    local repo tmp status
+    repo=$(pwd)
+    tmp=$(mktemp -d) || return 1
+    (cd "$tmp" && cargo run -q --manifest-path "$repo/Cargo.toml" -p nl2vis-bench \
+        --release --bin experiments -- transport --fast)
+    status=$?
+    rm -rf "$tmp"
+    return "$status"
+}
+run "experiments smoke (transport)" experiments_smoke
+
 # Sustained-load smoke: a short reduced-thread loadgen run against a
 # self-hosted server (open loop, coordinated-omission corrected). Kept
 # under ~10 s; writes its snapshot under target/ so it never clobbers a
 # committed trajectory file.
 run "loadgen smoke" cargo run -q -p nl2vis-loadgen --release -- \
-    --threads=4 --duration=3 --warmup=1 --rate=open:300 --skew=zipf:1.1 \
+    --threads=4 --duration=3 --warmup=1 --rate=open:300 \
     --prompts=64 --report=0 --out=target/BENCH_load_smoke.json
 
 # High-connection smoke: 256 closed-loop keep-alive clients for 3 s. The
@@ -68,7 +84,7 @@ run "loadgen smoke" cargo run -q -p nl2vis-loadgen --release -- \
 # serving threads, and the Zipf-skewed prompt keys drive the batching
 # path. Kept under ~10 s like the open-loop smoke.
 run "loadgen smoke (256 conns)" cargo run -q -p nl2vis-loadgen --release -- \
-    --threads=256 --duration=3 --warmup=1 --rate=closed --skew=zipf:1.1 \
+    --threads=256 --duration=3 --warmup=1 --rate=closed \
     --prompts=64 --report=0 --out=target/BENCH_load_smoke_256.json
 
 # Router smoke: 16 clients through the prompt-affinity router over a
@@ -76,7 +92,7 @@ run "loadgen smoke (256 conns)" cargo run -q -p nl2vis-loadgen --release -- \
 # demonstrably fire. Asserts the run completed clean, the shards
 # answered, and at least one hedge fired.
 run "loadgen smoke (2-replica router)" cargo run -q -p nl2vis-loadgen --release -- \
-    --threads=16 --duration=3 --warmup=1 --rate=closed --skew=zipf:1.1 \
+    --threads=16 --duration=3 --warmup=1 --rate=closed \
     --prompts=256 --cache=256 --service-ms=2 --tail=0.05:40 \
     --replicas=2 --hedge-ms=10 --report=0 --out=target/BENCH_load_smoke_router.json
 if [ -f target/BENCH_load_smoke_router.json ]; then
