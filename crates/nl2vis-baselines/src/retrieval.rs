@@ -2,9 +2,8 @@
 //! retrieval-based baseline (Seq2Vis, Transformer, ncNet, RGVisNet).
 
 use nl2vis_corpus::Corpus;
-use nl2vis_data::text::{jaccard_sets, words};
+use nl2vis_data::text::WordIndex;
 use nl2vis_query::ast::VqlQuery;
-use std::collections::HashSet;
 
 /// Filler words shared by almost every realized question. A contextual
 /// encoder (Transformer-family) effectively ignores them when matching
@@ -67,10 +66,6 @@ pub enum TokenMode {
 pub struct Entry {
     /// Training example id.
     pub id: usize,
-    /// The training question.
-    pub nl: String,
-    /// Pre-tokenized question words (per the index's [`TokenMode`]).
-    pub tokens: HashSet<String>,
     /// The gold query.
     pub vql: VqlQuery,
     /// Database of the training example.
@@ -81,7 +76,8 @@ pub struct Entry {
 #[derive(Debug, Clone)]
 pub struct RetrievalIndex {
     entries: Vec<Entry>,
-    mode: TokenMode,
+    /// The entries' questions per the index's [`TokenMode`], by entry index.
+    words: WordIndex,
 }
 
 impl RetrievalIndex {
@@ -92,18 +88,24 @@ impl RetrievalIndex {
 
     /// Builds an index with an explicit token mode.
     pub fn build_with(corpus: &Corpus, train_ids: &[usize], mode: TokenMode) -> RetrievalIndex {
+        let mut words = match mode {
+            TokenMode::Raw => WordIndex::new(&[], |w| w),
+            TokenMode::Content => WordIndex::new(FILLER, |w| w),
+            TokenMode::Template => WordIndex::new(FILLER, num_placeholder),
+        };
         let entries = train_ids
             .iter()
             .filter_map(|id| corpus.example(*id))
-            .map(|e| Entry {
-                id: e.id,
-                nl: e.nl.clone(),
-                tokens: tokenize(&e.nl, mode),
-                vql: (*e.vql).clone(),
-                db: e.db.clone(),
+            .map(|e| {
+                words.push(&e.nl);
+                Entry {
+                    id: e.id,
+                    vql: (*e.vql).clone(),
+                    db: e.db.clone(),
+                }
             })
             .collect();
-        RetrievalIndex { entries, mode }
+        RetrievalIndex { entries, words }
     }
 
     /// Number of indexed examples.
@@ -116,48 +118,26 @@ impl RetrievalIndex {
         self.entries.is_empty()
     }
 
-    /// The `k` most similar entries to the question, best first.
-    pub fn top(&self, question: &str, k: usize) -> Vec<(f64, &Entry)> {
-        let q = tokenize(question, self.mode);
-        let mut scored: Vec<(f64, &Entry)> = self
-            .entries
-            .iter()
-            .map(|e| (jaccard_sets(&q, &e.tokens), e))
-            .collect();
-        // total_cmp, not partial_cmp-to-Equal: a comparator where NaN
-        // equals everything is not transitive, and sort_by may reorder
-        // well-behaved entries around it.
-        scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.id.cmp(&b.1.id)));
-        scored.truncate(k);
-        scored
-    }
-
-    /// The single best entry, if any.
+    /// The entry most similar to the question, and its score: the highest
+    /// score by `total_cmp`, the lowest example id among equals.
     pub fn best(&self, question: &str) -> Option<(f64, &Entry)> {
-        self.top(question, 1).into_iter().next()
+        let mut best: Option<(f64, &Entry)> = None;
+        for (e, score) in self.entries.iter().zip(self.words.scores(question)) {
+            if best.is_none_or(|(b, be)| score.total_cmp(&b).then(be.id.cmp(&e.id)).is_gt()) {
+                best = Some((score, e));
+            }
+        }
+        best
     }
 }
 
-/// Tokenizes per mode.
-fn tokenize(text: &str, mode: TokenMode) -> HashSet<String> {
-    let normalize = |w: String| {
-        if w.chars().all(|c| c.is_ascii_digit()) {
-            "<num>".to_string()
-        } else {
-            w
-        }
-    };
-    match mode {
-        TokenMode::Raw => words(text).into_iter().collect(),
-        TokenMode::Content => words(text)
-            .into_iter()
-            .filter(|w| !FILLER.contains(&w.as_str()))
-            .collect(),
-        TokenMode::Template => words(text)
-            .into_iter()
-            .filter(|w| !FILLER.contains(&w.as_str()))
-            .map(normalize)
-            .collect(),
+/// [`TokenMode::Template`]'s normalization: an all-digit word becomes the
+/// placeholder `<num>`, which no word can spell.
+fn num_placeholder(w: &str) -> &str {
+    if w.chars().all(|c| c.is_ascii_digit()) {
+        "<num>"
+    } else {
+        w
     }
 }
 
@@ -165,6 +145,146 @@ fn tokenize(text: &str, mode: TokenMode) -> HashSet<String> {
 mod tests {
     use super::*;
     use nl2vis_corpus::CorpusConfig;
+    use nl2vis_data::text::{jaccard_sets, words};
+    use std::collections::HashSet;
+
+    const MODES: [TokenMode; 3] = [TokenMode::Raw, TokenMode::Content, TokenMode::Template];
+
+    /// The index as a linear scan, the reference `best` must match: each
+    /// entry keeps its token set, and a query intersects the question's set
+    /// with every one and fully sorts the scores (descending by
+    /// `total_cmp`, then by id).
+    struct LinearScan {
+        mode: TokenMode,
+        entries: Vec<(usize, HashSet<String>)>,
+    }
+
+    impl LinearScan {
+        fn build(corpus: &Corpus, train_ids: &[usize], mode: TokenMode) -> LinearScan {
+            let entries = train_ids
+                .iter()
+                .filter_map(|id| corpus.example(*id))
+                .map(|e| (e.id, tokenize(&e.nl, mode)))
+                .collect();
+            LinearScan { mode, entries }
+        }
+
+        fn best(&self, question: &str) -> Option<(f64, usize)> {
+            let q = tokenize(question, self.mode);
+            let mut scored: Vec<(f64, usize)> = self
+                .entries
+                .iter()
+                .map(|(id, tokens)| (jaccard_sets(&q, tokens), *id))
+                .collect();
+            scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+            scored.into_iter().next()
+        }
+    }
+
+    /// Tokenizes per mode.
+    fn tokenize(text: &str, mode: TokenMode) -> HashSet<String> {
+        let normalize = |w: String| {
+            if w.chars().all(|c| c.is_ascii_digit()) {
+                "<num>".to_string()
+            } else {
+                w
+            }
+        };
+        match mode {
+            TokenMode::Raw => words(text).into_iter().collect(),
+            TokenMode::Content => words(text)
+                .into_iter()
+                .filter(|w| !FILLER.contains(&w.as_str()))
+                .collect(),
+            TokenMode::Template => words(text)
+                .into_iter()
+                .filter(|w| !FILLER.contains(&w.as_str()))
+                .map(normalize)
+                .collect(),
+        }
+    }
+
+    /// Asserts that, in every mode, the index over `train_ids` answers each
+    /// question with the linear scan's best entry: the same id and the same
+    /// score bits.
+    fn assert_best_matches_linear_scan<'q>(
+        corpus: &Corpus,
+        train_ids: &[usize],
+        questions: impl Iterator<Item = &'q str> + Clone,
+    ) {
+        for mode in MODES {
+            let index = RetrievalIndex::build_with(corpus, train_ids, mode);
+            let scan = LinearScan::build(corpus, train_ids, mode);
+            for q in questions.clone() {
+                assert_eq!(
+                    index.best(q).map(|(score, e)| (score.to_bits(), e.id)),
+                    scan.best(q).map(|(score, id)| (score.to_bits(), id)),
+                    "{mode:?}: question {q:?}"
+                );
+            }
+        }
+    }
+
+    /// Questions the corpus does not ask: empty, all filler, unknown
+    /// words, numbers, repeats, and mixed case and punctuation.
+    fn edge_questions(base: &str) -> Vec<String> {
+        vec![
+            String::new(),
+            "Show me the chart of the records".to_string(),
+            "qqq zzyzx quux".to_string(),
+            format!("{base} qqq"),
+            "top 5 of 12".to_string(),
+            format!("{base} 7 42 2024"),
+            format!("{base} {base} {base}"),
+            format!("¡{}?!", base.to_uppercase().replace(' ', ", ")),
+        ]
+    }
+
+    /// The index picks exactly what the linear scan picks, for every
+    /// question of a small corpus and the edge questions, over a split's
+    /// training ids, which come shuffled, so the entry order is not the id
+    /// order and the tie rule decides.
+    #[test]
+    fn best_matches_the_linear_scan() {
+        let c = Corpus::build(&CorpusConfig::small(31));
+        let split = c.split_in_domain(3);
+        let edge = edge_questions(&c.examples[7].nl);
+        let questions = c
+            .examples
+            .iter()
+            .map(|e| e.nl.as_str())
+            .chain(edge.iter().map(String::as_str));
+        assert_best_matches_linear_scan(&c, &split.train, questions);
+    }
+
+    /// The paper-sized check: the default corpus's in-domain and
+    /// cross-domain splits of two seeds, every test question. Run it with
+    /// `cargo test --release -p nl2vis-baselines -- --ignored`.
+    #[test]
+    #[ignore = "paper-sized; run in release"]
+    fn best_matches_the_linear_scan_paper_sized() {
+        let c = Corpus::build(&CorpusConfig::default());
+        let edge = edge_questions(&c.examples[7].nl);
+        let splits = [1, 7]
+            .into_iter()
+            .flat_map(|seed| [c.split_in_domain(seed), c.split_cross_domain(seed)]);
+        // One thread per split: the linear scan intersects every training
+        // question's set on every call.
+        std::thread::scope(|scope| {
+            for split in splits {
+                let (c, edge) = (&c, &edge);
+                scope.spawn(move || {
+                    let questions = split
+                        .test
+                        .iter()
+                        .filter_map(|&id| c.example(id))
+                        .map(|e| e.nl.as_str())
+                        .chain(edge.iter().map(String::as_str));
+                    assert_best_matches_linear_scan(c, &split.train, questions);
+                });
+            }
+        });
+    }
 
     #[test]
     fn retrieves_self_with_score_one() {
@@ -178,15 +298,17 @@ mod tests {
         assert_eq!(entry.id, probe.id);
     }
 
+    /// A question no entry shares a word with scores every entry 0: the
+    /// lowest id wins, wherever it sits in the index.
     #[test]
-    fn top_k_is_sorted_and_bounded() {
+    fn best_breaks_ties_toward_the_lowest_id() {
         let c = Corpus::build(&CorpusConfig::small(31));
-        let ids: Vec<usize> = c.examples.iter().map(|e| e.id).collect();
-        let index = RetrievalIndex::build(&c, &ids);
-        let top = index.top("show a bar chart of the number of things", 5);
-        assert_eq!(top.len(), 5);
-        for w in top.windows(2) {
-            assert!(w[0].0 >= w[1].0);
+        let ids: Vec<usize> = c.examples.iter().rev().map(|e| e.id).collect();
+        let lowest = *ids.iter().min().unwrap();
+        for mode in MODES {
+            let index = RetrievalIndex::build_with(&c, &ids, mode);
+            let (score, entry) = index.best("qqq zzyzx").unwrap();
+            assert_eq!((score, entry.id), (0.0, lowest), "{mode:?}");
         }
     }
 

@@ -112,18 +112,6 @@ pub fn table2(
     (rows_struct, text)
 }
 
-/// The six prompt variants of Figure 6.
-pub fn fig6_variants() -> [PromptFormat; 6] {
-    [
-        PromptFormat::ColumnList,
-        PromptFormat::ColumnListFk,
-        PromptFormat::ColumnListFkValue,
-        PromptFormat::Table2Sql,
-        PromptFormat::Table2Sql, // +RS baseline == Table2SQL (DDL carries FKs)
-        PromptFormat::Table2SqlSelect,
-    ]
-}
-
 /// **Figure 6**: table-content ablation (schema / +relationship / +content)
 /// across demonstration counts, both domain settings.
 pub fn fig6(ctx: &ExperimentContext) -> (Vec<(String, usize, bool, Pair)>, String) {

@@ -156,15 +156,6 @@ impl Corpus {
         Corpus { catalog, examples }
     }
 
-    /// Examples grouped by database name.
-    pub fn by_database(&self) -> BTreeMap<&str, Vec<&Example>> {
-        let mut map: BTreeMap<&str, Vec<&Example>> = BTreeMap::new();
-        for e in &self.examples {
-            map.entry(e.db.as_str()).or_default().push(e);
-        }
-        map
-    }
-
     /// An example by id.
     pub fn example(&self, id: usize) -> Option<&Example> {
         self.examples.iter().find(|e| e.id == id)

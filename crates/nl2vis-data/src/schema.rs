@@ -162,16 +162,6 @@ impl DatabaseSchema {
             .find(|t| t.name.eq_ignore_ascii_case(name))
     }
 
-    /// Foreign keys touching (from or to) the named table.
-    pub fn foreign_keys_of(&self, table: &str) -> Vec<&ForeignKey> {
-        self.foreign_keys
-            .iter()
-            .filter(|fk| {
-                fk.from_table.eq_ignore_ascii_case(table) || fk.to_table.eq_ignore_ascii_case(table)
-            })
-            .collect()
-    }
-
     /// The foreign key joining the two tables (either direction), if any.
     pub fn join_edge(&self, a: &str, b: &str) -> Option<&ForeignKey> {
         self.foreign_keys.iter().find(|fk| {

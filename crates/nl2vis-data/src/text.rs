@@ -1,9 +1,11 @@
-//! Text utilities shared by the demonstration selector and schema linkers:
-//! identifier tokenization, lowercase word extraction, and Jaccard
-//! similarity (the paper selects demonstration rows and examples by Jaccard
-//! similarity, §2.2.2 and §5.1.1).
+//! Text utilities shared by the demonstration selector, the retrieval
+//! baselines and the schema linkers: identifier tokenization, lowercase
+//! word extraction, Jaccard similarity (the paper selects demonstration
+//! rows and examples by Jaccard similarity, §2.2.2 and §5.1.1), and
+//! [`WordIndex`], the inverted index that scores a question against many
+//! documents at once.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// Splits an identifier into lowercase word tokens: `snake_case`,
 /// `kebab-case`, `camelCase`, `PascalCase` and digit boundaries are all word
@@ -103,6 +105,107 @@ pub fn jaccard_counts(a: usize, b: usize, inter: usize) -> f64 {
     }
 }
 
+/// The word id every skip word is interned to, so that the lookup that finds
+/// a word's id also drops skip words.
+const SKIP_ID: u32 = u32::MAX;
+
+/// An inverted index over the word sets of a list of documents, scoring a
+/// question's Jaccard similarity to every document at once.
+///
+/// A document's or question's words are [`for_each_word`]'s tokens, each
+/// passed through the index's normalization and then dropped if it is one
+/// of the skip words; what is left is taken as a set. Each word is interned
+/// once to an id that owns the ascending list of the documents containing
+/// it, and each document keeps its set size. A question is scored by
+/// counting `|A∩B|` for every document along only the question's postings,
+/// then calling [`jaccard_counts`] — the function [`jaccard_sets`] uses —
+/// so the scores are bit-identical to intersecting per-document sets.
+#[derive(Debug, Clone)]
+pub struct WordIndex {
+    /// Normalized word → word id ([`SKIP_ID`] for a skip word).
+    word_ids: HashMap<String, u32>,
+    /// Per word id: the documents containing the word, ascending.
+    postings: Vec<Vec<u32>>,
+    /// Per document: the size of its word set.
+    sizes: Vec<u32>,
+    normalize: fn(&str) -> &str,
+}
+
+impl WordIndex {
+    /// An empty index that drops `skip` words and maps every word through
+    /// `normalize` first (`|w| w` for none).
+    pub fn new(skip: &[&str], normalize: fn(&str) -> &str) -> WordIndex {
+        WordIndex {
+            word_ids: skip.iter().map(|w| (w.to_string(), SKIP_ID)).collect(),
+            postings: Vec::new(),
+            sizes: Vec::new(),
+            normalize,
+        }
+    }
+
+    /// Appends a document. Documents are numbered in the order they are
+    /// pushed, from 0, and [`scores`](Self::scores) lists them so.
+    pub fn push(&mut self, text: &str) {
+        let doc =
+            u32::try_from(self.sizes.len()).expect("an index holds fewer than 2^32 documents");
+        let mut size = 0;
+        for_each_word(text, |w| {
+            let w = (self.normalize)(w);
+            let id = match self.word_ids.get(w) {
+                Some(&id) => id,
+                None => {
+                    let id = u32::try_from(self.postings.len()).expect("fewer than 2^32 words");
+                    self.word_ids.insert(w.to_string(), id);
+                    self.postings.push(Vec::new());
+                    id
+                }
+            };
+            if id == SKIP_ID {
+                return;
+            }
+            // Documents arrive in order, so a word repeated within this one
+            // already ends its list.
+            let list = &mut self.postings[id as usize];
+            if list.last() != Some(&doc) {
+                list.push(doc);
+                size += 1;
+            }
+        });
+        self.sizes.push(size);
+    }
+
+    /// Every document's Jaccard similarity to `question`'s word set, by
+    /// document index.
+    pub fn scores(&self, question: &str) -> Vec<f64> {
+        let mut ids = Vec::new();
+        // Words no document contains still count toward the question's set.
+        let mut unseen: Vec<String> = Vec::new();
+        for_each_word(question, |w| {
+            let w = (self.normalize)(w);
+            match self.word_ids.get(w) {
+                Some(&SKIP_ID) => {}
+                Some(&id) => ids.push(id),
+                None if unseen.iter().any(|u| u == w) => {}
+                None => unseen.push(w.to_string()),
+            }
+        });
+        ids.sort_unstable();
+        ids.dedup();
+        let size = ids.len() + unseen.len();
+        let mut inter = vec![0u32; self.sizes.len()];
+        for id in ids {
+            for &doc in &self.postings[id as usize] {
+                inter[doc as usize] += 1;
+            }
+        }
+        self.sizes
+            .iter()
+            .zip(inter)
+            .map(|(&b, n)| jaccard_counts(size, b as usize, n as usize))
+            .collect()
+    }
+}
+
 /// Crude singularization for schema linking ("technicians" → "technician").
 /// Handles the regular English plural suffixes that appear in generated
 /// schemas; irregulars go through alias lists instead.
@@ -189,6 +292,76 @@ mod tests {
         assert_eq!(jaccard("", ""), 1.0);
         assert_eq!(jaccard("x", ""), 0.0);
         assert_eq!(jaccard("same words", "words same"), 1.0);
+    }
+
+    fn index(skip: &[&str], normalize: fn(&str) -> &str, docs: &[&str]) -> WordIndex {
+        let mut index = WordIndex::new(skip, normalize);
+        for doc in docs {
+            index.push(doc);
+        }
+        index
+    }
+
+    #[test]
+    fn index_scores_match_jaccard() {
+        let docs = ["a b c", "b c d", "", "x"];
+        let index = index(&[], |w| w, &docs);
+        for q in ["a b c", "b, C!", "", "x y", "c a c"] {
+            let want: Vec<u64> = docs.iter().map(|d| jaccard(q, d).to_bits()).collect();
+            let got: Vec<u64> = index.scores(q).iter().map(|s| s.to_bits()).collect();
+            assert_eq!(got, want, "question {q:?}");
+        }
+        assert!(WordIndex::new(&[], |w| w).scores("a").is_empty());
+    }
+
+    #[test]
+    fn index_both_empty_scores_one() {
+        let index = index(&["the"], |w| w, &["", "the", "a"]);
+        assert_eq!(index.scores(""), vec![1.0, 1.0, 0.0]);
+        assert_eq!(index.scores("the"), vec![1.0, 1.0, 0.0]);
+        assert_eq!(index.scores("a"), vec![0.0, 0.0, 1.0]);
+    }
+
+    #[test]
+    fn index_counts_question_words_no_document_contains() {
+        let index = index(&[], |w| w, &["a b"]);
+        // |A| = 3 (a, zzz, qqq), |B| = 2, |A∩B| = 1: 1 / 4.
+        assert_eq!(index.scores("a zzz qqq zzz"), vec![0.25]);
+        assert_eq!(index.scores("zzz"), vec![0.0]);
+    }
+
+    #[test]
+    fn index_counts_a_repeated_word_once() {
+        let index = index(&[], |w| w, &["a a b", "b b b"]);
+        // {a} against {a, b} and {b}.
+        assert_eq!(index.scores("a A a"), vec![0.5, 0.0]);
+        // {b} against {a, b} and {b}.
+        assert_eq!(index.scores("b b"), vec![0.5, 1.0]);
+    }
+
+    #[test]
+    fn index_drops_skip_words() {
+        let index = index(&["the", "of"], |w| w, &["the cat", "the of"]);
+        // {dog, cat} against {cat} and {}.
+        assert_eq!(index.scores("the dog of the cat"), vec![0.5, 0.0]);
+        assert_eq!(index.scores("The OF"), vec![0.0, 1.0]);
+    }
+
+    #[test]
+    fn index_normalizes_before_skipping() {
+        fn num(w: &str) -> &str {
+            if w.chars().all(|c| c.is_ascii_digit()) {
+                "<num>"
+            } else {
+                w
+            }
+        }
+        let index = index(&["top"], num, &["top 5 cats", "5 7 9"]);
+        // {<num>, cats} and {<num>}.
+        assert_eq!(index.scores("top 10 cats"), vec![1.0, 0.5]);
+        assert_eq!(index.scores("3 4"), vec![0.5, 1.0]);
+        // A question word that only normalizes to a known word is unseen.
+        assert_eq!(index.scores("num"), vec![0.0, 0.0]);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! the demonstrations: `A` distinct databases × `B` examples per database.
 
 use nl2vis_corpus::Example;
-use nl2vis_data::text::{for_each_word, jaccard_counts, jaccard_sets, words};
+use nl2vis_data::text::{jaccard_sets, words, WordIndex};
 use nl2vis_data::Rng;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
@@ -69,34 +69,25 @@ fn content_set(text: &str) -> HashSet<String> {
         .collect()
 }
 
-/// The word id every [`FILLER`] word is interned to, so that the lookup that
-/// finds a word's id also drops filler.
-const FILLER_ID: u32 = u32::MAX;
-
 /// One pooled example.
 struct Entry<'a> {
     example: &'a Example,
     /// `example.id`, kept beside the scores so that filtering and ranking
     /// the whole pool never dereferences an example.
     id: usize,
-    /// Size of its question's content-word set.
-    size: usize,
     /// Its database's index into [`DemoPool::by_db`].
     db: usize,
 }
 
 /// A demonstration pool indexed for repeated selections over one training
-/// split. Each content word is interned once to an id holding the ascending
-/// list of entries whose question contains it, so a selection walks only
-/// the question's postings and scores every entry from integer counts with
-/// [`jaccard_counts`] — the function [`jaccard_sets`] uses — and so ranks
+/// split. Its [`WordIndex`] holds each question's content words (the
+/// [`FILLER`] words skipped), so a selection scores every entry from
+/// integer counts with the function [`jaccard_sets`] uses, and so ranks
 /// exactly as the tokenize-per-call free functions do.
 pub struct DemoPool<'a> {
     entries: Vec<Entry<'a>>,
-    /// Content word → word id ([`FILLER_ID`] for filler).
-    word_ids: HashMap<String, u32>,
-    /// Per word id: the entries containing the word, ascending.
-    postings: Vec<Vec<u32>>,
+    /// The entries' questions, by entry index.
+    words: WordIndex,
     /// Per database, in name order: its entries, ascending.
     by_db: Vec<Vec<u32>>,
 }
@@ -112,46 +103,21 @@ impl<'a> DemoPool<'a> {
         let db_index: HashMap<&str, usize> =
             names.iter().enumerate().map(|(i, n)| (*n, i)).collect();
         let mut by_db = vec![Vec::new(); names.len()];
-        let mut word_ids: HashMap<String, u32> =
-            FILLER.iter().map(|w| (w.to_string(), FILLER_ID)).collect();
-        let mut postings: Vec<Vec<u32>> = Vec::new();
+        let mut words = WordIndex::new(FILLER, |w| w);
         let mut entries = Vec::with_capacity(pool.len());
         for (i, e) in (0u32..).zip(pool) {
-            let mut size = 0;
-            for_each_word(&e.nl, |w| {
-                let id = match word_ids.get(w) {
-                    Some(&id) => id,
-                    None => {
-                        let id = u32::try_from(postings.len()).expect("fewer than 2^32 words");
-                        word_ids.insert(w.to_string(), id);
-                        postings.push(Vec::new());
-                        id
-                    }
-                };
-                if id == FILLER_ID {
-                    return;
-                }
-                // Entries arrive in order, so a word repeated within this
-                // question already ends its list.
-                let list = &mut postings[id as usize];
-                if list.last() != Some(&i) {
-                    list.push(i);
-                    size += 1;
-                }
-            });
+            words.push(&e.nl);
             let db = db_index[e.db.as_str()];
             by_db[db].push(i);
             entries.push(Entry {
                 example: e,
                 id: e.id,
-                size,
                 db,
             });
         }
         DemoPool {
             entries,
-            word_ids,
-            postings,
+            words,
             by_db,
         }
     }
@@ -164,34 +130,6 @@ impl<'a> DemoPool<'a> {
     /// Is the pool empty?
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Every entry's content-word Jaccard similarity to `question`, by
-    /// entry index.
-    fn scores(&self, question: &str) -> Vec<f64> {
-        let mut ids = Vec::new();
-        // Words no entry contains still count toward the question's set.
-        let mut unseen: Vec<String> = Vec::new();
-        for_each_word(question, |w| match self.word_ids.get(w) {
-            Some(&FILLER_ID) => {}
-            Some(&id) => ids.push(id),
-            None if unseen.iter().any(|u| u == w) => {}
-            None => unseen.push(w.to_string()),
-        });
-        ids.sort_unstable();
-        ids.dedup();
-        let size = ids.len() + unseen.len();
-        let mut inter = vec![0usize; self.entries.len()];
-        for id in ids {
-            for &i in &self.postings[id as usize] {
-                inter[i as usize] += 1;
-            }
-        }
-        self.entries
-            .iter()
-            .zip(inter)
-            .map(|(e, n)| jaccard_counts(size, e.size, n))
-            .collect()
     }
 
     /// The top `k` of one database's entries, excluding `exclude_id`.
@@ -210,7 +148,7 @@ impl<'a> DemoPool<'a> {
         let scored = self
             .entries
             .iter()
-            .zip(self.scores(question))
+            .zip(self.words.scores(question))
             .filter(|(e, _)| e.id != exclude_id)
             .map(|(e, score)| (score, e.id, e.example))
             .collect();
@@ -220,7 +158,7 @@ impl<'a> DemoPool<'a> {
     /// All `k` demonstrations from the single most relevant database: the
     /// database of the first entry, in pool order, with the best score.
     pub fn select_same_db(&self, question: &str, k: usize, exclude_id: usize) -> Vec<&'a Example> {
-        let scores = self.scores(question);
+        let scores = self.words.scores(question);
         let mut best: Option<(usize, f64)> = None;
         for (e, &score) in self.entries.iter().zip(&scores) {
             if e.id != exclude_id && best.is_none_or(|(_, b)| score.total_cmp(&b).is_gt()) {
@@ -241,7 +179,7 @@ impl<'a> DemoPool<'a> {
         per_db: usize,
         exclude_id: usize,
     ) -> Vec<&'a Example> {
-        let scores = self.scores(question);
+        let scores = self.words.scores(question);
         // Each database's best score; one whose only entry is excluded
         // drops out.
         let mut ranked: Vec<(f64, usize)> = self

@@ -16,9 +16,10 @@
 //! LLM's per-format prompt parsers and the ICL token budget turn those
 //! differences into the accuracy differences of Table 2.
 
-use nl2vis_data::text::{approx_token_count, jaccard_sets, words};
-use nl2vis_data::{csv, Database, Json, Table, Value};
+use nl2vis_data::text::{approx_token_count, for_each_word, jaccard_counts, words};
+use nl2vis_data::{csv, Database, Json, Table};
 use std::collections::HashSet;
+use std::fmt::Write as _;
 
 /// A concrete serialization strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -186,10 +187,35 @@ impl std::fmt::Display for PromptFormat {
 /// to the earlier row.
 pub fn most_relevant_row(table: &Table, question: &str) -> Option<usize> {
     let q: HashSet<String> = words(question).into_iter().collect();
+    // One rendering buffer and one distinct-word list serve every row; a
+    // row's words are few, so a linear scan finds its repeats.
+    let mut rendered = String::new();
+    let mut row_words: Vec<String> = Vec::new();
     let mut best: Option<(usize, f64)> = None;
     for (i, row) in table.rows().iter().enumerate() {
-        let rendered = row.iter().map(Value::render).collect::<Vec<_>>().join(" ");
-        let score = jaccard_sets(&q, &words(&rendered).into_iter().collect());
+        rendered.clear();
+        for (j, v) in row.iter().enumerate() {
+            if j > 0 {
+                rendered.push(' ');
+            }
+            write!(rendered, "{v}").expect("writing to a String cannot fail");
+        }
+        let (mut size, mut inter) = (0, 0);
+        for_each_word(&rendered, |w| {
+            if row_words[..size].iter().any(|seen| seen == w) {
+                return;
+            }
+            match row_words.get_mut(size) {
+                Some(slot) => {
+                    slot.clear();
+                    slot.push_str(w);
+                }
+                None => row_words.push(w.to_string()),
+            }
+            size += 1;
+            inter += usize::from(q.contains(w));
+        });
+        let score = jaccard_counts(q.len(), size, inter);
         if best.is_none_or(|(_, b)| score.total_cmp(&b).is_gt()) {
             best = Some((i, score));
         }
@@ -532,7 +558,8 @@ mod tests {
     use super::*;
     use nl2vis_corpus::domains::all_domains;
     use nl2vis_corpus::generate::instantiate;
-    use nl2vis_data::{ColumnDef, DataType, Rng, TableDef};
+    use nl2vis_data::text::jaccard_sets;
+    use nl2vis_data::{ColumnDef, DataType, Rng, TableDef, Value};
 
     fn db() -> Database {
         instantiate(&all_domains()[0], 0, &mut Rng::new(2))
@@ -661,6 +688,57 @@ mod tests {
         // No row shares a word: every row ties at zero.
         assert_eq!(most_relevant_row(&t, "zebra"), Some(0));
         assert_eq!(most_relevant_row(&Table::new(t.def.clone()), "zebra"), None);
+    }
+
+    /// `most_relevant_row` as a set intersection per row, the reference the
+    /// counting version must match.
+    fn most_relevant_row_by_sets(table: &Table, question: &str) -> Option<usize> {
+        let q: HashSet<String> = words(question).into_iter().collect();
+        let mut best: Option<(usize, f64)> = None;
+        for (i, row) in table.rows().iter().enumerate() {
+            let rendered = row.iter().map(Value::render).collect::<Vec<_>>().join(" ");
+            let score = jaccard_sets(&q, &words(&rendered).into_iter().collect());
+            if best.is_none_or(|(_, b)| score.total_cmp(&b).is_gt()) {
+                best = Some((i, score));
+            }
+        }
+        best.map(|(i, _)| i)
+    }
+
+    /// Every table of a small corpus, asked each of its database's corpus
+    /// questions, each of its rows rendered back as a question (repeats,
+    /// numbers and dates included), and questions no row answers, picks the
+    /// reference's row, so every row-bearing prompt is unchanged.
+    #[test]
+    fn relevant_row_matches_the_set_reference() {
+        let c = nl2vis_corpus::Corpus::build(&nl2vis_corpus::CorpusConfig::small(5));
+        let mut checked = 0;
+        for db in c.catalog.iter() {
+            let mut questions: Vec<String> = c
+                .examples
+                .iter()
+                .filter(|e| e.db == db.name())
+                .map(|e| e.nl.clone())
+                .collect();
+            questions.extend(["", "zebra", "NULL null 0.0 true"].map(String::from));
+            for t in db.tables() {
+                let row_questions = t.rows().iter().take(4).map(|row| {
+                    let cells: Vec<String> = row.iter().map(Value::render).collect();
+                    format!("{0}? {0}", cells.join(", ").to_uppercase())
+                });
+                for q in questions.iter().cloned().chain(row_questions) {
+                    assert_eq!(
+                        most_relevant_row(t, &q),
+                        most_relevant_row_by_sets(t, &q),
+                        "table {}.{}, question {q:?}",
+                        db.name(),
+                        t.def.name
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 1000, "checked only {checked} cases");
     }
 
     #[test]

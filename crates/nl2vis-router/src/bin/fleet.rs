@@ -1,4 +1,4 @@
-//! `nl2vis-fleet`: the multi-process fleet demo and smoke harness.
+//! `fleet`: the multi-process fleet demo and smoke harness.
 //!
 //! Two subcommands, designed so a shell script can stand up a real
 //! multi-process fleet — separate recorders, separate registries,
@@ -6,14 +6,14 @@
 //! end to end:
 //!
 //! ```text
-//! nl2vis-fleet serve [--stall-ms=N] [--seed=N]
+//! fleet serve [--stall-ms=N] [--seed=N]
 //!     One completion-server replica on an ephemeral port with its own
 //!     registry and flight recorder. Prints `listening <addr>` and parks.
 //!     `--stall-ms` injects a fixed service-time stall (a slow replica,
 //!     to force hedging).
 //!
-//! nl2vis-fleet observe --replicas=HOST:PORT,HOST:PORT [--hedge-ms=N]
-//!                      [--requests=N]
+//! fleet observe --replicas=HOST:PORT,HOST:PORT [--hedge-ms=N]
+//!               [--requests=N]
 //!     A router over the given replicas plus a FleetObserver/FleetServer.
 //!     Drives `--requests` warmup calls, then one request whose ring
 //!     owner is the FIRST replica (start that one with `--stall-ms` so
@@ -52,8 +52,8 @@ fn flag_str<'a>(args: &'a [String], key: &str) -> Option<&'a str> {
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: nl2vis-fleet serve [--stall-ms=N] [--seed=N]\n       \
-         nl2vis-fleet observe --replicas=H:P,H:P [--hedge-ms=N] [--requests=N]"
+        "usage: fleet serve [--stall-ms=N] [--seed=N]\n       \
+         fleet observe --replicas=H:P,H:P [--hedge-ms=N] [--requests=N]"
     );
     std::process::exit(2)
 }

@@ -93,11 +93,6 @@ impl FleetObserver {
         })
     }
 
-    /// The replicas being observed.
-    pub fn replica_addrs(&self) -> &[SocketAddr] {
-        &self.addrs
-    }
-
     /// Scrapes every replica's `/metrics.json` once, refreshes the merged
     /// view, and re-evaluates the SLOs (publishing `slo.*` gauges
     /// globally).

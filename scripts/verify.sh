@@ -42,12 +42,15 @@ run "cargo test --workspace" cargo test -q --workspace
 # step runs nl2vis-llm's own suites over that build.
 run "cargo test nl2vis-llm (scan poller)" cargo test -q -p nl2vis-llm --no-default-features
 
-# Paper-sized selector check: the inverted-index `DemoPool` must pick
-# exactly what the tokenize-per-call selectors pick for every in-domain
-# test question of the default corpus. `#[ignore]`d in the debug suites
-# for its cost; about 50 s with its release build on a 2-vCPU VM.
-run "cargo test nl2vis-prompt (paper-sized, release)" \
-    cargo test -q --release -p nl2vis-prompt -- --ignored
+# Paper-sized index checks, the two users of `text::WordIndex`: the
+# `DemoPool` selectors must pick exactly what the tokenize-per-call
+# selectors pick for every in-domain test question of the default corpus,
+# and `RetrievalIndex::best` must return the linear scan's entry and score
+# bits for every test question of the in-domain and cross-domain splits
+# of two seeds, in all three token modes. `#[ignore]`d in the debug suites
+# for their cost; about 60 s with their release build on a 2-vCPU VM.
+run "cargo test nl2vis-prompt nl2vis-baselines (paper-sized, release)" \
+    cargo test -q --release -p nl2vis-prompt -p nl2vis-baselines -- --ignored
 
 # Pinned benchmark: `benchmark/` is a standalone package (not a workspace
 # member) that must build unchanged against the crates' public APIs. Its
