@@ -26,6 +26,7 @@ use nl2vis_llm::recover::RecoveredSchema;
 use nl2vis_llm::understand::{ground, parse_question};
 use nl2vis_query::ast::{ColumnRef, Predicate, SelectExpr, VqlQuery};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Model capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,12 +174,13 @@ fn collect_predicate_words(p: &Predicate, out: &mut Vec<String>) {
     }
 }
 
-/// A fine-tuned T5 model.
+/// A fine-tuned T5 model. Its trained state is shared, so a clone (one per
+/// hosted service) costs two reference counts.
 #[derive(Debug, Clone)]
 pub struct T5Model {
     size: T5Size,
-    lexicon: Lexicon,
-    memory: RetrievalIndex,
+    lexicon: Arc<Lexicon>,
+    memory: Arc<RetrievalIndex>,
     seed: u64,
     name: &'static str,
 }
@@ -188,12 +190,12 @@ impl T5Model {
     pub fn train(corpus: &Corpus, train_ids: &[usize], size: T5Size, seed: u64) -> T5Model {
         T5Model {
             size,
-            lexicon: Lexicon::fit(corpus, train_ids),
-            memory: RetrievalIndex::build_with(
+            lexicon: Arc::new(Lexicon::fit(corpus, train_ids)),
+            memory: Arc::new(RetrievalIndex::build_with(
                 corpus,
                 train_ids,
                 crate::retrieval::TokenMode::Template,
-            ),
+            )),
             seed,
             name: match size {
                 T5Size::Small => "T5-Small",

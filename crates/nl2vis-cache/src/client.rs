@@ -12,7 +12,7 @@
 //! Transport errors — timeouts, refused connects, 4xx/5xx — are **never**
 //! cached: the next identical request goes upstream again.
 
-use crate::lru::ShardedLru;
+use crate::lru::{key_digest, ShardedLru};
 use crate::singleflight::{FlightRole, SingleFlight};
 use nl2vis_obs as obs;
 use nl2vis_service::{CompletionOutcome, CompletionService, GenOptions, Layer};
@@ -69,14 +69,41 @@ impl CacheStats {
 /// Every event is mirrored onto the global [`nl2vis_obs`] registry
 /// (`cache.hits`, `cache.misses`, `cache.evictions`, `cache.insertions`,
 /// `cache.singleflight_waits`) and tracked locally for [`CompletionCache::stats`].
+///
+/// Each lookup digests its key once ([`key_digest`]); the digest picks the
+/// shard and keys both the LRU and the single-flight map.
 pub struct CompletionCache {
     lru: ShardedLru<String>,
     flight: SingleFlight<CompletionOutcome>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    insertions: AtomicU64,
-    singleflight_waits: AtomicU64,
+    hits: Tally,
+    misses: Tally,
+    evictions: Tally,
+    insertions: Tally,
+    singleflight_waits: Tally,
+}
+
+/// One kind of cache event: its count in this cache and its global counter.
+struct Tally {
+    local: AtomicU64,
+    global: obs::Count,
+}
+
+impl Tally {
+    fn new(name: &str) -> Tally {
+        Tally {
+            local: AtomicU64::new(0),
+            global: obs::Count::new(name),
+        }
+    }
+
+    fn record(&self) {
+        self.local.fetch_add(1, Ordering::Relaxed);
+        self.global.add(1);
+    }
+
+    fn get(&self) -> u64 {
+        self.local.load(Ordering::Relaxed)
+    }
 }
 
 impl CompletionCache {
@@ -86,11 +113,11 @@ impl CompletionCache {
         CompletionCache {
             lru: ShardedLru::new(capacity, SHARDS),
             flight: SingleFlight::new(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            singleflight_waits: AtomicU64::new(0),
+            hits: Tally::new("cache.hits"),
+            misses: Tally::new("cache.misses"),
+            evictions: Tally::new("cache.evictions"),
+            insertions: Tally::new("cache.insertions"),
+            singleflight_waits: Tally::new("cache.singleflight_waits"),
         }
     }
 
@@ -107,38 +134,40 @@ impl CompletionCache {
     /// Current counter values.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            singleflight_waits: self.singleflight_waits.load(Ordering::Relaxed),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            evictions: self.evictions.get(),
+            insertions: self.insertions.get(),
+            singleflight_waits: self.singleflight_waits.get(),
         }
     }
 
     /// Looks up a completion without going upstream (counts a hit or miss).
     pub fn get(&self, key: &str) -> Option<String> {
-        match self.lru.get(key) {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                obs::count("cache.hits", 1);
-                Some(v)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                obs::count("cache.misses", 1);
-                None
-            }
+        self.lookup(key_digest(key), key)
+    }
+
+    /// [`CompletionCache::get`] with the key's digest in hand.
+    fn lookup(&self, digest: u64, key: &str) -> Option<String> {
+        let found = self.lru.get(digest, key);
+        match found {
+            Some(_) => self.hits.record(),
+            None => self.misses.record(),
         }
+        found
     }
 
     /// Inserts a successful completion.
     pub fn insert(&self, key: &str, completion: &str) {
-        if self.lru.insert(key.to_string(), completion.to_string()) {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            obs::count("cache.evictions", 1);
+        self.store(key_digest(key), key, completion);
+    }
+
+    /// [`CompletionCache::insert`] with the key's digest in hand.
+    fn store(&self, digest: u64, key: &str, completion: &str) {
+        if self.lru.insert(digest, key, completion.to_string()) {
+            self.evictions.record();
         }
-        self.insertions.fetch_add(1, Ordering::Relaxed);
-        obs::count("cache.insertions", 1);
+        self.insertions.record();
     }
 
     /// The serving-path entry point: returns the cached completion for
@@ -150,36 +179,44 @@ impl CompletionCache {
     where
         F: FnOnce() -> CompletionOutcome,
     {
+        self.complete_digested(key_digest(key), key, work)
+    }
+
+    /// [`CompletionCache::complete_through`] with the key's digest in hand:
+    /// the one digest serves the lookup, the flight, its re-check and the
+    /// insert.
+    fn complete_digested<F>(&self, digest: u64, key: &str, work: F) -> CompletionOutcome
+    where
+        F: FnOnce() -> CompletionOutcome,
+    {
         // One span per lookup, annotated with how the request was served
         // (`cache=hit|miss`, plus `singleflight=wait` for deduplicated
         // requests) — in a stitched trace this is what distinguishes "the
         // model answered" from "the cache answered".
         let span = obs::span!("cache.lookup");
-        if let Some(hit) = self.get(key) {
+        if let Some(hit) = self.lookup(digest, key) {
             span.annotate("cache", "hit");
             return Ok(hit);
         }
         span.annotate("cache", "miss");
-        let (outcome, role) = self.flight.run(key, || {
+        let (outcome, role) = self.flight.run(digest, key, || {
             // Re-check under the flight: a concurrent leader may have
             // populated the cache between our miss and winning the flight.
             // That is a logical hit (this request never goes upstream), so
             // it counts as one.
-            if let Some(hit) = self.lru.get(key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                obs::count("cache.hits", 1);
+            if let Some(hit) = self.lru.get(digest, key) {
+                self.hits.record();
                 span.annotate("cache", "flight_hit");
                 return Ok(hit);
             }
             let outcome = work();
             if let Ok(completion) = &outcome {
-                self.insert(key, completion);
+                self.store(digest, key, completion);
             }
             outcome
         });
         if role == FlightRole::Waiter {
-            self.singleflight_waits.fetch_add(1, Ordering::Relaxed);
-            obs::count("cache.singleflight_waits", 1);
+            self.singleflight_waits.record();
             span.annotate("singleflight", "wait");
         }
         outcome
@@ -409,6 +446,29 @@ mod tests {
         assert!(client.cache().len() <= 8, "len {}", client.cache().len());
         assert!(stats.evictions > 0);
         assert_eq!(stats.insertions, 32);
+    }
+
+    #[test]
+    fn keys_sharing_a_digest_never_read_each_other() {
+        // Two keys forced onto one digest through the whole serving path:
+        // whatever order they arrive in, a lookup answers its own key or
+        // misses, and each key's work runs for it.
+        for (first, second) in [("alpha", "beta"), ("beta", "alpha")] {
+            let cache = CompletionCache::in_memory(64);
+            let served =
+                |key: &'static str| cache.complete_digested(7, key, || Ok(format!("{key}-answer")));
+            assert_eq!(served(first).unwrap(), format!("{first}-answer"));
+            assert_eq!(cache.lookup(7, second), None);
+            assert_eq!(served(second).unwrap(), format!("{second}-answer"));
+            for key in ["alpha", "beta"] {
+                let got = cache.lookup(7, key);
+                assert!(
+                    got.is_none() || got == Some(format!("{key}-answer")),
+                    "{key} read {got:?}"
+                );
+                assert_eq!(served(key).unwrap(), format!("{key}-answer"));
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! with three composable pieces:
 //!
 //! - [`ShardedLru`] — a capacity-bounded, sharded LRU map (O(1) get /
-//!   insert / evict; std-only).
+//!   insert / evict; std-only), keyed by a [`key_digest`] computed once
+//!   per lookup and checked against the full key.
 //! - [`SingleFlight`] — concurrent identical requests collapse into one
 //!   upstream call; waiters share the leader's outcome (errors included,
 //!   but errors are never memoized).
@@ -29,5 +30,5 @@ pub mod lru;
 pub mod singleflight;
 
 pub use client::{completion_key, CacheLayer, CacheStats, Cached, CompletionCache};
-pub use lru::ShardedLru;
+pub use lru::{key_digest, ShardedLru};
 pub use singleflight::{FlightRole, SingleFlight};

@@ -7,26 +7,92 @@
 //! almost never contend on the same lock. Within a shard the LRU is an
 //! intrusive doubly-linked list over a slot vector — `get`, `insert`, and
 //! eviction are all O(1).
+//!
+//! A key is hashed once, by the caller, into its [`key_digest`]: the digest
+//! picks the shard and keys the shard's map, and the slot keeps the full
+//! key, which every lookup compares. Two keys that share a digest share a
+//! slot, so one of them is a miss; neither is ever served the other's
+//! value.
 
-use nl2vis_data::fnv1a;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Mutex;
 
 /// Sentinel for "no slot" in the intrusive list.
 const NIL: usize = usize::MAX;
 
+/// The cache's one digest of a key: a word-at-a-time 64-bit hash. Four
+/// lanes each fold one little-endian word of every 32-byte block with a
+/// multiply and a rotate, so four multiplies are in flight at once; the
+/// lanes, the tail words and the length then fold into one word, which
+/// murmur3's finalizer mixes.
+pub fn key_digest(key: &str) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let fold = |h: u64, word: u64| (h ^ word).wrapping_mul(K).rotate_left(31);
+    let word = |bytes: &[u8]| {
+        let mut buf = [0u8; 8];
+        buf[..bytes.len()].copy_from_slice(bytes);
+        u64::from_le_bytes(buf)
+    };
+    let bytes = key.as_bytes();
+    let mut lanes = [K, K.rotate_left(16), K.rotate_left(32), K.rotate_left(48)];
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = fold(*lane, word(w));
+        }
+    }
+    let mut h = lanes.into_iter().fold(bytes.len() as u64, fold);
+    for w in blocks.remainder().chunks(8) {
+        h = fold(h, word(w));
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// Hashes a digest to itself: the keys of the digest-keyed maps are
+/// already uniform, so hashing them again would only cost time. Keys
+/// crafted to collide cannot grow a chain: equal digests share one entry,
+/// and each map is bounded (an LRU shard by its capacity, the flight map
+/// by the requests in flight), so they cost at most a miss or a probe over
+/// a bounded map.
+#[derive(Default)]
+pub(crate) struct Digested(u64);
+
+impl Hasher for Digested {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, digest: u64) {
+        self.0 = digest;
+    }
+}
+
+/// A map keyed by [`key_digest`]s.
+pub(crate) type DigestMap<V> = HashMap<u64, V, BuildHasherDefault<Digested>>;
+
 struct Slot<V> {
+    digest: u64,
     key: String,
     value: V,
     prev: usize,
     next: usize,
 }
 
-/// One LRU shard: hash map for lookup, intrusive list for recency.
+/// One LRU shard: digest map for lookup, intrusive list for recency.
 struct Shard<V> {
-    map: HashMap<String, usize>,
+    map: DigestMap<usize>,
     slots: Vec<Slot<V>>,
-    free: Vec<usize>,
     /// Most recently used slot.
     head: usize,
     /// Least recently used slot (the eviction victim).
@@ -36,9 +102,8 @@ struct Shard<V> {
 impl<V: Clone> Shard<V> {
     fn new() -> Shard<V> {
         Shard {
-            map: HashMap::new(),
+            map: DigestMap::default(),
             slots: Vec::new(),
-            free: Vec::new(),
             head: NIL,
             tail: NIL,
         }
@@ -70,55 +135,57 @@ impl<V: Clone> Shard<V> {
         }
     }
 
-    fn get(&mut self, key: &str) -> Option<V> {
-        let i = *self.map.get(key)?;
+    fn get(&mut self, digest: u64, key: &str) -> Option<V> {
+        let i = *self.map.get(&digest)?;
+        if self.slots[i].key != key {
+            return None;
+        }
         self.unlink(i);
         self.push_front(i);
         Some(self.slots[i].value.clone())
     }
 
     /// Inserts or refreshes `key`. Returns `true` when an unrelated entry
-    /// was evicted to make room.
-    fn insert(&mut self, key: String, value: V, capacity: usize) -> bool {
-        if let Some(&i) = self.map.get(&key) {
-            self.slots[i].value = value;
+    /// was evicted to make room. A key whose digest another key's slot
+    /// holds takes that slot over.
+    fn insert(&mut self, digest: u64, key: &str, value: V, capacity: usize) -> bool {
+        if let Some(&i) = self.map.get(&digest) {
+            let slot = &mut self.slots[i];
+            if slot.key != key {
+                slot.key.clear();
+                slot.key.push_str(key);
+            }
+            slot.value = value;
             self.unlink(i);
             self.push_front(i);
             return false;
         }
-        let mut evicted = false;
         if self.map.len() >= capacity {
+            // Reuse the victim's slot, and its key's buffer.
             let victim = self.tail;
             debug_assert_ne!(victim, NIL, "a full shard has a tail");
             self.unlink(victim);
-            let old_key = std::mem::take(&mut self.slots[victim].key);
-            self.map.remove(&old_key);
-            self.free.push(victim);
-            evicted = true;
+            let slot = &mut self.slots[victim];
+            self.map.remove(&slot.digest);
+            slot.digest = digest;
+            slot.key.clear();
+            slot.key.push_str(key);
+            slot.value = value;
+            self.map.insert(digest, victim);
+            self.push_front(victim);
+            return true;
         }
-        let i = match self.free.pop() {
-            Some(i) => {
-                self.slots[i] = Slot {
-                    key: key.clone(),
-                    value,
-                    prev: NIL,
-                    next: NIL,
-                };
-                i
-            }
-            None => {
-                self.slots.push(Slot {
-                    key: key.clone(),
-                    value,
-                    prev: NIL,
-                    next: NIL,
-                });
-                self.slots.len() - 1
-            }
-        };
-        self.map.insert(key, i);
+        self.slots.push(Slot {
+            digest,
+            key: key.to_string(),
+            value,
+            prev: NIL,
+            next: NIL,
+        });
+        let i = self.slots.len() - 1;
+        self.map.insert(digest, i);
         self.push_front(i);
-        evicted
+        false
     }
 }
 
@@ -126,7 +193,8 @@ impl<V: Clone> Shard<V> {
 ///
 /// Capacity is divided evenly across shards (rounded up), so the map never
 /// holds more than `shards * ceil(capacity / shards)` entries and each
-/// shard evicts independently in strict per-shard LRU order.
+/// shard evicts independently in strict per-shard LRU order. Every call
+/// takes the key with its [`key_digest`].
 pub struct ShardedLru<V> {
     shards: Vec<Mutex<Shard<V>>>,
     per_shard_capacity: usize,
@@ -144,24 +212,28 @@ impl<V: Clone> ShardedLru<V> {
         }
     }
 
-    fn shard(&self, key: &str) -> &Mutex<Shard<V>> {
-        // High bits select the shard; the low bits feed the in-shard map.
-        let h = fnv1a(key.as_bytes());
-        &self.shards[(h % self.shards.len() as u64) as usize]
+    fn shard(&self, digest: u64) -> &Mutex<Shard<V>> {
+        // Middle bits select the shard: the in-shard map indexes buckets
+        // by the low bits and tags them with the top seven.
+        &self.shards[((digest >> 32) % self.shards.len() as u64) as usize]
     }
 
     /// Looks up `key`, marking it most-recently-used on a hit.
-    pub fn get(&self, key: &str) -> Option<V> {
-        self.shard(key).lock().expect("lru shard").get(key)
+    pub fn get(&self, digest: u64, key: &str) -> Option<V> {
+        self.shard(digest)
+            .lock()
+            .expect("lru shard")
+            .get(digest, key)
     }
 
     /// Inserts or refreshes `key`; returns `true` if an entry was evicted.
-    pub fn insert(&self, key: String, value: V) -> bool {
-        let shard = self.shard(&key);
-        shard
-            .lock()
-            .expect("lru shard")
-            .insert(key, value, self.per_shard_capacity)
+    pub fn insert(&self, digest: u64, key: &str, value: V) -> bool {
+        self.shard(digest).lock().expect("lru shard").insert(
+            digest,
+            key,
+            value,
+            self.per_shard_capacity,
+        )
     }
 
     /// Number of live entries across all shards.
@@ -176,69 +248,61 @@ impl<V: Clone> ShardedLru<V> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Snapshots every `(key, value)` pair, LRU order *within* each shard
-    /// (least recent first), shard by shard.
-    pub fn snapshot(&self) -> Vec<(String, V)> {
-        let mut out = Vec::new();
-        for s in &self.shards {
-            let shard = s.lock().expect("lru shard");
-            // Walk tail -> head so re-inserting the snapshot in order
-            // reproduces the recency ranking.
-            let mut i = shard.tail;
-            while i != NIL {
-                out.push((shard.slots[i].key.clone(), shard.slots[i].value.clone()));
-                i = shard.slots[i].prev;
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `lru.get` / `lru.insert` with the key's own digest.
+    fn get<V: Clone>(lru: &ShardedLru<V>, key: &str) -> Option<V> {
+        lru.get(key_digest(key), key)
+    }
+
+    fn insert<V: Clone>(lru: &ShardedLru<V>, key: &str, value: V) -> bool {
+        lru.insert(key_digest(key), key, value)
+    }
+
     #[test]
     fn get_miss_then_hit() {
         let lru: ShardedLru<String> = ShardedLru::new(8, 2);
-        assert_eq!(lru.get("a"), None);
-        assert!(!lru.insert("a".into(), "1".into()));
-        assert_eq!(lru.get("a"), Some("1".into()));
+        assert_eq!(get(&lru, "a"), None);
+        assert!(!insert(&lru, "a", "1".into()));
+        assert_eq!(get(&lru, "a"), Some("1".into()));
         assert_eq!(lru.len(), 1);
     }
 
     #[test]
     fn insert_refreshes_value_without_growth() {
         let lru: ShardedLru<i32> = ShardedLru::new(4, 1);
-        lru.insert("k".into(), 1);
-        lru.insert("k".into(), 2);
+        insert(&lru, "k", 1);
+        insert(&lru, "k", 2);
         assert_eq!(lru.len(), 1);
-        assert_eq!(lru.get("k"), Some(2));
+        assert_eq!(get(&lru, "k"), Some(2));
     }
 
     #[test]
     fn capacity_bound_evicts_least_recently_used() {
         let lru: ShardedLru<i32> = ShardedLru::new(3, 1);
-        lru.insert("a".into(), 1);
-        lru.insert("b".into(), 2);
-        lru.insert("c".into(), 3);
+        insert(&lru, "a", 1);
+        insert(&lru, "b", 2);
+        insert(&lru, "c", 3);
         // Touch `a` so `b` becomes the LRU victim.
-        assert_eq!(lru.get("a"), Some(1));
-        let evicted = lru.insert("d".into(), 4);
+        assert_eq!(get(&lru, "a"), Some(1));
+        let evicted = insert(&lru, "d", 4);
         assert!(evicted);
         assert_eq!(lru.len(), 3);
-        assert_eq!(lru.get("b"), None, "the least recently used entry goes");
-        assert_eq!(lru.get("a"), Some(1));
-        assert_eq!(lru.get("c"), Some(3));
-        assert_eq!(lru.get("d"), Some(4));
+        assert_eq!(get(&lru, "b"), None, "the least recently used entry goes");
+        assert_eq!(get(&lru, "a"), Some(1));
+        assert_eq!(get(&lru, "c"), Some(3));
+        assert_eq!(get(&lru, "d"), Some(4));
     }
 
     #[test]
     fn sharded_capacity_never_exceeded() {
         let lru: ShardedLru<usize> = ShardedLru::new(64, 8);
         for i in 0..1000 {
-            lru.insert(format!("key-{i}"), i);
+            insert(&lru, &format!("key-{i}"), i);
         }
         // ceil(64/8) = 8 per shard, 8 shards.
         assert!(lru.len() <= 64, "len {} exceeds the bound", lru.len());
@@ -249,26 +313,62 @@ mod tests {
     fn eviction_reuses_slots() {
         let lru: ShardedLru<i32> = ShardedLru::new(2, 1);
         for i in 0..100 {
-            lru.insert(format!("k{i}"), i);
+            insert(&lru, &format!("k{i}"), i);
         }
         let shard = lru.shards[0].lock().unwrap();
         assert!(
-            shard.slots.len() <= 3,
+            shard.slots.len() <= 2,
             "slot storage must not grow past capacity: {}",
             shard.slots.len()
         );
+        assert_eq!(shard.map.len(), 2);
     }
 
     #[test]
-    fn snapshot_roundtrips_recency() {
-        let lru: ShardedLru<i32> = ShardedLru::new(8, 1);
-        lru.insert("a".into(), 1);
-        lru.insert("b".into(), 2);
-        lru.insert("c".into(), 3);
-        lru.get("a");
-        let snap = lru.snapshot();
-        let keys: Vec<&str> = snap.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys, vec!["b", "c", "a"], "LRU first, MRU last");
+    fn a_shared_digest_never_serves_the_other_key() {
+        // Two keys forced onto one digest, inserted in either order, with
+        // and without room to spare: a lookup answers its own key's value
+        // or misses, never the other's.
+        for capacity in [1, 4] {
+            for (first, second) in [("alpha", "beta"), ("beta", "alpha")] {
+                let lru: ShardedLru<String> = ShardedLru::new(capacity, 1);
+                lru.insert(7, first, format!("{first}-value"));
+                assert_eq!(lru.get(7, second), None, "{second} before its insert");
+                lru.insert(7, second, format!("{second}-value"));
+                for key in ["alpha", "beta"] {
+                    let got = lru.get(7, key);
+                    assert!(
+                        got.is_none() || got == Some(format!("{key}-value")),
+                        "{key} read {got:?}"
+                    );
+                }
+                assert_eq!(lru.get(7, second), Some(format!("{second}-value")));
+                assert_eq!(lru.len(), 1, "one digest, one slot");
+            }
+        }
+    }
+
+    #[test]
+    fn key_digest_separates_nearby_keys() {
+        // Keys one byte, one position or one length apart: every prompt
+        // prefix of a 300-byte prompt, and every single-byte edit of it.
+        let prompt: String = "Database: cinema\nQ: Show films by year\nVQL:".repeat(7);
+        let mut keys: Vec<String> = (0..=prompt.len())
+            .map(|n| prompt[..n].to_string())
+            .collect();
+        for i in 0..prompt.len() {
+            let mut edited = prompt.clone().into_bytes();
+            edited[i] ^= 0x01;
+            keys.push(String::from_utf8(edited).expect("ASCII stays ASCII"));
+        }
+        keys.push(format!("{prompt}\0"));
+        let digests: std::collections::HashSet<u64> = keys.iter().map(|k| key_digest(k)).collect();
+        assert_eq!(
+            digests.len(),
+            keys.len(),
+            "a digest collision among nearby keys"
+        );
+        assert_eq!(key_digest(&prompt), key_digest(&prompt.clone()));
     }
 
     #[test]
@@ -279,8 +379,8 @@ mod tests {
                 let lru = std::sync::Arc::clone(&lru);
                 s.spawn(move || {
                     for i in 0..500 {
-                        lru.insert(format!("t{t}-{i}"), i);
-                        lru.get(&format!("t{t}-{}", i / 2));
+                        insert(&lru, &format!("t{t}-{i}"), i);
+                        get(&lru, &format!("t{t}-{}", i / 2));
                     }
                 });
             }

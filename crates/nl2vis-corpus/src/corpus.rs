@@ -156,9 +156,15 @@ impl Corpus {
         Corpus { catalog, examples }
     }
 
-    /// An example by id.
+    /// An example by id. A built corpus numbers its examples by position
+    /// and an imported one has unique ids (the importer refuses
+    /// duplicates), so the position is tried first and only a corpus whose
+    /// ids are not positions is scanned.
     pub fn example(&self, id: usize) -> Option<&Example> {
-        self.examples.iter().find(|e| e.id == id)
+        match self.examples.get(id) {
+            Some(e) if e.id == id => Some(e),
+            _ => self.examples.iter().find(|e| e.id == id),
+        }
     }
 
     /// In-domain split: random 7:2:1 over examples, so test databases are
@@ -245,6 +251,16 @@ mod tests {
 
     fn corpus() -> Corpus {
         Corpus::build(&CorpusConfig::small(7))
+    }
+
+    #[test]
+    fn example_by_position_finds_what_the_scan_finds() {
+        let c = corpus();
+        for id in 0..c.examples.len() + 3 {
+            let scanned = c.examples.iter().find(|e| e.id == id);
+            assert_eq!(c.example(id).map(|e| e.id), scanned.map(|e| e.id));
+            assert!(c.example(id).map(std::ptr::from_ref) == scanned.map(std::ptr::from_ref));
+        }
     }
 
     #[test]

@@ -127,6 +127,7 @@ pub fn corpus_from_json(doc: &Json) -> Result<Corpus, IoError> {
         catalog.add(database_from_json(dbj)?);
     }
     let mut examples = Vec::new();
+    let mut ids = std::collections::HashSet::new();
     for ej in doc.get("examples").and_then(Json::as_array).unwrap_or(&[]) {
         let field = |k: &str| {
             ej.get(k)
@@ -142,12 +143,18 @@ pub fn corpus_from_json(doc: &Json) -> Result<Corpus, IoError> {
             .into_iter()
             .find(|h| h.label() == hardness_label)
             .ok_or_else(|| IoError::Schema(format!("unknown hardness `{hardness_label}`")))?;
+        let id = ej
+            .get("id")
+            .and_then(Json::as_f64)
+            .ok_or_else(|| IoError::Schema("example missing `id`".to_string()))?
+            as usize;
+        // `Corpus::example` finds an id by position before it scans, which
+        // answers like the scan only when no two examples share an id.
+        if !ids.insert(id) {
+            return Err(IoError::Schema(format!("duplicate example id {id}")));
+        }
         examples.push(Example {
-            id: ej
-                .get("id")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| IoError::Schema("example missing `id`".to_string()))?
-                as usize,
+            id,
             db: field("db")?,
             domain: field("domain")?,
             nl: field("nl")?,
@@ -325,6 +332,55 @@ mod tests {
         let bad_vql = r#"{"format":"nl2vis-corpus/v1","databases":[],
             "examples":[{"id":0,"db":"d","domain":"x","nl":"q","vql":"NOT VQL","hardness":"easy"}]}"#;
         assert!(corpus_from_json(&Json::parse(bad_vql).unwrap()).is_err());
+    }
+
+    /// The example document of `corpus` with its ids replaced by `ids`.
+    fn with_ids(corpus: &Corpus, ids: &[usize]) -> Json {
+        let mut doc = corpus_to_json(corpus);
+        let Some(Json::Array(examples)) = doc.get("examples").cloned() else {
+            panic!("a corpus document lists its examples");
+        };
+        let renumbered = examples
+            .into_iter()
+            .zip(ids)
+            .map(|(mut e, &id)| {
+                e.set("id", Json::from(id));
+                e
+            })
+            .collect();
+        doc.set("examples", Json::Array(renumbered));
+        doc
+    }
+
+    #[test]
+    fn imported_ids_that_are_not_positions_are_found_as_the_scan_finds_them() {
+        let original = Corpus::build(&CorpusConfig::small(77));
+        let n = original.examples.len();
+        // Reversed, then shifted past the end: ids that name another
+        // example's position, and ids that name no position at all.
+        let ids: Vec<usize> = (0..n)
+            .map(|i| if i % 2 == 0 { n - 1 - i } else { n + i })
+            .collect();
+        let loaded = corpus_from_json(&with_ids(&original, &ids)).unwrap();
+        for id in 0..2 * n + 2 {
+            let scanned = loaded.examples.iter().find(|e| e.id == id);
+            assert!(
+                loaded.example(id).map(std::ptr::from_ref) == scanned.map(std::ptr::from_ref),
+                "id {id}"
+            );
+        }
+    }
+
+    #[test]
+    fn duplicate_example_ids_are_a_schema_error() {
+        let original = Corpus::build(&CorpusConfig::small(77));
+        let mut ids: Vec<usize> = (0..original.examples.len()).collect();
+        ids[5] = 3;
+        match corpus_from_json(&with_ids(&original, &ids)) {
+            Err(IoError::Schema(message)) => assert!(message.contains("duplicate example id 3")),
+            Err(other) => panic!("expected a schema error, got {other}"),
+            Ok(_) => panic!("a corpus with a duplicate id was accepted"),
+        }
     }
 
     #[test]

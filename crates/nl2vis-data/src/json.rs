@@ -155,6 +155,7 @@ impl Json {
     /// garbage rejected).
     pub fn parse(input: &str) -> Result<Json, DataError> {
         let mut p = Parser {
+            input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -187,23 +188,62 @@ fn write_number(out: &mut String, n: f64) {
     }
 }
 
+/// Index of the first byte at or after `from` that a JSON string must
+/// escape (`"`, `\`, or a control byte below 0x20), or `bytes.len()`.
+///
+/// Scans eight bytes at a time: within a little-endian word, a byte that
+/// equals `c` is a zero byte of `word ^ splat(c)`, and the classic
+/// has-zero test `(x - 0x01..) & !x & 0x80..` flags it. The test can also
+/// flag bytes *above* a true match (a borrow runs upward), never below
+/// one, so the lowest flagged byte is always the first true match. Bytes
+/// of a multi-byte UTF-8 character have their high bit set and are never
+/// flagged, so every stop is an ASCII byte and a char boundary.
+fn next_escape(bytes: &[u8], from: usize) -> usize {
+    const LO: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HI: u64 = u64::from_ne_bytes([0x80; 8]);
+    let zero = |x: u64| x.wrapping_sub(LO) & !x & HI;
+    let mut i = from;
+    while let Some(chunk) = bytes.get(i..i + 8) {
+        let word = u64::from_le_bytes(chunk.try_into().expect("an eight-byte chunk"));
+        let hits = zero(word ^ (LO * u64::from(b'"')))
+            | zero(word ^ (LO * u64::from(b'\\')))
+            | word.wrapping_sub(LO * 0x20) & !word & HI;
+        if hits != 0 {
+            return i + (hits.trailing_zeros() / 8) as usize;
+        }
+        i += 8;
+    }
+    bytes[i..]
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+        .map_or(bytes.len(), |at| i + at)
+}
+
+/// Writes `s` as a JSON string literal: unescaped runs are pushed whole,
+/// between the stops [`next_escape`] finds.
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let bytes = s.as_bytes();
+    let mut start = 0;
+    loop {
+        let stop = next_escape(bytes, start);
+        out.push_str(&s[start..stop]);
+        let Some(&b) = bytes.get(stop) else { break };
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => out.push_str(&format!("\\u{:04x}", b)),
         }
+        start = stop + 1;
     }
     out.push('"');
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -316,18 +356,12 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
-            // Find the next byte of interest, decoding UTF-8 runs wholesale.
+            // Copy the run up to the next byte of interest whole. The input
+            // is a `&str` and every stop is ASCII, so the run is already
+            // valid UTF-8 on char boundaries.
             let start = self.pos;
-            while let Some(c) = self.peek() {
-                if c == b'"' || c == b'\\' || c < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            s.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8 in string"))?,
-            );
+            self.pos = next_escape(self.bytes, start);
+            s.push_str(&self.input[start..self.pos]);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -513,6 +547,94 @@ mod tests {
         let original = Json::String("a\"b\\c\nd\te\u{1}".to_string());
         let reparsed = Json::parse(&original.to_compact()).unwrap();
         assert_eq!(original, reparsed);
+    }
+
+    /// The char-by-char writer [`write_string`] replaced: the reference
+    /// its output must match byte for byte.
+    fn write_string_by_char(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    /// [`next_escape`] one byte at a time.
+    fn next_escape_by_byte(bytes: &[u8], from: usize) -> usize {
+        (from..bytes.len())
+            .find(|&i| matches!(bytes[i], b'"' | b'\\') || bytes[i] < 0x20)
+            .unwrap_or(bytes.len())
+    }
+
+    const ALPHABET: [&str; 9] = ["a", "é", "😀", "\"", "\\", "\n", "\0", "\x1f", "\x7f"];
+
+    /// Checks the eight-byte scan against the byte loop from every start
+    /// offset 0-7, the writer against the char-by-char reference, and the
+    /// parse round trip, for one string.
+    fn check_string(s: &str) {
+        let bytes = s.as_bytes();
+        for from in 0..=bytes.len().min(7) {
+            assert_eq!(
+                next_escape(bytes, from),
+                next_escape_by_byte(bytes, from),
+                "{s:?} from {from}"
+            );
+        }
+        let (mut fast, mut reference) = (String::new(), String::new());
+        write_string(&mut fast, s);
+        write_string_by_char(&mut reference, s);
+        assert_eq!(fast, reference, "{s:?}");
+        assert_eq!(
+            Json::parse(&fast).unwrap(),
+            Json::String(s.to_string()),
+            "{s:?}"
+        );
+    }
+
+    #[test]
+    fn string_scan_matches_the_byte_loop_on_every_short_string() {
+        // Every string of up to six symbols (597,871 strings, up to 24
+        // bytes, so every stop lands in a first, second or third word or
+        // in the tail). Seven to ten symbols would be 3.9 billion
+        // strings; those lengths are sampled below.
+        let mut level = vec![String::new()];
+        check_string("");
+        for _ in 0..6 {
+            let mut next = Vec::with_capacity(level.len() * ALPHABET.len());
+            for prefix in &level {
+                for symbol in ALPHABET {
+                    let s = format!("{prefix}{symbol}");
+                    check_string(&s);
+                    next.push(s);
+                }
+            }
+            level = next;
+        }
+    }
+
+    #[test]
+    fn string_scan_matches_the_byte_loop_on_sampled_longer_strings() {
+        let mut rng = crate::Rng::new(23);
+        for _ in 0..50_000 {
+            let symbols = 7 + rng.below(4) as usize;
+            let s: String = (0..symbols)
+                .map(|_| ALPHABET[rng.below(ALPHABET.len() as u64) as usize])
+                .collect();
+            check_string(&s);
+        }
+        // Every ASCII byte, so every escape the writer knows.
+        check_string(&(0u8..0x80).map(char::from).collect::<String>());
+        // Long runs between stops, as in a prompt.
+        let prompt = "Database: cinema\nQ: Show a bar chart of \"films\" by year é😀\n".repeat(60);
+        check_string(&prompt);
     }
 
     #[test]

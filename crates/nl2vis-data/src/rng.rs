@@ -138,9 +138,9 @@ fn fnv1a_with(prime: u64, bytes: &[u8]) -> u64 {
 }
 
 /// FNV-1a (64-bit, prime `0x100_0000_01b3`): the std-only stable hash
-/// behind cache shard selection and the router's hash ring.
-/// `std::collections` hashing is randomized per process, so neither may
-/// use it.
+/// behind the router's hash ring, whose placement must not move between
+/// processes or releases. `std::collections` hashing is randomized per
+/// process, so the ring may not use it.
 #[inline]
 pub fn fnv1a(bytes: impl AsRef<[u8]>) -> u64 {
     fnv1a_with(0x0000_0100_0000_01b3, bytes.as_ref())
@@ -162,8 +162,9 @@ mod tests {
 
     #[test]
     fn fnv1a_is_stable() {
-        // Pinned values: cache shard selection and the router ring depend
-        // on this hash never moving.
+        // Pinned values: the router ring's placement (and so the committed
+        // topology rows) depends on this hash never moving. The completion
+        // cache digests its keys with its own hash.
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
     }

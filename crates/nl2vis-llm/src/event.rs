@@ -10,13 +10,22 @@
 //! ever sees complete parsed requests. Thread count is
 //! [`POLLERS`] `+ max_inflight` regardless of connection count.
 //!
-//! Sockets move between the two sides with a mode switch rather than a
-//! write-readiness state machine: when a poller finishes parsing a request
-//! it deregisters the socket, marks the connection busy, and enqueues the
-//! request with a cloned handle; the worker flips the socket to blocking,
-//! writes the whole response, flips it back, and posts a `Done` to the
-//! owning poller, which re-registers the socket and resumes parsing any
-//! pipelined leftovers. The `busy` flag serializes a connection's
+//! Sockets move between the two sides by ownership of one shared handle,
+//! not by a write-readiness state machine. Connections are registered
+//! one-shot, so a socket the poller reports stays disarmed until its owner
+//! re-arms it. When a poller finishes parsing a request it marks the
+//! connection busy and enqueues the request with the shared socket
+//! (`Arc<TcpStream>`, never a duplicated descriptor). The worker writes
+//! the response on the nonblocking socket; only a partial write finishes
+//! in blocking mode, under the write deadline. Then, in the common case
+//! (the connection stays open and the poller holds no pipelined bytes for
+//! it), the worker posts a `Done` to the owning poller's mailbox *without*
+//! waking it and re-arms the socket itself; the poller reads its mailbox
+//! after every wait, before it handles a report, so it always learns the
+//! connection is idle before reading its next request. A close, pipelined
+//! leftovers, a draining shard and the scan poller post a `Done` with a
+//! wake, and the poller takes over: it closes the connection, or parses
+//! the leftovers and re-arms. The `busy` flag serializes a connection's
 //! requests, so responses can never interleave.
 //!
 //! Workers complete against one hosted [`CompletionService`]. On top of
@@ -45,7 +54,10 @@ use crate::sim::GenOptions;
 use crate::wire::{self, Parsed, MAX_BODY_BYTES, MAX_HEADER_BYTES};
 use nl2vis_data::Json;
 use nl2vis_obs as obs;
-use nl2vis_obs::{MetricsRegistry, WindowedRegistry};
+use nl2vis_obs::{
+    Counter, Gauge, Handle, Histogram, MetricsRegistry, WindowedCounter, WindowedHistogram,
+    WindowedRegistry,
+};
 use nl2vis_service::{
     CompletionOutcome, CompletionService, Fault, FaultInjector, TransportErrorKind,
     VALIDATION_REJECTED_STATUS,
@@ -82,6 +94,10 @@ const DRAIN_GRACE: Duration = Duration::from_millis(250);
 /// exists to protect the workers; it must never park a poller on a slow
 /// peer.
 const POLLER_WRITE_TIMEOUT: Duration = Duration::from_millis(250);
+
+/// The statuses [`wire::render_response`] names, whose `llm.status_<code>`
+/// counters the core holds; any other status is counted by name.
+const STATUSES: [u16; 9] = [200, 400, 404, 413, 422, 429, 500, 501, 502];
 
 /// A parsed inbound request: the owned copy of the wire bytes that travels
 /// from a poller to a worker.
@@ -148,8 +164,13 @@ pub(crate) struct Work {
     conn: u64,
     /// Index of the poller shard that owns the connection.
     poller: usize,
-    /// Cloned socket handle the worker writes the response to.
-    stream: TcpStream,
+    /// The connection's socket, shared with its poller: nonblocking, and
+    /// disarmed until this request's response is written.
+    stream: Arc<TcpStream>,
+    /// The poller's buffer still held bytes past this request (a
+    /// pipelined request, or its start): the poller resumes the
+    /// connection, not the worker.
+    leftover: bool,
     request: Request,
     /// `Some` exactly when the request is `POST /v1/completions`.
     parse: Option<CompletionParse>,
@@ -182,15 +203,79 @@ pub(crate) struct Shared {
     coalesce: bool,
     registry: Arc<MetricsRegistry>,
     windowed: Arc<WindowedRegistry>,
+    metrics: Metrics,
     faults: Arc<FaultInjector>,
+}
+
+/// The metrics every request records, resolved once at [`Core::start`]
+/// instead of looked up by name per request.
+struct Metrics {
+    http_requests: Handle<Counter>,
+    /// `llm.status_<code>` for each of [`STATUSES`].
+    statuses: Vec<Handle<Counter>>,
+    requests: Handle<Counter>,
+    latency: Handle<Histogram>,
+    windowed_requests: Handle<WindowedCounter>,
+    windowed_latency: Handle<WindowedHistogram>,
+    reused: Handle<Counter>,
+    batches: Handle<Counter>,
+    batch_requests: Handle<Counter>,
+    batch_size: Handle<Histogram>,
+    invocations: Handle<Counter>,
+    active: Handle<Gauge>,
+    peak: Handle<Gauge>,
+}
+
+impl Metrics {
+    fn new(registry: &Arc<MetricsRegistry>, windowed: &Arc<WindowedRegistry>) -> Metrics {
+        let windowed_counter = |name: &'static str| {
+            let windowed = Arc::clone(windowed);
+            Handle::new(move || windowed.counter(name))
+        };
+        let windowed_histogram = |name: &'static str| {
+            let windowed = Arc::clone(windowed);
+            Handle::new(move || windowed.histogram(name))
+        };
+        Metrics {
+            http_requests: Handle::counter(registry, "server.http_requests_total"),
+            statuses: STATUSES
+                .iter()
+                .map(|status| Handle::counter(registry, format!("llm.status_{status}")))
+                .collect(),
+            requests: Handle::counter(registry, "llm.requests_total"),
+            latency: Handle::histogram(registry, "llm.request_latency_us"),
+            windowed_requests: windowed_counter("llm.requests_total"),
+            windowed_latency: windowed_histogram("llm.request_latency_us"),
+            reused: Handle::counter(registry, "server.requests_on_reused_conn"),
+            batches: Handle::counter(registry, "server.batch.batches_total"),
+            batch_requests: Handle::counter(registry, "server.batch.requests_total"),
+            batch_size: Handle::histogram(registry, "server.batch.size"),
+            invocations: Handle::counter(registry, "server.batch.invocations_total"),
+            active: Handle::gauge(registry, "server.active_connections"),
+            peak: Handle::gauge(registry, "server.concurrent_peak"),
+        }
+    }
+}
+
+impl Shared {
+    /// Counts one response under `llm.status_<status>`.
+    fn count_status(&self, status: u16) {
+        match STATUSES.iter().position(|&known| known == status) {
+            Some(i) => self.metrics.statuses[i].get().inc(),
+            None => self.registry.counter(&format!("llm.status_{status}")).inc(),
+        }
+    }
 }
 
 /// A `Done` posted by a worker when a response has been written (or the
 /// connection was fault-dropped).
 struct Done {
     conn: u64,
-    /// Keep the connection registered for more requests?
+    /// Keep the connection open for more requests?
     keep: bool,
+    /// The worker re-armed the socket itself and did not wake the poller:
+    /// the connection only turns idle.
+    rearmed: bool,
 }
 
 /// One poller shard's mailbox: new connections from the accept thread,
@@ -202,10 +287,12 @@ struct Inbox {
     drain: bool,
 }
 
-/// The cross-thread handle to one poller shard.
+/// The cross-thread handle to one poller shard: its mailbox, its wake pair,
+/// and its readiness source, which workers re-arm sockets on.
 pub(crate) struct PollerShared {
     inbox: Mutex<Inbox>,
     wake: WakePair,
+    poller: Poller,
 }
 
 /// Hands an accepted connection to a poller shard, round-robin.
@@ -248,6 +335,7 @@ impl Core {
             config,
             coalesce: service.batches(),
             service,
+            metrics: Metrics::new(&registry, &windowed),
             registry,
             windowed,
             faults,
@@ -257,6 +345,7 @@ impl Core {
                 Ok(Arc::new(PollerShared {
                     inbox: Mutex::new(Inbox::default()),
                     wake: WakePair::new()?,
+                    poller: Poller::new(),
                 }))
             })
             .collect::<std::io::Result<_>>()?;
@@ -271,7 +360,6 @@ impl Core {
                         index,
                         shared,
                         me,
-                        poller: Poller::new(),
                         conns: HashMap::new(),
                         next_token: WAKE_TOKEN + 1,
                         draining: false,
@@ -321,7 +409,7 @@ impl Core {
 
 /// One nonblocking connection owned by a poller.
 struct Conn {
-    stream: TcpStream,
+    stream: Arc<TcpStream>,
     /// Bytes read but not yet parsed into a request.
     buf: Vec<u8>,
     /// Responses completed on this connection.
@@ -338,7 +426,6 @@ struct PollerThread {
     index: usize,
     shared: Arc<Shared>,
     me: Arc<PollerShared>,
-    poller: Poller,
     conns: HashMap<u64, Conn>,
     next_token: u64,
     draining: bool,
@@ -348,41 +435,36 @@ struct PollerThread {
 impl PollerThread {
     fn run(mut self) {
         self.me.wake.set_thread(std::thread::current());
-        self.poller.register(&self.me.wake.rx, WAKE_TOKEN);
+        self.me.poller.register_wake(&self.me.wake.rx);
+        let edge = self.me.poller.is_edge_informed();
         let wakeups = self.shared.registry.counter("server.poller.wakeups_total");
         let mut ready: Vec<u64> = Vec::new();
+        let mut progressed = false;
         loop {
-            let progressed = self.handle_inbox();
-            if self.draining {
-                self.drain_tick();
-                if self.conns.is_empty() {
-                    return;
-                }
-            } else {
-                self.sweep_idle();
-            }
             ready.clear();
-            let timeout = if self.poller.is_edge_informed() {
+            let timeout = if edge {
                 POLL_TICK
             } else if progressed {
                 Duration::ZERO
             } else {
                 SCAN_TICK
             };
-            self.poller.wait(&mut ready, timeout);
-            if self.poller.is_edge_informed() {
-                if !ready.is_empty() {
-                    wakeups.inc();
-                }
-                if ready.contains(&WAKE_TOKEN) {
-                    self.me.wake.drain();
-                }
-                let tokens: Vec<u64> = ready.iter().copied().filter(|&t| t != WAKE_TOKEN).collect();
-                for token in tokens {
+            self.me.poller.wait(&mut ready, timeout);
+            if !edge || ready.contains(&WAKE_TOKEN) {
+                self.me.wake.drain();
+            }
+            if edge && !ready.is_empty() {
+                wakeups.inc();
+            }
+            // The mailbox before any report: a worker that re-armed a
+            // socket posted its `Done` first, so a report on that socket is
+            // handled only once the connection is known idle.
+            progressed = self.handle_inbox();
+            if edge {
+                for &token in ready.iter().filter(|&&t| t != WAKE_TOKEN) {
                     self.read_conn(token);
                 }
             } else {
-                self.me.wake.drain();
                 let tokens: Vec<u64> = self
                     .conns
                     .iter()
@@ -392,6 +474,14 @@ impl PollerThread {
                 for token in tokens {
                     self.read_conn(token);
                 }
+            }
+            if self.draining {
+                self.drain_tick();
+                if self.conns.is_empty() {
+                    return;
+                }
+            } else {
+                self.sweep_idle();
             }
         }
     }
@@ -425,10 +515,8 @@ impl PollerThread {
             return;
         }
         // Responses are complete messages; never let Nagle hold one back
-        // waiting for a delayed ACK. The write deadline covers worker-side
-        // blocking writes (the flag lives on the shared file description).
+        // waiting for a delayed ACK.
         let _ = stream.set_nodelay(true);
-        let _ = stream.set_write_timeout(Some(SERVER_IO_TIMEOUT));
         let token = self.next_token;
         self.next_token += 1;
         self.shared
@@ -439,11 +527,11 @@ impl PollerThread {
             .registry
             .gauge("server.poller.open_connections")
             .add(1);
-        self.poller.register(&stream, token);
+        self.me.poller.register(&stream, token);
         self.conns.insert(
             token,
             Conn {
-                stream,
+                stream: Arc::new(stream),
                 buf: Vec::new(),
                 served: 0,
                 busy: false,
@@ -467,18 +555,25 @@ impl PollerThread {
             return;
         }
         conn.served += 1;
+        if done.rearmed {
+            return;
+        }
         // Pipelined bytes may already hold the next request.
         self.advance(done.conn);
-        if let Some(conn) = self.conns.get(&done.conn) {
-            if !conn.busy {
-                self.poller.register(&conn.stream, done.conn);
-            }
+        self.rearm(done.conn);
+    }
+
+    /// Arms an open, idle connection for its next report.
+    fn rearm(&self, token: u64) {
+        if let Some(conn) = self.conns.get(&token).filter(|c| !c.busy) {
+            self.me.poller.rearm(&conn.stream, token);
         }
     }
 
     /// Nonblocking read burst, then parse. EOF and read errors resolve the
     /// connection's fate afterwards, so a complete request followed by FIN
-    /// in the same burst is still served.
+    /// in the same burst is still served. A connection left open and idle
+    /// is re-armed; a busy one stays disarmed for its worker.
     fn read_conn(&mut self, token: u64) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
@@ -491,7 +586,7 @@ impl PollerThread {
         let mut eof = false;
         let mut error: Option<std::io::Error> = None;
         loop {
-            match (&conn.stream).read(&mut chunk) {
+            match (&*conn.stream).read(&mut chunk) {
                 Ok(0) => {
                     eof = true;
                     break;
@@ -518,6 +613,7 @@ impl PollerThread {
         if eof || error.is_some() {
             self.connection_ended(token, error);
         }
+        self.rearm(token);
     }
 
     /// Parses as many complete requests as the buffer holds, shedding or
@@ -541,10 +637,7 @@ impl PollerThread {
             };
             conn.buf.drain(..consumed);
             if conn.served > 0 {
-                self.shared
-                    .registry
-                    .counter("server.requests_on_reused_conn")
-                    .inc();
+                self.shared.metrics.reused.get().inc();
             }
             // Debug/health GETs bypass admission control: they are cheap,
             // their volume is bounded by the connection count, and overload
@@ -572,16 +665,15 @@ impl PollerThread {
     /// retrying client rides the same socket instead of reconnecting.
     /// Returns whether the connection survived.
     fn shed(&mut self, token: u64, request: &Request) -> bool {
-        let registry = &self.shared.registry;
-        registry.counter("server.shed_total").inc();
-        registry.counter("llm.status_429").inc();
+        self.shared.registry.counter("server.shed_total").inc();
+        self.shared.count_status(429);
         self.shared.windowed.counter("server.shed_total").inc();
         let keep = request.keep_alive && !self.draining;
         let body = r#"{"error":"server overloaded, retry later"}"#;
         let raw =
             wire::render_response(429, body, JSON, keep, Some(self.shared.config.retry_after));
         let conn = self.conns.get_mut(&token).expect("shed target");
-        let ok = write_now(&conn.stream, &raw);
+        let ok = write_response(&conn.stream, &raw, POLLER_WRITE_TIMEOUT);
         if keep && ok {
             conn.served += 1;
             conn.last_activity = Instant::now();
@@ -595,33 +687,30 @@ impl PollerThread {
     /// Responds to an unreadable request and closes the connection,
     /// mirroring the old blocking runtime's counters and bodies.
     fn fail(&mut self, token: u64, status: u16, message: &str) {
-        let registry = &self.shared.registry;
-        registry.counter("server.bad_requests_total").inc();
-        registry.counter(&format!("llm.status_{status}")).inc();
+        self.shared
+            .registry
+            .counter("server.bad_requests_total")
+            .inc();
+        self.shared.count_status(status);
         let raw = wire::render_response(status, &error_json(message), JSON, false, None);
         if let Some(conn) = self.conns.get(&token) {
             // Best-effort: the peer may already be gone.
-            write_now(&conn.stream, &raw);
+            write_response(&conn.stream, &raw, POLLER_WRITE_TIMEOUT);
         }
         self.close(token);
     }
 
+    /// Queues a parsed request for the workers. The socket stays disarmed
+    /// (its report was one-shot) until the response is written.
     fn dispatch(&mut self, token: u64, request: Request) {
         let conn = self.conns.get_mut(&token).expect("dispatch target");
-        let Ok(clone) = conn.stream.try_clone() else {
-            self.close(token);
-            return;
-        };
         conn.busy = true;
-        // Deregister while a worker owns the socket: a level-triggered
-        // kernel would otherwise report the body bytes of the *next*
-        // pipelined request forever.
-        self.poller.deregister(&conn.stream);
         let parse = classify(&request, self.shared.service.model());
         let work = Work {
             conn: token,
             poller: self.index,
-            stream: clone,
+            stream: Arc::clone(&conn.stream),
+            leftover: !conn.buf.is_empty(),
             request,
             parse,
             received: Instant::now(),
@@ -712,9 +801,10 @@ impl PollerThread {
         }
     }
 
+    /// Forgets a connection. Dropping the last handle of its socket, at the
+    /// end of this call, closes it, which also ends its registration.
     fn close(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            self.poller.deregister(&conn.stream);
+        if let Some(_conn) = self.conns.remove(&token) {
             self.shared
                 .registry
                 .gauge("server.poller.open_connections")
@@ -774,17 +864,30 @@ fn parse_gen_options(request: &Json) -> GenOptions {
     opts
 }
 
-/// Poller-side response write: flips the (registered, nonblocking) socket
-/// to blocking under a short deadline, writes, flips back. Only sheds and
-/// error responses go through here; real responses are written by workers.
-fn write_now(stream: &TcpStream, raw: &[u8]) -> bool {
+/// Writes a whole response on a connection's nonblocking socket, in one
+/// write when it fits the send buffer (the common case). The rest of a
+/// partial write goes out in blocking mode under `deadline`, and the
+/// socket returns to nonblocking mode after. Workers write with
+/// [`SERVER_IO_TIMEOUT`]; a poller's sheds and error answers with
+/// [`POLLER_WRITE_TIMEOUT`], so a slow peer never parks a poller for long.
+fn write_response(stream: &TcpStream, raw: &[u8], deadline: Duration) -> bool {
+    let mut s = stream;
+    let mut written = 0;
+    while written < raw.len() {
+        match s.write(&raw[written..]) {
+            Ok(0) => return false,
+            Ok(n) => written += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+            Err(_) => return false,
+        }
+    }
+    if written == raw.len() {
+        return true;
+    }
+    let _ = stream.set_write_timeout(Some(deadline));
     let _ = stream.set_nonblocking(false);
-    let _ = stream.set_write_timeout(Some(POLLER_WRITE_TIMEOUT));
-    let ok = {
-        let mut s = stream;
-        s.write_all(raw).and_then(|_| s.flush()).is_ok()
-    };
-    let _ = stream.set_write_timeout(Some(SERVER_IO_TIMEOUT));
+    let ok = s.write_all(&raw[written..]).is_ok();
     let _ = stream.set_nonblocking(true);
     ok
 }
@@ -794,11 +897,11 @@ fn write_now(stream: &TcpStream, raw: &[u8]) -> bool {
 // ---------------------------------------------------------------------------
 
 fn worker_loop(shared: &Shared, pollers: &[Arc<PollerShared>]) {
+    let metrics = &shared.metrics;
     while let Some(group) = next_batch(shared) {
-        let registry = &shared.registry;
-        let active = registry.gauge("server.active_connections");
+        let active = metrics.active.get();
         let now_active = active.add(1);
-        registry.gauge("server.concurrent_peak").set_max(now_active);
+        metrics.peak.get().set_max(now_active);
         if group[0].parse.is_some() {
             serve_completions(shared, pollers, group);
         } else {
@@ -849,38 +952,37 @@ fn collect_matching(queue: &mut VecDeque<Work>, batch: &mut Vec<Work>, key: (u64
     }
 }
 
-/// Response written, connection handed back to its poller.
-fn finish(pollers: &[Arc<PollerShared>], conn: u64, poller: usize, stream: TcpStream, keep: bool) {
-    // Drop our socket clone first: after the poller processes the Done it
-    // may close the connection, and a surviving duplicate fd would keep
-    // the kernel registration (and the peer's connection) alive.
-    drop(stream);
+/// Hands a connection back to its poller once its response is written
+/// (or it was fault-dropped). When it stays open with no pipelined bytes
+/// in the poller's buffer, the worker posts its `Done` without a wake and
+/// re-arms the socket itself, in that order: the poller reads its mailbox
+/// after every wait, before any report, so whatever the re-arm reports is
+/// handled only once the connection is known idle. A close, leftovers, a
+/// draining shard and the scan poller wake the poller instead.
+fn finish(pollers: &[Arc<PollerShared>], work: Work, keep: bool) {
+    let Work {
+        conn,
+        poller,
+        stream,
+        leftover,
+        ..
+    } = work;
     let p = &pollers[poller];
-    p.inbox
-        .lock()
-        .expect("poller inbox")
-        .dones
-        .push(Done { conn, keep });
-    p.wake.wake();
-}
-
-/// Worker-side response write on the cloned socket: blocking with the
-/// [`SERVER_IO_TIMEOUT`] write deadline, restored to nonblocking before
-/// the poller takes the connection back.
-fn blocking_respond(
-    stream: &mut TcpStream,
-    status: u16,
-    body: &str,
-    content_type: &'static str,
-    keep_alive: bool,
-) -> bool {
-    let _ = stream.set_nonblocking(false);
-    // One write for the whole response: head and body as separate writes
-    // would let Nagle hold the body back a delayed-ACK round trip.
-    let response = wire::render_response(status, body, content_type, keep_alive, None);
-    let ok = stream.write_all(&response).is_ok();
-    let _ = stream.set_nonblocking(true);
-    ok
+    let mut inbox = p.inbox.lock().expect("poller inbox");
+    let rearm = keep && !leftover && !inbox.drain && p.poller.is_edge_informed();
+    // A socket the poller takes back it may close at once: drop this
+    // handle before the `Done` is visible, so the close is the last one.
+    let stream = rearm.then_some(stream);
+    inbox.dones.push(Done {
+        conn,
+        keep,
+        rearmed: rearm,
+    });
+    drop(inbox);
+    match stream {
+        Some(stream) => p.poller.rearm(&stream, conn),
+        None => p.wake.wake(),
+    }
 }
 
 /// A JSON error body: `{"error":"<message>"}`.
@@ -907,28 +1009,23 @@ fn handle_span(request: &Request) -> obs::Span {
 fn respond(
     shared: &Shared,
     pollers: &[Arc<PollerShared>],
-    mut work: Work,
+    work: Work,
     span: Option<obs::Span>,
     status: u16,
     body: &str,
     content_type: &'static str,
 ) {
-    let registry = &shared.registry;
+    let metrics = &shared.metrics;
     let request = &work.request;
-    registry.counter("server.http_requests_total").inc();
-    registry.counter(&format!("llm.status_{status}")).inc();
+    metrics.http_requests.get().inc();
+    shared.count_status(status);
     let elapsed = work.received.elapsed();
     if work.parse.is_some() {
         let trace = span.as_ref().map_or(0, |s| s.trace());
-        registry.counter("llm.requests_total").inc();
-        registry
-            .histogram("llm.request_latency_us")
-            .record_duration_traced(elapsed, trace);
-        shared.windowed.counter("llm.requests_total").inc();
-        shared
-            .windowed
-            .histogram("llm.request_latency_us")
-            .record_duration(elapsed);
+        metrics.requests.get().inc();
+        metrics.latency.get().record_duration_traced(elapsed, trace);
+        metrics.windowed_requests.get().inc();
+        metrics.windowed_latency.get().record_duration(elapsed);
     }
     obs::log("llm", "access", || {
         vec![
@@ -944,8 +1041,11 @@ fn respond(
     }
     drop(span);
     let keep = request.keep_alive && !shared.draining.load(Ordering::Relaxed);
-    let ok = blocking_respond(&mut work.stream, status, body, content_type, keep);
-    finish(pollers, work.conn, work.poller, work.stream, keep && ok);
+    // One write for the whole response: head and body as separate writes
+    // would let Nagle hold the body back a delayed-ACK round trip.
+    let response = wire::render_response(status, body, content_type, keep, None);
+    let ok = write_response(&work.stream, &response, SERVER_IO_TIMEOUT);
+    finish(pollers, work, keep && ok);
 }
 
 /// Serves one request on the [`route`] surface: everything but
@@ -984,6 +1084,7 @@ fn serve_route(shared: &Shared, pollers: &[Arc<PollerShared>], work: Work) {
 /// batch span: its handle span opens first and covers the stall instead.
 fn serve_completions(shared: &Shared, pollers: &[Arc<PollerShared>], group: Vec<Work>) {
     let registry = &shared.registry;
+    let metrics = &shared.metrics;
     let n = group.len();
     let batch_span = (n > 1).then(|| {
         let span = obs::Span::enter_root("server.batch");
@@ -1002,11 +1103,9 @@ fn serve_completions(shared: &Shared, pollers: &[Arc<PollerShared>], group: Vec<
         }
     }
     if matches!(group[0].parse, Some(CompletionParse::Call(_))) {
-        registry.counter("server.batch.batches_total").inc();
-        registry
-            .counter("server.batch.requests_total")
-            .add(n as u64);
-        registry.histogram("server.batch.size").record(n as u64);
+        metrics.batches.get().inc();
+        metrics.batch_requests.get().add(n as u64);
+        metrics.batch_size.get().record(n as u64);
     }
     let stall = faults
         .iter()
@@ -1038,7 +1137,7 @@ fn serve_completions(shared: &Shared, pollers: &[Arc<PollerShared>], group: Vec<
             // Close without a response: the client sees a clean EOF (and a
             // pooled client exercises its stale-retry path).
             drop(span);
-            finish(pollers, work.conn, work.poller, work.stream, false);
+            finish(pollers, work, false);
             continue;
         }
         let (status, body) = match (&work.parse, outcome) {
@@ -1062,10 +1161,10 @@ fn serve_completions(shared: &Shared, pollers: &[Arc<PollerShared>], group: Vec<
 /// [`CompletionService::call_batch`], which deduplicates identical
 /// prompts.
 fn invoke(shared: &Shared, group: &[Work], faults: &[Fault]) -> Vec<Option<CompletionOutcome>> {
-    let registry = &shared.registry;
+    let invocations = shared.metrics.invocations.get();
     if let [work] = group {
         return vec![live_call(work, faults[0]).map(|call| {
-            registry.counter("server.batch.invocations_total").inc();
+            invocations.inc();
             shared.service.call(&call.prompt, &call.opts)
         })];
     }
@@ -1078,10 +1177,9 @@ fn invoke(shared: &Shared, group: &[Work], faults: &[Fault]) -> Vec<Option<Compl
     let mut outputs = match calls.iter().flatten().next() {
         Some(first) => {
             let unique = prompts.iter().collect::<HashSet<_>>().len();
-            registry
-                .counter("server.batch.invocations_total")
-                .add(unique as u64);
-            registry
+            invocations.add(unique as u64);
+            shared
+                .registry
                 .counter("server.batch.dedup_hits_total")
                 .add((prompts.len() - unique) as u64);
             shared.service.call_batch(&prompts, &first.opts)

@@ -10,9 +10,15 @@
 //! adaptive sleep; correct on any platform `std::net` supports, just not
 //! O(ready) like epoll.
 //!
-//! Wakeups (a worker finished a response, the accept thread handed over a
-//! connection, shutdown began) ride a loopback TCP socket pair registered
-//! like any other connection — the std-only stand-in for an `eventfd`.
+//! Connections are registered one-shot: a report disarms the socket until
+//! whoever owns the connection next re-arms it ([`Poller::rearm`]), so the
+//! poller and a worker never race for the same bytes. `epoll_ctl` is safe
+//! to call from any thread, which lets a worker re-arm the socket it just
+//! answered on.
+//!
+//! Wakeups (a worker handed a connection back, the accept thread handed
+//! over a connection, shutdown began) ride a loopback TCP socket pair
+//! registered level-triggered — the std-only stand-in for an `eventfd`.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -28,9 +34,10 @@ mod sys {
 
     pub const EPOLL_CLOEXEC: i32 = 0o2000000;
     pub const EPOLL_CTL_ADD: i32 = 1;
-    pub const EPOLL_CTL_DEL: i32 = 2;
+    pub const EPOLL_CTL_MOD: i32 = 3;
     pub const EPOLLIN: u32 = 0x001;
     pub const EPOLLRDHUP: u32 = 0x2000;
+    pub const EPOLLONESHOT: u32 = 1 << 30;
 
     /// Matches the kernel's `struct epoll_event`, which x86-64 declares
     /// packed (the 64-bit `data` field sits at offset 4).
@@ -48,6 +55,12 @@ mod sys {
         pub fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
         pub fn close(fd: i32) -> i32;
     }
+}
+
+/// An `epoll_ctl` operation.
+enum Ctl {
+    Add,
+    Modify,
 }
 
 /// One poller's readiness source.
@@ -88,41 +101,53 @@ impl Poller {
         false
     }
 
-    /// Starts watching `stream` for readable bytes (and peer hangups)
-    /// under `token`. A no-op in scan mode.
+    /// Starts watching the wake socket `rx` under [`WAKE_TOKEN`],
+    /// level-triggered: it stays armed through every report. A no-op in
+    /// scan mode.
+    pub fn register_wake(&self, rx: &TcpStream) {
+        self.ctl(rx, WAKE_TOKEN, Ctl::Add, false);
+    }
+
+    /// Starts watching connection `stream` for readable bytes (and peer
+    /// hangups) under `token`, armed for one report. A no-op in scan mode.
+    /// Closing the socket's last handle removes the registration.
     pub fn register(&self, stream: &TcpStream, token: u64) {
+        self.ctl(stream, token, Ctl::Add, true);
+    }
+
+    /// Arms `stream`'s registration for one more report; readiness that
+    /// is already pending is reported at once. Callable from any thread.
+    /// A no-op in scan mode.
+    pub fn rearm(&self, stream: &TcpStream, token: u64) {
+        self.ctl(stream, token, Ctl::Modify, true);
+    }
+
+    fn ctl(&self, stream: &TcpStream, token: u64, op: Ctl, oneshot: bool) {
         match self {
             #[cfg(all(target_os = "linux", feature = "epoll"))]
             Poller::Epoll { epfd } => {
                 use std::os::fd::AsRawFd;
                 let mut ev = sys::EpollEvent {
-                    events: sys::EPOLLIN | sys::EPOLLRDHUP,
+                    events: sys::EPOLLIN
+                        | sys::EPOLLRDHUP
+                        | if oneshot { sys::EPOLLONESHOT } else { 0 },
                     data: token,
                 };
+                let op = match op {
+                    Ctl::Add => sys::EPOLL_CTL_ADD,
+                    Ctl::Modify => sys::EPOLL_CTL_MOD,
+                };
+                // SAFETY: `epfd` is this poller's epoll descriptor, open
+                // until the poller drops; the stream's descriptor is open
+                // for the borrow; `ev` is a valid `epoll_event` the kernel
+                // only reads.
                 unsafe {
-                    sys::epoll_ctl(*epfd, sys::EPOLL_CTL_ADD, stream.as_raw_fd(), &mut ev);
+                    sys::epoll_ctl(*epfd, op, stream.as_raw_fd(), &mut ev);
                 }
             }
             Poller::Scan => {
-                let _ = (stream, token);
+                let _ = (stream, token, op, oneshot);
             }
-        }
-    }
-
-    /// Stops watching `stream`. Must be called before a worker takes over
-    /// the socket, so a level-triggered kernel does not keep reporting
-    /// bytes the poller is no longer allowed to read.
-    pub fn deregister(&self, stream: &TcpStream) {
-        match self {
-            #[cfg(all(target_os = "linux", feature = "epoll"))]
-            Poller::Epoll { epfd } => {
-                use std::os::fd::AsRawFd;
-                let mut ev = sys::EpollEvent { events: 0, data: 0 };
-                unsafe {
-                    sys::epoll_ctl(*epfd, sys::EPOLL_CTL_DEL, stream.as_raw_fd(), &mut ev);
-                }
-            }
-            Poller::Scan => {}
         }
     }
 

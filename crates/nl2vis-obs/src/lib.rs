@@ -73,7 +73,7 @@ pub mod span;
 pub mod window;
 
 pub use recorder::{FlightRecorder, RecorderStats, TraceRecord};
-pub use registry::{global, Counter, Gauge, Histogram, HistogramSummary, MetricsRegistry};
+pub use registry::{global, Counter, Gauge, Handle, Histogram, HistogramSummary, MetricsRegistry};
 pub use sink::{
     disable_sink, emit, set_sink, sink_active, Event, EventSink, JsonlSink, MemorySink, NullSink,
 };
@@ -85,7 +85,12 @@ pub use window::{WindowConfig, WindowedCounter, WindowedHistogram, WindowedRegis
 /// Adds `delta` to the global counter `name` and emits a
 /// [`Event::CounterDelta`] to the installed sink.
 pub fn count(name: &str, delta: u64) {
-    let counter = registry::global().counter(name);
+    add_counted(name, &registry::global().counter(name), delta);
+}
+
+/// Adds `delta` to `counter`, registered as `name`, and emits its
+/// [`Event::CounterDelta`] to the installed sink.
+fn add_counted(name: &str, counter: &Counter, delta: u64) {
     counter.add(delta);
     if sink::sink_active() {
         sink::emit(&Event::CounterDelta {
@@ -93,6 +98,29 @@ pub fn count(name: &str, delta: u64) {
             delta,
             value: counter.get(),
         });
+    }
+}
+
+/// [`count`] for a hot path: the global counter `name`, looked up on
+/// first use and held after, with the same sink event per addition.
+pub struct Count {
+    name: String,
+    counter: Handle<Counter>,
+}
+
+impl Count {
+    /// The global counter `name`.
+    pub fn new(name: impl Into<String>) -> Count {
+        let name = name.into();
+        Count {
+            counter: Handle::counter(registry::global(), name.as_str()),
+            name,
+        }
+    }
+
+    /// Adds `delta`, as [`count`]`(name, delta)` does.
+    pub fn add(&self, delta: u64) {
+        add_counted(&self.name, self.counter.get(), delta);
     }
 }
 

@@ -337,6 +337,60 @@ impl MetricsRegistry {
     }
 }
 
+/// A metric looked up on first use and held after.
+///
+/// A hot path keeps one of these instead of looking its metric up by name
+/// on every call: the first use takes the registry's lock once, every
+/// later one is an atomic load. Resolving on first use rather than at
+/// construction keeps a registry's metric set what the by-name lookup
+/// gave: a metric appears once something records into it.
+pub struct Handle<M> {
+    metric: OnceLock<Arc<M>>,
+    resolve: Box<dyn Fn() -> Arc<M> + Send + Sync>,
+}
+
+impl<M> Handle<M> {
+    /// A handle on the metric `resolve` returns, called at most once.
+    pub fn new(resolve: impl Fn() -> Arc<M> + Send + Sync + 'static) -> Handle<M> {
+        Handle {
+            metric: OnceLock::new(),
+            resolve: Box::new(resolve),
+        }
+    }
+
+    /// The metric, resolved on the first call.
+    pub fn get(&self) -> &M {
+        self.metric.get_or_init(|| (self.resolve)())
+    }
+}
+
+impl Handle<Counter> {
+    /// The counter `name` of `registry`.
+    pub fn counter(registry: &Arc<MetricsRegistry>, name: impl Into<String>) -> Handle<Counter> {
+        let (registry, name) = (Arc::clone(registry), name.into());
+        Handle::new(move || registry.counter(&name))
+    }
+}
+
+impl Handle<Gauge> {
+    /// The gauge `name` of `registry`.
+    pub fn gauge(registry: &Arc<MetricsRegistry>, name: impl Into<String>) -> Handle<Gauge> {
+        let (registry, name) = (Arc::clone(registry), name.into());
+        Handle::new(move || registry.gauge(&name))
+    }
+}
+
+impl Handle<Histogram> {
+    /// The histogram `name` of `registry`.
+    pub fn histogram(
+        registry: &Arc<MetricsRegistry>,
+        name: impl Into<String>,
+    ) -> Handle<Histogram> {
+        let (registry, name) = (Arc::clone(registry), name.into());
+        Handle::new(move || registry.histogram(&name))
+    }
+}
+
 /// The process-wide registry all instrumented components default to.
 pub fn global() -> &'static Arc<MetricsRegistry> {
     static GLOBAL: OnceLock<Arc<MetricsRegistry>> = OnceLock::new();

@@ -471,10 +471,18 @@ mod tests {
         let split = c.split_in_domain(1);
         let refs: Vec<&Example> = split.train.iter().map(|&id| &c.examples[id]).collect();
         let pool = DemoPool::new(&refs);
-        for &id in &split.test {
-            let probe = &c.examples[id];
-            assert_pooled_matches(&pool, &refs, &probe.nl, probe.id);
-        }
+        // Two threads share the probes, as in the debug check above.
+        std::thread::scope(|scope| {
+            for probes in split.test.chunks(split.test.len().div_ceil(2)) {
+                let (c, pool, refs) = (&c, &pool, &refs);
+                scope.spawn(move || {
+                    for &id in probes {
+                        let probe = &c.examples[id];
+                        assert_pooled_matches(pool, refs, &probe.nl, probe.id);
+                    }
+                });
+            }
+        });
     }
 
     #[test]

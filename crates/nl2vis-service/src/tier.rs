@@ -350,6 +350,7 @@ impl RouteLayer {
         Ok(TieredService {
             policy: self.policy,
             model: self.model,
+            metrics: RouteMetrics::new(&self.tiers),
             tiers: self.tiers,
         })
     }
@@ -361,6 +362,47 @@ pub struct TieredService {
     policy: RoutePolicy,
     model: String,
     tiers: Vec<Tier>,
+    metrics: RouteMetrics,
+}
+
+/// The metrics a tier attempt records, resolved once at
+/// [`RouteLayer::build`] instead of formatted and looked up per attempt.
+struct RouteMetrics {
+    requests: obs::Count,
+    cost_units: obs::Count,
+    escalations: obs::Count,
+    /// Per tier, in [`TieredService::tiers`] order.
+    tiers: Vec<TierMetrics>,
+}
+
+struct TierMetrics {
+    requests: obs::Count,
+    escalations: obs::Count,
+    duration: obs::Handle<obs::Histogram>,
+}
+
+impl RouteMetrics {
+    fn new(tiers: &[Tier]) -> RouteMetrics {
+        RouteMetrics {
+            requests: obs::Count::new("route.tier.requests_total"),
+            cost_units: obs::Count::new("route.cost_units"),
+            escalations: obs::Count::new("route.tier.escalations_total"),
+            tiers: tiers
+                .iter()
+                .map(|tier| TierMetrics {
+                    requests: obs::Count::new(format!("route.tier.{}.requests_total", tier.name)),
+                    escalations: obs::Count::new(format!(
+                        "route.tier.{}.escalations_total",
+                        tier.name
+                    )),
+                    duration: obs::Handle::histogram(
+                        obs::global(),
+                        format!("route.tier.{}.duration_us", tier.name),
+                    ),
+                })
+                .collect(),
+        }
+    }
 }
 
 impl std::fmt::Debug for TieredService {
@@ -424,14 +466,13 @@ impl CompletionService for TieredService {
             }
             attempted += 1;
             spent += tier.cost_units;
-            obs::count("route.tier.requests_total", 1);
-            obs::count(&format!("route.tier.{}.requests_total", tier.name), 1);
-            obs::count("route.cost_units", tier.cost_units);
+            let metrics = &self.metrics.tiers[ti];
+            self.metrics.requests.add(1);
+            metrics.requests.add(1);
+            self.metrics.cost_units.add(tier.cost_units);
             let started = Instant::now();
             let outcome = tier.service.call(prompt, opts);
-            obs::global()
-                .histogram(&format!("route.tier.{}.duration_us", tier.name))
-                .record_duration(started.elapsed());
+            metrics.duration.get().record_duration(started.elapsed());
             match outcome {
                 Ok(text) => {
                     span.annotate("route.winner", &tier.name);
@@ -445,12 +486,12 @@ impl CompletionService for TieredService {
                         .iter()
                         .any(|&next| affordable(&self.tiers[next], spent));
                     if will_escalate {
-                        obs::count("route.tier.escalations_total", 1);
+                        self.metrics.escalations.add(1);
                         let reason = match e.kind {
                             TransportErrorKind::Status(VALIDATION_REJECTED_STATUS) => "validation",
                             _ => "transport",
                         };
-                        obs::count(&format!("route.tier.{}.escalations_total", tier.name), 1);
+                        metrics.escalations.add(1);
                         span.annotate("route.escalated_from", &tier.name);
                         span.annotate("route.escalation_reason", reason);
                     }

@@ -48,7 +48,9 @@ run "cargo test nl2vis-llm (scan poller)" cargo test -q -p nl2vis-llm --no-defau
 # and `RetrievalIndex::best` must return the linear scan's entry and score
 # bits for every test question of the in-domain and cross-domain splits
 # of two seeds, in all three token modes. `#[ignore]`d in the debug suites
-# for their cost; about 60 s with their release build on a 2-vCPU VM.
+# for their cost. On a 2-vCPU VM the two tests take about 35 s once built
+# (the selector check about 22 s, its probes split over two threads; the
+# retrieval check about 13 s), plus their release build.
 run "cargo test nl2vis-prompt nl2vis-baselines (paper-sized, release)" \
     cargo test -q --release -p nl2vis-prompt -p nl2vis-baselines -- --ignored
 
