@@ -67,10 +67,8 @@ impl Hasher for Digested {
         self.0
     }
 
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = self.0.rotate_left(8) ^ u64::from(b);
-        }
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("digest maps hash only u64 keys")
     }
 
     fn write_u64(&mut self, digest: u64) {
@@ -248,6 +246,23 @@ impl<V: Clone> ShardedLru<V> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Snapshots every `(key, value)` pair, LRU order *within* each shard
+    /// (least recent first), shard by shard.
+    pub fn snapshot(&self) -> Vec<(String, V)> {
+        let mut out = Vec::new();
+        for s in &self.shards {
+            let shard = s.lock().expect("lru shard");
+            // Walk tail -> head so re-inserting the snapshot in order
+            // reproduces the recency ranking.
+            let mut i = shard.tail;
+            while i != NIL {
+                out.push((shard.slots[i].key.clone(), shard.slots[i].value.clone()));
+                i = shard.slots[i].prev;
+            }
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -369,6 +384,18 @@ mod tests {
             "a digest collision among nearby keys"
         );
         assert_eq!(key_digest(&prompt), key_digest(&prompt.clone()));
+    }
+
+    #[test]
+    fn snapshot_roundtrips_recency() {
+        let lru: ShardedLru<i32> = ShardedLru::new(8, 1);
+        insert(&lru, "a", 1);
+        insert(&lru, "b", 2);
+        insert(&lru, "c", 3);
+        get(&lru, "a");
+        let snap = lru.snapshot();
+        let keys: Vec<&str> = snap.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, vec!["b", "c", "a"], "LRU first, MRU last");
     }
 
     #[test]

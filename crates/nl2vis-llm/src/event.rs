@@ -95,10 +95,6 @@ const DRAIN_GRACE: Duration = Duration::from_millis(250);
 /// peer.
 const POLLER_WRITE_TIMEOUT: Duration = Duration::from_millis(250);
 
-/// The statuses [`wire::render_response`] names, whose `llm.status_<code>`
-/// counters the core holds; any other status is counted by name.
-const STATUSES: [u16; 9] = [200, 400, 404, 413, 422, 429, 500, 501, 502];
-
 /// A parsed inbound request: the owned copy of the wire bytes that travels
 /// from a poller to a worker.
 pub(crate) struct Request {
@@ -211,7 +207,7 @@ pub(crate) struct Shared {
 /// instead of looked up by name per request.
 struct Metrics {
     http_requests: Handle<Counter>,
-    /// `llm.status_<code>` for each of [`STATUSES`].
+    /// `llm.status_<code>` for each of [`wire::STATUSES`].
     statuses: Vec<Handle<Counter>>,
     requests: Handle<Counter>,
     latency: Handle<Histogram>,
@@ -238,9 +234,9 @@ impl Metrics {
         };
         Metrics {
             http_requests: Handle::counter(registry, "server.http_requests_total"),
-            statuses: STATUSES
+            statuses: wire::STATUSES
                 .iter()
-                .map(|status| Handle::counter(registry, format!("llm.status_{status}")))
+                .map(|(status, _)| Handle::counter(registry, format!("llm.status_{status}")))
                 .collect(),
             requests: Handle::counter(registry, "llm.requests_total"),
             latency: Handle::histogram(registry, "llm.request_latency_us"),
@@ -258,9 +254,13 @@ impl Metrics {
 }
 
 impl Shared {
-    /// Counts one response under `llm.status_<status>`.
+    /// Counts one response under `llm.status_<status>`: a held counter for
+    /// the statuses [`wire::STATUSES`] names, by name for any other.
     fn count_status(&self, status: u16) {
-        match STATUSES.iter().position(|&known| known == status) {
+        match wire::STATUSES
+            .iter()
+            .position(|(known, _)| *known == status)
+        {
             Some(i) => self.metrics.statuses[i].get().inc(),
             None => self.registry.counter(&format!("llm.status_{status}")).inc(),
         }

@@ -585,6 +585,22 @@ pub fn render_request(
     out.into_bytes()
 }
 
+/// The statuses the server answers with and their reason phrases: the
+/// one table [`render_response`] names statuses from and the event core
+/// holds an `llm.status_<code>` counter for. Any other status renders as
+/// `Error`.
+pub(crate) const STATUSES: [(u16, &str); 9] = [
+    (200, "OK"),
+    (400, "Bad Request"),
+    (404, "Not Found"),
+    (413, "Payload Too Large"),
+    (422, "Unprocessable Content"),
+    (429, "Too Many Requests"),
+    (500, "Internal Server Error"),
+    (501, "Not Implemented"),
+    (502, "Bad Gateway"),
+];
+
 /// Serializes one complete response, advertising `Connection: keep-alive`
 /// or `close` to match what the server will do next.
 pub fn render_response(
@@ -594,18 +610,10 @@ pub fn render_response(
     keep_alive: bool,
     retry_after: Option<Duration>,
 ) -> Vec<u8> {
-    let reason = match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        413 => "Payload Too Large",
-        422 => "Unprocessable Content",
-        429 => "Too Many Requests",
-        500 => "Internal Server Error",
-        501 => "Not Implemented",
-        502 => "Bad Gateway",
-        _ => "Error",
-    };
+    let reason = STATUSES
+        .iter()
+        .find(|(code, _)| *code == status)
+        .map_or("Error", |(_, reason)| reason);
     let mut out = String::with_capacity(160 + body.len());
     let _ = write!(
         out,
